@@ -46,7 +46,7 @@ class Trajectory:
             raise ConfigError("tau grid must be strictly increasing")
         norms = np.linalg.norm(states, axis=1)
         drift = float(np.max(np.abs(norms - 1.0)))
-        if drift > self.norm_tol:
+        if not drift <= self.norm_tol:  # NaN drift fails too
             raise NumericalError(
                 f"trajectory state norms drift by {drift:.3e} (tol {self.norm_tol:g})"
             )
@@ -100,7 +100,7 @@ def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
     states = (phases * weights[None, :]) @ vectors.T
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > 1e-12:
+    if not drift <= 1e-12:  # NaN drift fails too
         raise NumericalError(f"eigen propagation lost norm by {drift:.3e}")
     return Trajectory(tau, states, basis=basis, hamiltonian_label=label,
                       norm_tol=1e-12)
@@ -131,7 +131,8 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
                     np.ascontiguousarray(tau), float(dtau))
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if norm_drift_tol is not None and drift > norm_drift_tol:
+    # NaN drift fails too
+    if norm_drift_tol is not None and not drift <= norm_drift_tol:
         raise StepSizeError(
             f"norm drifted by {drift:.3e} over the run (tol {norm_drift_tol:g}); "
             f"reduce dtau below {dtau:g}"

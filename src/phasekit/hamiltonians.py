@@ -90,8 +90,9 @@ def fermion_pair_embedding() -> np.ndarray:
     """16x3 isometry taking (sym, |ud,0>, |0,ud>) amplitudes into Fock space.
 
     Observables (and especially their squares) mix states outside the
-    three-state dynamical basis, so every observable is evaluated on the
-    embedded full-space vector.
+    three-state dynamical basis, so a Fock operator A acts on pair amplitudes
+    through E^dag A E and E^dag A^2 E (``observe.pair_moments``), never
+    through (E^dag A E)^2.
     """
     e = np.zeros((16, 3), dtype=complex)
     inv_s2 = 1.0 / math.sqrt(2.0)

@@ -1,16 +1,18 @@
 """Expectations, fluctuations, squeezing parameters, trapping detection.
 
 All quantities are evaluated from trajectory states. Fermion-pair
-trajectories live in the three-state dynamical basis; every observable here
-embeds them into the full 16-dimensional Fock space first, because operator
-squares visit states outside the dynamical sector.
+trajectories live in the three-state dynamical basis. A 16-dim Fock operator A
+is evaluated on them through its projections E^dag A E and E^dag A^2 E
+(``pair_moments``), with E the embedding isometry; the second moment needs its
+own projection because A maps pair states outside the dynamical sector.
+``embedded_fermion_states`` gives the full-space vectors for checking this.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -83,9 +85,11 @@ def expectation_series(op: Union[OperatorMatrix, np.ndarray],
     return _real_expectation(_as_array(op), _states_matrix(states), "expectation")
 
 
-def _fluct(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _fluct(op: np.ndarray, states: np.ndarray,
+           second_op: Optional[np.ndarray] = None) -> np.ndarray:
     mean = _real_expectation(op, states, "expectation")
-    second = _real_expectation(op @ op, states, "second moment")
+    second = _real_expectation(op @ op if second_op is None else second_op,
+                               states, "second moment")
     radicand = second - mean * mean
     worst = float(np.min(radicand)) if radicand.size else 0.0
     if worst < RADICAND_ERROR_TOL:
@@ -106,8 +110,13 @@ def fluctuation(op: Union[OperatorMatrix, np.ndarray],
 
 
 def fluctuation_series(op: Union[OperatorMatrix, np.ndarray],
-                       states: Union[Trajectory, np.ndarray]) -> np.ndarray:
-    return _fluct(_as_array(op), _states_matrix(states))
+                       states: Union[Trajectory, np.ndarray],
+                       second_op: Union[OperatorMatrix, np.ndarray, None] = None,
+                       ) -> np.ndarray:
+    """sqrt(<op^2> - <op>^2) per state; ``second_op`` stands in for op @ op
+    where that product is not the second moment (see ``pair_moments``)."""
+    second = None if second_op is None else _as_array(second_op)
+    return _fluct(_as_array(op), _states_matrix(states), second)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,20 @@ def embedded_fermion_states(states: Union[Trajectory, np.ndarray]) -> np.ndarray
     if arr.shape[1] != 3:
         raise ConfigError(f"expected 3- or 16-dimensional states, got {arr.shape[1]}")
     return arr @ fermion_pair_embedding().T
+
+
+def pair_moments(op: Union[OperatorMatrix, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(E^dag A E, E^dag A^2 E) for a 16-dim operator A, E the pair embedding.
+
+    <E psi|A|E psi> = psi^dag (E^dag A E) psi, and likewise for A^2, so both
+    moments are exact on the three pair amplitudes. (E^dag A E)^2 is not the
+    second moment: A leaves the dynamical sector.
+    """
+    arr = _as_array(op)
+    if arr.shape != (16, 16):
+        raise ConfigError(f"expected a 16x16 Fock operator, got {arr.shape}")
+    e = fermion_pair_embedding()
+    return e.conj().T @ arr @ e, e.conj().T @ (arr @ arr) @ e
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +167,12 @@ def xi_fermion(trajectory: Union[Trajectory, np.ndarray]) -> tuple[np.ndarray, n
     both-in-one-well start; both are emitted so the discrepancy is visible in
     datasets rather than hidden by a choice.
     """
-    states = embedded_fermion_states(trajectory)
-    w = well_number_diff(fermion_sector()).entries
+    states = _states_matrix(trajectory)
+    if states.shape[1] != 3:
+        raise ConfigError(f"expected 3-amplitude pair states, got {states.shape[1]}")
+    w, w2 = pair_moments(well_number_diff(fermion_sector()))
     mean = _real_expectation(w, states, "expectation")
-    second = _real_expectation(w @ w, states, "second moment")
+    second = _real_expectation(w2, states, "second moment")
     variance_form = (second - mean * mean) / 2.0
     second_moment_form = second / 2.0
     return variance_form, second_moment_form

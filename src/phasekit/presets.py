@@ -1,14 +1,15 @@
 """Named preset dataset bundles (fig1..fig11).
 
 Each preset expands to a list of single-channel scenarios; running a preset
-writes one CSV per scenario into the chosen directory. Filenames encode
-system, size or mode pair, interaction strength, and channel, e.g.
+writes one CSV per scenario into the chosen directory, propagating each
+distinct config (channels aside) once. Filenames encode system, size or mode
+pair, interaction strength, and channel, e.g.
 ``fig1_boson_N2_U0.05_avgC_CN.csv``. Reruns are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
 
@@ -98,11 +99,24 @@ def preset_entries(name: str) -> tuple[PresetEntry, ...]:
 
 
 def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
-    """Run one preset bundle sequentially, returning the written CSV paths."""
+    """Run one preset bundle sequentially, returning the written CSV paths.
+
+    Entries whose configs differ only in their channels share one
+    propagation, and each entry's CSV is cut from that series.
+    """
+    entries = preset_entries(name)
+    groups: dict[tuple, tuple[ScenarioConfig, list[str]]] = {}
+    for entry in entries:
+        _, channels = groups.setdefault(_without_channels(entry.config),
+                                        (entry.config, []))
+        channels.extend(c for c in entry.config.channels if c not in channels)
+    series = {key: run_scenario(replace(cfg, channels=tuple(channels)))
+              for key, (cfg, channels) in groups.items()}
     out = Path(out_dir)
-    written: list[Path] = []
-    for entry in preset_entries(name):
-        cfg = replace(entry.config, out=str(out / entry.filename))
-        series = run_scenario(cfg)
-        written.append(write_csv(series, cfg.channels, cfg.out))
-    return written
+    return [write_csv(series[_without_channels(entry.config)],
+                      entry.config.channels, out / entry.filename)
+            for entry in entries]
+
+
+def _without_channels(cfg: ScenarioConfig) -> tuple:
+    return tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name != "channels")

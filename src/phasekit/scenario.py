@@ -30,9 +30,9 @@ from .hamiltonians import (
 )
 from .observe import (
     TimeSeries,
-    embedded_fermion_states,
     expectation_series,
     fluctuation_series,
+    pair_moments,
     xi_boson,
     xi_fermion,
     xi_fermion_closed_form,
@@ -54,11 +54,26 @@ MODE_PAIRS = {
 }
 DEFAULT_MODE_PAIR = "l-up/r-down"
 
-BOSON_CHANNELS = ("avgC_CN", "avgS_CN", "avgC_U", "avgS_U",
-                  "fluctC", "fluctS", "avgW", "fluctW", "xi")
-FERMION_CHANNELS = ("avgC_CN", "avgS_CN", "avgC_U", "avgS_U",
-                    "fluctC", "fluctS", "avgW", "fluctW",
-                    "xi_variance", "xi_second_moment", "xi_closed")
+# channel -> (kind, operator). "mean" and "fluct" channels serve both systems
+# and name an observable of _observables; a "boson" or "fermion" channel is a
+# squeezing form of that system only, computed by operator(cfg, traj).
+_CHANNELS = {
+    "avgC_CN": ("mean", "C_CN"),
+    "avgS_CN": ("mean", "S_CN"),
+    "avgC_U": ("mean", "C_U"),
+    "avgS_U": ("mean", "S_U"),
+    "fluctC": ("fluct", "C_U"),
+    "fluctS": ("fluct", "S_U"),
+    "avgW": ("mean", "W"),
+    "fluctW": ("fluct", "W"),
+    "xi": ("boson", lambda cfg, traj: xi_boson(traj, boson_basis(cfg.N))),
+    "xi_variance": ("fermion", lambda cfg, traj: xi_fermion(traj)[0]),
+    "xi_second_moment": ("fermion", lambda cfg, traj: xi_fermion(traj)[1]),
+    "xi_closed": ("fermion",
+                  lambda cfg, traj: xi_fermion_closed_form(cfg.ubar, traj.tau_grid)),
+}
+BOSON_CHANNELS = tuple(n for n, (kind, _) in _CHANNELS.items() if kind != "fermion")
+FERMION_CHANNELS = tuple(n for n, (kind, _) in _CHANNELS.items() if kind != "boson")
 
 _CONFIG_KEYS = ("system", "N", "ubar", "variant", "mode_pair", "tau_max",
                 "steps", "initial", "integrator", "channels", "out")
@@ -131,6 +146,8 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"unknown channel {name!r} for {self.system}; known: {known}"
                 )
+        if len(set(chans)) != len(chans):
+            raise ConfigError(f"channels name an observable twice: {chans}")
         object.__setattr__(self, "channels", chans)
 
         if isinstance(self.initial, str):
@@ -275,78 +292,44 @@ def propagate_scenario(cfg: ScenarioConfig) -> Trajectory:
     psi0 = initial_amplitudes(cfg)
     if cfg.integrator == "eigen":
         return eigen_propagate(h, psi0, tau_grid, basis=basis)
-    spacing = float(tau_grid[1] - tau_grid[0])
+    spacing = float(np.min(np.diff(tau_grid)))
     dtau = min(DEFAULT_DTAU, spacing)
     return rk4_propagate(h, psi0, tau_grid, dtau=dtau, basis=basis)
 
 
-def _boson_series(cfg: ScenarioConfig, traj: Trajectory) -> dict[str, np.ndarray]:
-    basis = boson_basis(cfg.N)
-    cos_cn, sin_cn = boson_cn_phase(basis)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
-    w = boson_number_diff(basis)
-    values: dict[str, np.ndarray] = {}
-    for name in cfg.channels:
-        if name == "avgC_CN":
-            values[name] = expectation_series(cos_cn, traj)
-        elif name == "avgS_CN":
-            values[name] = expectation_series(sin_cn, traj)
-        elif name == "avgC_U":
-            values[name] = expectation_series(cos_u, traj)
-        elif name == "avgS_U":
-            values[name] = expectation_series(sin_u, traj)
-        elif name == "fluctC":
-            values[name] = fluctuation_series(cos_u, traj)
-        elif name == "fluctS":
-            values[name] = fluctuation_series(sin_u, traj)
-        elif name == "avgW":
-            values[name] = expectation_series(w, traj)
-        elif name == "fluctW":
-            values[name] = fluctuation_series(w, traj)
-        elif name == "xi":
-            values[name] = xi_boson(traj, basis)
-    return values
-
-
-def _fermion_series(cfg: ScenarioConfig, traj: Trajectory) -> dict[str, np.ndarray]:
-    space = fermion_sector()
-    m, mp = MODE_PAIRS[cfg.mode_pair]
-    cos_cn, sin_cn = fermion_cn_phase(space, m, mp)
-    cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
-    w = well_number_diff(space)
-    states = embedded_fermion_states(traj)
-    values: dict[str, np.ndarray] = {}
-    xi_pair = None
-    for name in cfg.channels:
-        if name == "avgC_CN":
-            values[name] = expectation_series(cos_cn, states)
-        elif name == "avgS_CN":
-            values[name] = expectation_series(sin_cn, states)
-        elif name == "avgC_U":
-            values[name] = expectation_series(cos_u, states)
-        elif name == "avgS_U":
-            values[name] = expectation_series(sin_u, states)
-        elif name == "fluctC":
-            values[name] = fluctuation_series(cos_u, states)
-        elif name == "fluctS":
-            values[name] = fluctuation_series(sin_u, states)
-        elif name == "avgW":
-            values[name] = expectation_series(w, states)
-        elif name == "fluctW":
-            values[name] = fluctuation_series(w, states)
-        elif name in ("xi_variance", "xi_second_moment"):
-            if xi_pair is None:
-                xi_pair = xi_fermion(states)
-            values[name] = xi_pair[0] if name == "xi_variance" else xi_pair[1]
-        elif name == "xi_closed":
-            values[name] = xi_fermion_closed_form(cfg.ubar, traj.tau_grid)
-    return values
+def _observables(cfg: ScenarioConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each observable as (operator, second-moment operator) on cfg's
+    dynamical basis."""
+    if cfg.system == "boson":
+        basis = boson_basis(cfg.N)
+        cos_cn, sin_cn = boson_cn_phase(basis)
+        cos_u, sin_u, _ = boson_unitary_phase(basis)
+        ops = (cos_cn, sin_cn, cos_u, sin_u, boson_number_diff(basis))
+        moments = [(op.entries, op.entries @ op.entries) for op in ops]
+    else:
+        space = fermion_sector()
+        m, mp = MODE_PAIRS[cfg.mode_pair]
+        cos_cn, sin_cn = fermion_cn_phase(space, m, mp)
+        cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
+        ops = (cos_cn, sin_cn, cos_u, sin_u, well_number_diff(space))
+        moments = [pair_moments(op) for op in ops]
+    return dict(zip(("C_CN", "S_CN", "C_U", "S_U", "W"), moments))
 
 
 def run_scenario(cfg: ScenarioConfig) -> TimeSeries:
     traj = propagate_scenario(cfg)
-    builder = _boson_series if cfg.system == "boson" else _fermion_series
-    return TimeSeries(traj.tau_grid, builder(cfg, traj))
+    observables = _observables(cfg)
+    values: dict[str, np.ndarray] = {}
+    for name in cfg.channels:
+        kind, operator = _CHANNELS[name]
+        if kind == "mean":
+            values[name] = expectation_series(observables[operator][0], traj)
+        elif kind == "fluct":
+            op, second = observables[operator]
+            values[name] = fluctuation_series(op, traj, second)
+        else:
+            values[name] = operator(cfg, traj)
+    return TimeSeries(traj.tau_grid, values)
 
 
 # ---------------------------------------------------------------------------

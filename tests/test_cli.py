@@ -1,19 +1,17 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from phasekit.cli import main
 
 
-def _write_config(tmp_path, out_name="series.csv"):
-    out = tmp_path / out_name
+def _write_config(tmp_path, body="system=boson\nN=2\nubar=0.05\nsteps=5\n"
+                                 "tau_max=1.0\nchannels=avgC_CN,avgW\n"):
+    out = tmp_path / "series.csv"
     cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(
-        "system=boson\nN=2\nubar=0.05\nsteps=5\ntau_max=1.0\n"
-        f"channels=avgC_CN,avgW\nout={out}\n",
-        encoding="utf-8",
-    )
+    cfg.write_text(f"{body}out={out}\n", encoding="utf-8")
     return cfg, out
 
 
@@ -45,6 +43,38 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     cfg.write_text("system=boson\nN=0\nubar=1\nchannels=xi\n", encoding="utf-8")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_duplicate_channels_exits_one(tmp_path, capsys):
+    cfg, out = _write_config(tmp_path, "system=boson\nN=2\nubar=0.05\n"
+                                       "channels=avgW,avgW\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [
+    "system=fermion\nubar=1e308\nchannels=avgW\n",
+    "system=boson\nN=2\nubar=1e308\nchannels=avgW\n",
+], ids=["fermion", "boson"])
+def test_run_non_finite_states_exit_two(tmp_path, capsys, body):
+    # the propagated phases overflow to nan; no all-nan CSV may be written
+    cfg, out = _write_config(tmp_path, body)
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(cfg)]) == 2
+    assert "numerical error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rk4_on_grid_finer_than_default_step(tmp_path):
+    # linspace intervals differ in their last bits; the step must come from
+    # the smallest one, not the first
+    cfg, out = _write_config(tmp_path, "system=boson\nN=2\nubar=0.05\ntau_max=4\n"
+                                       "steps=40001\nintegrator=rk4\nchannels=avgW\n")
+    assert main(["run", "--config", str(cfg)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 40002
+    assert rows[-1].split(",")[0] == "4"
 
 
 def test_run_without_out_exits_one(tmp_path, capsys):

@@ -1,9 +1,17 @@
+import hashlib
+import json
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasekit import ConfigError, run_figure
 from phasekit.presets import PRESET_NAMES, PRESETS, preset_entries
+
+# sha256 and every 200th row (plus the last) of each preset CSV, written by
+# perfbench/make_reference.py; read only
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def test_preset_names():
@@ -72,7 +80,26 @@ def test_run_figure_writes_and_is_idempotent(tmp_path):
         assert blob.count(b"\n") == 2002  # header + 2001 rows
 
 
+def _golden_mismatch(data: bytes, ref: dict):
+    """None if the CSV bytes match the reference digest, or its header, row
+    count and every sampled row within 1e-13; else what differs."""
+    if hashlib.sha256(data).hexdigest() == ref["sha256"]:
+        return None
+    lines = data.decode("utf-8").split("\n")
+    if lines[0] != ref["header"] or lines[-1] != "":
+        return "header or final newline"
+    if len(lines) - 2 != int(ref["rows"]):
+        return f"{len(lines) - 2} rows"
+    for row, line in ref["samples"]:
+        got = np.array(lines[1 + row].split(","), dtype=float)
+        want = np.array(line.split(","), dtype=float)
+        if not np.max(np.abs(got - want)) <= 1e-13:
+            return f"row {row}"
+    return None
+
+
 def test_all_presets_complete_quickly(tmp_path):
+    golden = json.loads(REFERENCE.read_text(encoding="utf-8"))["figures"]["files"]
     start = time.perf_counter()
     total = 0
     for name in PRESET_NAMES:
@@ -80,3 +107,10 @@ def test_all_presets_complete_quickly(tmp_path):
     elapsed = time.perf_counter() - start
     assert total == 56
     assert elapsed < 60.0
+    assert set(golden) == set(PRESET_NAMES)
+    for name in PRESET_NAMES:
+        written = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert set(written) == set(golden[name]), name
+        for filename, data in written.items():
+            problem = _golden_mismatch(data, golden[name][filename])
+            assert problem is None, f"{filename}: {problem}"

@@ -5,13 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasekit import ConfigError, ScenarioConfig, parse_config, serialize_config
+from phasekit import (
+    ConfigError,
+    ScenarioConfig,
+    embedded_fermion_states,
+    expectation_series,
+    fermion_cn_phase,
+    fermion_sector,
+    fermion_unitary_phase,
+    fluctuation_series,
+    parse_config,
+    serialize_config,
+    well_number_diff,
+    xi_fermion_closed_form,
+)
 from phasekit.scenario import (
     BOSON_CHANNELS,
     FERMION_CHANNELS,
+    MODE_PAIRS,
     apply_overrides,
     format_csv,
     initial_amplitudes,
+    propagate_scenario,
     run,
     run_scenario,
     write_csv,
@@ -165,6 +180,50 @@ def test_run_scenario_fermion_channels():
     assert series.channels["avgW"][0] == pytest.approx(-2.0, abs=1e-12)
     assert series.channels["xi_second_moment"][0] == pytest.approx(2.0, abs=1e-12)
     assert series.channels["xi_variance"][0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _fock_space_channels(cfg, traj):
+    """Every fermion channel from the 16-dim embedded states and full operators."""
+    states = embedded_fermion_states(traj)
+    space = fermion_sector()
+    m, mp = MODE_PAIRS[cfg.mode_pair]
+    cos_cn, sin_cn = fermion_cn_phase(space, m, mp)
+    cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
+    w = well_number_diff(space)
+    mean_w = expectation_series(w, states)
+    second_w = expectation_series(w.entries @ w.entries, states)
+    return {
+        "avgC_CN": expectation_series(cos_cn, states),
+        "avgS_CN": expectation_series(sin_cn, states),
+        "avgC_U": expectation_series(cos_u, states),
+        "avgS_U": expectation_series(sin_u, states),
+        "fluctC": fluctuation_series(cos_u, states),
+        "fluctS": fluctuation_series(sin_u, states),
+        "avgW": mean_w,
+        "fluctW": fluctuation_series(w, states),
+        "xi_variance": (second_w - mean_w * mean_w) / 2.0,
+        "xi_second_moment": second_w / 2.0,
+        "xi_closed": xi_fermion_closed_form(cfg.ubar, traj.tau_grid),
+    }
+
+
+@given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6)
+       .filter(lambda xs: sum(x * x for x in xs) > 1e-3),
+       st.floats(min_value=0.0, max_value=10.0),
+       st.sampled_from(tuple(MODE_PAIRS)),
+       st.sampled_from(("single-occupancy", "uniform-shift")))
+@settings(max_examples=40, deadline=None)
+def test_fermion_channels_match_fock_space_evaluation(parts, ubar, pair, variant):
+    amps = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    cfg = ScenarioConfig(system="fermion", ubar=ubar, variant=variant,
+                         mode_pair=pair, steps=41, tau_max=8.0,
+                         initial=tuple(amps / np.linalg.norm(amps)),
+                         channels=FERMION_CHANNELS)
+    series = run_scenario(cfg)
+    oracle = _fock_space_channels(cfg, propagate_scenario(cfg))
+    assert set(oracle) == set(FERMION_CHANNELS)
+    for name in FERMION_CHANNELS:
+        assert np.max(np.abs(series.channels[name] - oracle[name])) <= 1e-12, name
 
 
 def test_rk4_and_eigen_scenarios_agree_at_weak_coupling():
