@@ -27,7 +27,6 @@ from .fock import (
     parse_mask_label,
 )
 from .hamiltonians import (
-    FermionPairBasis,
     barrier_height,
     boson_dimer_hamiltonian,
     fermion_pair_embedding,
@@ -81,7 +80,6 @@ __all__ = [
     "BosonDimerBasis",
     "BosonPairClosedForm",
     "ConfigError",
-    "FermionPairBasis",
     "FermionSector",
     "NumericalError",
     "OperatorMatrix",

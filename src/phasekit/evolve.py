@@ -31,8 +31,6 @@ class Trajectory:
 
     tau_grid: np.ndarray
     states: np.ndarray  # shape (len(tau_grid), dim)
-    basis: object = None
-    hamiltonian_label: str = ""
     norm_tol: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -57,19 +55,11 @@ class Trajectory:
         object.__setattr__(self, "tau_grid", tau)
         object.__setattr__(self, "states", states)
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
-    def state_at(self, index: int) -> np.ndarray:
-        return self.states[index]
-
 
 def _prepare(h: Union[OperatorMatrix, np.ndarray],
              psi0: Union[StateVector, Sequence[complex]],
-             tau_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+             tau_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arr = _as_array(h)
-    label = h.label if isinstance(h, OperatorMatrix) else ""
     dev = float(np.max(np.abs(arr - arr.conj().T)))
     if dev > 1e-12:
         raise NumericalError(f"propagation needs a hermitian matrix; deviation {dev:.3e}")
@@ -82,15 +72,14 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
     if abs(norm - 1.0) > 1e-9:
         raise ConfigError(f"initial state not normalized: |psi| = {norm!r}")
     tau = np.asarray(tau_grid, dtype=float)
-    return arr, amps.astype(complex), tau, label
+    return arr, amps.astype(complex), tau
 
 
 def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
                     psi0: Union[StateVector, Sequence[complex]],
-                    tau_grid: Sequence[float],
-                    basis: object = None) -> Trajectory:
+                    tau_grid: Sequence[float]) -> Trajectory:
     """Exact propagation psi(tau) = sum_k e^{-i E_k tau} <k|psi0> |k>."""
-    arr, amps, tau, label = _prepare(h, psi0, tau_grid)
+    arr, amps, tau = _prepare(h, psi0, tau_grid)
     try:
         energies, vectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
@@ -102,23 +91,21 @@ def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= 1e-12:  # NaN drift fails too
         raise NumericalError(f"eigen propagation lost norm by {drift:.3e}")
-    return Trajectory(tau, states, basis=basis, hamiltonian_label=label,
-                      norm_tol=1e-12)
+    return Trajectory(tau, states, norm_tol=1e-12)
 
 
 def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
                   psi0: Union[StateVector, Sequence[complex]],
                   tau_grid: Sequence[float],
                   dtau: float = DEFAULT_DTAU,
-                  norm_drift_tol: Optional[float] = RK4_NORM_DRIFT_TOL,
-                  basis: object = None) -> Trajectory:
+                  norm_drift_tol: Optional[float] = RK4_NORM_DRIFT_TOL) -> Trajectory:
     """Classical fixed-step RK4 for i dpsi/dtau = H psi, no renormalization.
 
     Norm drift beyond ``norm_drift_tol`` over the run raises StepSizeError
     (pass None to disable the guard for diagnostics; the drift stays visible
     in the returned states either way).
     """
-    arr, amps, tau, label = _prepare(h, psi0, tau_grid)
+    arr, amps, tau = _prepare(h, psi0, tau_grid)
     if not dtau > 0:
         raise ConfigError(f"dtau must be positive, got {dtau}")
     spacing = float(np.min(np.diff(tau))) if len(tau) > 1 else math.inf
@@ -138,8 +125,7 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
             f"reduce dtau below {dtau:g}"
         )
     tol = math.inf if norm_drift_tol is None else max(norm_drift_tol, 1e-10)
-    return Trajectory(tau, states, basis=basis, hamiltonian_label=label,
-                      norm_tol=tol)
+    return Trajectory(tau, states, norm_tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ doubly-occupied state, and they differ exactly by (ubar/2)*diag(0, 1, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +37,6 @@ _MASK_UP_DOWN = 9
 _MASK_DOWN_UP = 6
 _MASK_BOTH_LEFT = 3
 _MASK_BOTH_RIGHT = 12
-
-
-@dataclass(frozen=True)
-class FermionPairBasis:
-    """The three-state dynamical basis (sym, |ud,0>, |0,ud>)."""
-
-    labels: tuple[str, ...] = ("sym", "ud,0", "0,ud")
-
-    @property
-    def dimension(self) -> int:
-        return 3
 
 
 def boson_dimer_hamiltonian(basis: BosonDimerBasis, ubar: float) -> OperatorMatrix:

@@ -60,14 +60,6 @@ class OperatorMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, label=f"{self.label}^dag",
-                              hermitian=self.hermitian)
-
 
 def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
     return op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)

@@ -20,11 +20,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
-from .fock import BosonDimerBasis, boson_basis, fermion_sector
+from .fock import boson_basis, fermion_sector
 from .hamiltonians import (
     DEFAULT_FERMION_VARIANT,
     FERMION_VARIANTS,
-    FermionPairBasis,
     boson_dimer_hamiltonian,
     fermion_pair_hamiltonian,
 )
@@ -284,17 +283,15 @@ def initial_amplitudes(cfg: ScenarioConfig) -> np.ndarray:
 def propagate_scenario(cfg: ScenarioConfig) -> Trajectory:
     tau_grid = np.linspace(0.0, cfg.tau_max, cfg.steps)
     if cfg.system == "boson":
-        basis = boson_basis(cfg.N)
-        h = boson_dimer_hamiltonian(basis, cfg.ubar)
+        h = boson_dimer_hamiltonian(boson_basis(cfg.N), cfg.ubar)
     else:
-        basis = FermionPairBasis()
         h = fermion_pair_hamiltonian(cfg.ubar, cfg.variant)
     psi0 = initial_amplitudes(cfg)
     if cfg.integrator == "eigen":
-        return eigen_propagate(h, psi0, tau_grid, basis=basis)
+        return eigen_propagate(h, psi0, tau_grid)
     spacing = float(np.min(np.diff(tau_grid)))
     dtau = min(DEFAULT_DTAU, spacing)
-    return rk4_propagate(h, psi0, tau_grid, dtau=dtau, basis=basis)
+    return rk4_propagate(h, psi0, tau_grid, dtau=dtau)
 
 
 def _observables(cfg: ScenarioConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -351,9 +348,13 @@ def format_csv(series: TimeSeries, channel_order: Sequence[str]) -> str:
 def write_csv(series: TimeSeries, channel_order: Sequence[str],
               path: Union[str, Path]) -> Path:
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(series, channel_order))
+    text = format_csv(series, channel_order)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
     return target
 
 

@@ -29,7 +29,7 @@ from .evolve import (
     eigen_propagate,
     fermion_pair_closed_form,
 )
-from .fock import FULL_DIM, MODE_NAMES, boson_basis, fermion_sector
+from .fock import FULL_DIM, MODE_NAMES, boson_basis, fermion_sector, fock_state
 from .hamiltonians import (
     FERMION_VARIANTS,
     boson_dimer_hamiltonian,
@@ -281,6 +281,12 @@ def _grid(tau_max: float = 40.0, steps: int = 401) -> np.ndarray:
     return np.linspace(0.0, tau_max, steps)
 
 
+def _boson_right_well_traj(n: int, ubar: float, tau: np.ndarray):
+    basis = boson_basis(n)
+    h = boson_dimer_hamiltonian(basis, ubar)
+    return basis, eigen_propagate(h, fock_state(basis, "right-well"), tau)
+
+
 def _check_conservation() -> CheckResult:
     tau = _grid()
     worst_norm = 0.0
@@ -289,10 +295,8 @@ def _check_conservation() -> CheckResult:
     for n in (2, 5, 10):
         for ubar in (0.05, 5.0):
             basis = boson_basis(n)
-            h = boson_dimer_hamiltonian(basis, ubar)
-            psi0 = np.zeros(n + 1, dtype=complex)
-            psi0[0] = 1.0
-            cases.append((h, psi0))
+            cases.append((boson_dimer_hamiltonian(basis, ubar),
+                          fock_state(basis, "right-well")))
     for variant in FERMION_VARIANTS:
         for ubar in (0.05, 5.0):
             h = fermion_pair_hamiltonian(ubar, variant)
@@ -329,11 +333,8 @@ def _check_boson_closed_form() -> CheckResult:
     tau = _grid()
     worst = 0.0
     for ubar in UBAR_SET:
-        basis = boson_basis(2)
-        h = boson_dimer_hamiltonian(basis, ubar)
-        init = np.array([1.0, 0.0, 0.0], dtype=complex)  # right-well start
-        traj = eigen_propagate(h, init, tau)
-        closed = boson_pair_closed_form(ubar, tau, init)
+        _, traj = _boson_right_well_traj(2, ubar, tau)
+        closed = boson_pair_closed_form(ubar, tau)  # its default is this start
         assert "c1" in closed.exact_components
         worst = max(worst, _maxabs(traj.states[:, 1] - closed.c1))
         if ubar == 0.0:
@@ -344,11 +345,7 @@ def _check_boson_closed_form() -> CheckResult:
 
 
 def _check_phase_linearity(tol: float) -> CheckResult:
-    basis = boson_basis(3)
-    h = boson_dimer_hamiltonian(basis, 5.0)
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    traj = eigen_propagate(h, psi0, _grid())
+    basis, traj = _boson_right_well_traj(3, 5.0, _grid())
     cos_cn, sin_cn = boson_cn_phase(basis)
     cos0, sin0 = boson_vacuum_phase(basis)
     cos_u, sin_u, _ = boson_unitary_phase(basis)
@@ -360,14 +357,6 @@ def _check_phase_linearity(tol: float) -> CheckResult:
     )
     return CheckResult("phase-average-linearity", worst <= tol, worst, tol,
                        "completed average = raw average + vacuum average")
-
-
-def _boson_right_well_traj(n: int, ubar: float, tau: np.ndarray):
-    basis = boson_basis(n)
-    h = boson_dimer_hamiltonian(basis, ubar)
-    psi0 = np.zeros(n + 1, dtype=complex)
-    psi0[0] = 1.0
-    return basis, eigen_propagate(h, psi0, tau)
 
 
 def _check_interaction_free_laws() -> CheckResult:

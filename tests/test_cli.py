@@ -1,15 +1,19 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phasekit
 from phasekit.cli import main
 
 
 def _write_config(tmp_path, body="system=boson\nN=2\nubar=0.05\nsteps=5\n"
-                                 "tau_max=1.0\nchannels=avgC_CN,avgW\n"):
-    out = tmp_path / "series.csv"
+                                 "tau_max=1.0\nchannels=avgC_CN,avgW\n",
+                  out=None):
+    out = tmp_path / "series.csv" if out is None else out
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(f"{body}out={out}\n", encoding="utf-8")
     return cfg, out
@@ -77,6 +81,28 @@ def test_run_rk4_on_grid_finer_than_default_step(tmp_path):
     assert rows[-1].split(",")[0] == "4"
 
 
+@pytest.mark.parametrize("case", ["run-out-is-directory", "run-out-under-file",
+                                  "figure-out-is-file"])
+def test_unwritable_output_exits_one(tmp_path, capsys, case):
+    taken = tmp_path / "taken"
+    if case == "run-out-is-directory":
+        taken.mkdir()
+        cfg, _ = _write_config(tmp_path, out=taken)
+        argv = ["run", "--config", str(cfg)]
+    elif case == "run-out-under-file":
+        taken.write_text("a file, not a directory\n", encoding="utf-8")
+        cfg, _ = _write_config(tmp_path, out=taken / "series.csv")
+        argv = ["run", "--config", str(cfg)]
+    else:
+        taken.write_text("a file, not a directory\n", encoding="utf-8")
+        argv = ["figure", "fig1", "--out", str(taken)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phasekit:") and f"cannot write {taken}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_run_without_out_exits_one(tmp_path, capsys):
     cfg = tmp_path / "no_out.cfg"
     cfg.write_text("system=boson\nN=2\nubar=1\nchannels=xi\n", encoding="utf-8")
@@ -117,9 +143,13 @@ def test_verify_bad_n_max_exits_one(capsys):
 
 def test_module_invocation_subprocess(tmp_path):
     cfg, out = _write_config(tmp_path)
+    # the child imports the same phasekit as this process
+    src = str(Path(phasekit.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "phasekit", "run", "--config", str(cfg)],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

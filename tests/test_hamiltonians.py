@@ -13,7 +13,7 @@ from phasekit import (
     fermion_pair_embedding,
     fermion_pair_hamiltonian,
 )
-from phasekit.hamiltonians import DEFAULT_FERMION_VARIANT, FERMION_VARIANTS
+from phasekit.hamiltonians import DEFAULT_FERMION_VARIANT
 
 
 def _oracle_boson_hamiltonian(n, ubar):
@@ -86,15 +86,6 @@ def test_fermion_sym_sector_eigenvalues():
     omega = math.sqrt(4.0 + quarter * quarter)
     expected = np.sort([0.0, quarter - omega, quarter + omega])
     assert np.max(np.abs(vals - expected)) < 1e-12
-
-
-def test_interaction_free_spectra_match():
-    target = np.array([-2.0, 0.0, 2.0])
-    hb = boson_dimer_hamiltonian(boson_basis(2), 0.0).entries
-    assert np.allclose(np.linalg.eigvalsh(hb), target, atol=1e-12)
-    for variant in FERMION_VARIANTS:
-        hf = fermion_pair_hamiltonian(0.0, variant).entries
-        assert np.allclose(np.linalg.eigvalsh(hf), target, atol=1e-12)
 
 
 def test_embedding_is_isometric_and_places_amplitudes():

@@ -16,27 +16,10 @@ def test_precondition():
         run_verification(tol=0.0)
 
 
-def test_algebra_checks_pass(report):
-    by_name = {r.name: r for r in report.results}
-    for name in ("boson-phase-hermiticity", "fermion-phase-hermiticity",
-                 "boson-beta-unitarity", "cn-corner-defect",
-                 "number-phase-commutators", "jacobi-identity",
-                 "fermion-anticommutators", "betaf-isometry"):
-        assert by_name[name].passed, by_name[name].line()
-
-
 def test_counterexample_is_pass_by_expectation(report):
     check = next(r for r in report.results if r.name == "double-sum-counterexample")
     assert check.passed
     assert check.residual >= 0.5
-
-
-def test_dynamics_checks_pass(report):
-    by_name = {r.name: r for r in report.results}
-    for name in ("eigen-conservation", "fermion-closed-form",
-                 "boson-closed-form", "two-boson-free-laws",
-                 "odd-even-cosine-law", "config-round-trip"):
-        assert by_name[name].passed, by_name[name].line()
 
 
 def test_squeezing_closed_form_check_fails_as_designed(report):
