@@ -1,10 +1,10 @@
 """Acceptance suite: the contract criteria, numbered c01..c11.
 
 The operator and dynamics laws are written once, as the named checks of
-``phasekit.verify``. c01, c02, c03, c04 and c08 are asserted through those
-checks by name (``test_verify_check_passes_at_pinned_tol``, whose ids carry
-the criterion), together with every other check that passes; each check's
-tolerance is pinned there. The other criteria keep their own tests because
+``phasekit.verify``. The tests for c01, c02, c03, c04 and c08 assert the
+checks of their criterion by name, and ``test_verify_check_passes_at_pinned_tol``
+asserts every other check that passes; each check's tolerance is pinned in
+one table, ``VERIFY_CHECKS``. The other criteria keep their own tests because
 their cases differ from any check: c05 compares the closed forms on a
 2001-point grid where ``fermion-closed-form`` and ``boson-closed-form`` use
 401 points, and c11 covers the trajectories the criteria themselves propagate
@@ -109,23 +109,53 @@ def verify_checks():
     return {check.name: check for check in report.results}
 
 
-@pytest.mark.parametrize("name, tol", [
-    pytest.param(name, tol, id=f"{criterion}-{name}" if criterion else name)
-    for criterion, name, tol in VERIFY_CHECKS
-])
-def test_verify_check_passes_at_pinned_tol(verify_checks, name, tol):
-    check = verify_checks[name]
+def _assert_passes_at_pinned_tol(check, tol):
     assert check.passed, check.line()
     assert check.tol == tol
-    if name == "double-sum-counterexample":
+    if check.name == "double-sum-counterexample":
         assert check.residual >= tol
     else:
         assert check.residual <= tol
 
 
+def _assert_criterion(verify_checks, criterion):
+    rows = [(name, tol) for crit, name, tol in VERIFY_CHECKS if crit == criterion]
+    assert rows
+    for name, tol in rows:
+        _assert_passes_at_pinned_tol(verify_checks[name], tol)
+
+
+@pytest.mark.parametrize("name, tol", [
+    pytest.param(name, tol, id=name)
+    for criterion, name, tol in VERIFY_CHECKS if criterion is None
+])
+def test_verify_check_passes_at_pinned_tol(verify_checks, name, tol):
+    _assert_passes_at_pinned_tol(verify_checks[name], tol)
+
+
 def test_verify_checks_are_all_pinned(verify_checks):
     pinned = {name for _, name, _ in VERIFY_CHECKS}
     assert set(verify_checks) - pinned == {"squeezing-closed-form"}
+
+
+def test_c01_two_boson_free_phase_laws(verify_checks):
+    # two-boson-free-laws: N=2, ubar=0, 2001 points on [0, 2 pi]
+    _assert_criterion(verify_checks, "c01")
+
+
+def test_c02_unitarity_and_corner_defect(verify_checks):
+    # boson-beta-unitarity and cn-corner-defect: N=1..12
+    _assert_criterion(verify_checks, "c02")
+
+
+def test_c03_commutator_and_jacobi_identities(verify_checks):
+    # number-phase-commutators and jacobi-identity: N=1..10, 3 fermion pairs
+    _assert_criterion(verify_checks, "c03")
+
+
+def test_c04_fermion_algebra(verify_checks):
+    # fermion-anticommutators, betaf-isometry, double-sum-counterexample
+    _assert_criterion(verify_checks, "c04")
 
 
 def test_c05_closed_forms_match_eigenpropagation():
@@ -224,6 +254,11 @@ def test_c07_squeezing_forms_and_printed_closed_form():
     )
     assert xi_fermion_closed_form(5.0, 0.0)[0] == pytest.approx(
         2.0 - (5.0 / 2.0) ** 2 / (2.0 * (4.0 + (5.0 / 4.0) ** 2)), abs=1e-12)
+
+
+def test_c08_odd_even_law(verify_checks):
+    # odd-even-cosine-law: odd N=3, 5 vanish; even N=2, 4 stay above 1e-3
+    _assert_criterion(verify_checks, "c08")
 
 
 def test_c09_unitary_raw_convergence_with_size():
