@@ -339,9 +339,11 @@ def format_csv(series: TimeSeries, channel_order: Sequence[str]) -> str:
         if name not in series.channels:
             raise ConfigError(f"series has no channel {name!r}")
     lines = ["tau," + ",".join(names)]
-    columns = [series.tau_grid] + [series.channels[n] for n in names]
-    for row in zip(*columns):
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    # Python floats format faster than numpy scalars, to the same text; a row
+    # at a time, so no list of the whole table's floats is held
+    table = np.column_stack([series.tau_grid] + [series.channels[n] for n in names])
+    for row in table:
+        lines.append(",".join(f"{v:.17g}" for v in row.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -141,15 +141,36 @@ def test_verify_bad_n_max_exits_one(capsys):
     assert main(["verify", "--n-max", "1"]) == 1
 
 
-def test_module_invocation_subprocess(tmp_path):
-    cfg, out = _write_config(tmp_path)
+def _run_module(cfg, timeout):
     # the child imports the same phasekit as this process
     src = str(Path(phasekit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "phasekit", "run", "--config", str(cfg)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_invocation_subprocess(tmp_path):
+    cfg, out = _write_config(tmp_path)
+    proc = _run_module(cfg, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("ubar, code", [(5.0, 2), (0.05, 0)],
+                         ids=["stiff-norm-drift", "weak-coupling"])
+def test_run_rk4_work_is_bounded_on_huge_intervals(tmp_path, ubar, code):
+    # three grid points 5e5 apart at dtau=1e-3: 5e8 RK4 substeps per interval
+    cfg, out = _write_config(tmp_path, f"system=boson\nN=10\nubar={ubar}\n"
+                                       "tau_max=1e6\nsteps=3\nintegrator=rk4\n"
+                                       "channels=avgW\n")
+    proc = _run_module(cfg, timeout=10)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 4
+    else:
+        assert "norm drifted" in proc.stderr
+        assert not out.exists()

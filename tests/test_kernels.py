@@ -1,18 +1,41 @@
+"""The RK4 stepping function against a classical step loop.
+
+``evolve.active_kernel()`` applies each grid interval as a power of RK4's
+stability polynomial. ``_classical_rk4`` below is the textbook four-stage
+loop, one substep at a time; the two are the same integrator, so they must
+agree to roundoff.
+"""
+
 import numpy as np
 import pytest
 
-from phasekit import boson_basis, boson_dimer_hamiltonian
-from phasekit.kernels import (
-    DISABLE_ENV,
-    HAS_NUMBA,
-    active_kernel,
-    numba_disabled,
-    rk4_steps_numpy,
+from phasekit import (
+    boson_basis,
+    boson_dimer_hamiltonian,
+    fermion_pair_hamiltonian,
+    rk4_propagate,
 )
+from phasekit.evolve import active_kernel
+
+
+def _classical_rk4(h, psi0, tau, dtau):
+    out = [psi0]
+    psi = psi0
+    for span in np.diff(tau):
+        n_sub = max(1, int(span / dtau + 0.5))
+        step = span / n_sub
+        for _ in range(n_sub):
+            k1 = -1j * (h @ psi)
+            k2 = -1j * (h @ (psi + 0.5 * step * k1))
+            k3 = -1j * (h @ (psi + 0.5 * step * k2))
+            k4 = -1j * (h @ (psi + step * k3))
+            psi = psi + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(psi)
+    return np.array(out)
 
 
 def _small_problem():
-    h = np.ascontiguousarray(boson_dimer_hamiltonian(boson_basis(3), 0.05).entries)
+    h = boson_dimer_hamiltonian(boson_basis(3), 0.05).entries
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
     tau = np.linspace(0.0, 2.0, 21)
@@ -21,45 +44,16 @@ def _small_problem():
 
 def test_numpy_kernel_shape_and_start():
     h, psi0, tau = _small_problem()
-    out = rk4_steps_numpy(h, psi0, tau, 1e-2)
+    out = active_kernel()(h, psi0, tau, 1e-2)
     assert out.shape == (21, 4)
     assert np.array_equal(out[0], psi0)
 
 
 def test_numpy_kernel_conserves_norm_at_small_steps():
     h, psi0, tau = _small_problem()
-    out = rk4_steps_numpy(h, psi0, tau, 1e-3)
+    out = active_kernel()(h, psi0, tau, 1e-3)
     norms = np.linalg.norm(out, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-10
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_numba_kernel_agrees_with_numpy():
-    from phasekit.kernels import rk4_steps_numba
-
-    h, psi0, tau = _small_problem()
-    a = rk4_steps_numpy(h, psi0, tau, 1e-2)
-    b = rk4_steps_numba(h, psi0, tau, 1e-2)
-    # same arithmetic order on both paths: agreement is exact
-    assert np.array_equal(a, b)
-
-
-def test_env_flag_selects_fallback(monkeypatch):
-    monkeypatch.setenv(DISABLE_ENV, "1")
-    assert numba_disabled()
-    assert active_kernel() is rk4_steps_numpy
-    monkeypatch.setenv(DISABLE_ENV, "0")
-    assert not numba_disabled()
-    monkeypatch.delenv(DISABLE_ENV)
-    assert not numba_disabled()
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_active_kernel_uses_numba_when_enabled(monkeypatch):
-    from phasekit.kernels import rk4_steps_numba
-
-    monkeypatch.delenv(DISABLE_ENV, raising=False)
-    assert active_kernel() is rk4_steps_numba
 
 
 def test_substep_count_rounds_to_grid():
@@ -67,6 +61,25 @@ def test_substep_count_rounds_to_grid():
     # the kernel scales the step to land exactly on each grid point
     h, psi0, _ = _small_problem()
     tau = np.array([0.0, 0.1])
-    coarse = rk4_steps_numpy(h, psi0, tau, 0.03)
-    explicit = rk4_steps_numpy(h, psi0, np.linspace(0.0, 0.1, 4), 0.1 / 3.0)
+    coarse = active_kernel()(h, psi0, tau, 0.03)
+    explicit = active_kernel()(h, psi0, np.linspace(0.0, 0.1, 4), 0.1 / 3.0)
     assert np.allclose(coarse[-1], explicit[-1], atol=1e-15)
+
+
+@pytest.mark.parametrize("h, tau, dtau", [
+    (boson_dimer_hamiltonian(boson_basis(3), 0.05).entries,
+     np.linspace(0.0, 2.0, 21), 1e-2),
+    (fermion_pair_hamiltonian(5.0).entries, np.linspace(0.0, 2.0, 21), 1e-3),
+    (boson_dimer_hamiltonian(boson_basis(10), 5.0).entries,
+     np.linspace(0.0, 0.5, 51), 1e-4),
+    # substep counts 3, 3, 5 and 1; the first two share a count, not a step
+    (boson_dimer_hamiltonian(boson_basis(3), 0.05).entries,
+     np.array([0.0, 0.1, 0.19, 0.34, 0.37]), 0.03),
+], ids=["boson-N3", "fermion-ubar5", "boson-N10-stiff", "non-uniform-grid"])
+def test_rk4_propagate_matches_classical_step_loop(h, tau, dtau):
+    rng = np.random.default_rng(9)
+    dim = h.shape[0]
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    states = rk4_propagate(h, psi0, tau, dtau=dtau).states
+    assert np.max(np.abs(states - _classical_rk4(h, psi0, tau, dtau))) <= 1e-11
