@@ -68,7 +68,7 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
             f"state dimension {amps.shape} does not match operator dimension {arr.shape[0]}"
         )
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError(f"initial state not normalized: |psi| = {norm!r}")
     tau = np.asarray(tau_grid, dtype=float)
     return arr, amps.astype(complex), tau
@@ -148,6 +148,12 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
         raise ConfigError(
             f"dtau {dtau:g} exceeds the smallest grid spacing {spacing:g}"
         )
+    widest = float(np.max(np.diff(tau))) if len(tau) > 1 else 0.0
+    if not math.isfinite(widest / dtau):
+        raise ConfigError(
+            f"grid interval {widest:g} needs a non-finite number of RK4 "
+            f"substeps at dtau {dtau:g}"
+        )
     states = active_kernel()(arr, amps, tau, float(dtau))
     norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
@@ -194,7 +200,7 @@ def _check_init(init: Sequence[complex]) -> np.ndarray:
     if arr.shape != (3,):
         raise ConfigError(f"closed forms take 3 initial amplitudes, got {arr.shape}")
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError(f"initial amplitudes not normalized: |c| = {norm!r}")
     return arr
 

@@ -229,7 +229,7 @@ class StateVector:
                 f"amplitude count {len(amps)} does not match basis dimension {dim}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails too
             raise ConfigError(
                 f"state not normalized: sum of squared amplitudes is {norm_sq!r}"
             )

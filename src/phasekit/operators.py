@@ -65,27 +65,25 @@ def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
     return op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
 
 
+def _cos_sin(x: np.ndarray, kind: str,
+             where: str) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Hermitian and anti-hermitian halves of a shift X: cos + i sin = X.
+
+    cos = (X + X^dag)/2 and sin = (X - X^dag)/2i, for bosons and fermions,
+    raw (X the one-sided shift) and unitary (X closed by the vacuum term).
+    """
+    xd = x.conj().T
+    return (OperatorMatrix(0.5 * (x + xd), label=f"cos_{kind}[{where}]", hermitian=True),
+            OperatorMatrix(-0.5j * (x - xd), label=f"sin_{kind}[{where}]", hermitian=True))
+
+
 # ---------------------------------------------------------------------------
 # boson operators
 
 
 def _boson_shift(basis: BosonDimerBasis) -> np.ndarray:
     """Matrix moving one particle left -> right: e_l -> e_{l-1}, unit entries."""
-    dim = basis.dimension
-    t = np.zeros((dim, dim), dtype=complex)
-    for l in range(1, dim):
-        t[l - 1, l] = 1.0
-    return t
-
-
-def boson_cn_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Non-unitary cosine/sine pair built from the left->right shift."""
-    t = _boson_shift(basis)
-    n = basis.total_particles
-    cos = 0.5 * (t + t.conj().T)
-    sin = -0.5j * (t - t.conj().T)
-    return (OperatorMatrix(cos, label=f"cos_cn[N={n}]", hermitian=True),
-            OperatorMatrix(sin, label=f"sin_cn[N={n}]", hermitian=True))
+    return np.eye(basis.dimension, k=1, dtype=complex)
 
 
 def _boson_corner(basis: BosonDimerBasis) -> np.ndarray:
@@ -96,14 +94,14 @@ def _boson_corner(basis: BosonDimerBasis) -> np.ndarray:
     return k
 
 
+def boson_cn_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Non-unitary cosine/sine pair built from the left->right shift."""
+    return _cos_sin(_boson_shift(basis), "cn", f"N={basis.total_particles}")
+
+
 def boson_vacuum_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Corner cosine/sine linking the two all-in-one-well states."""
-    k = _boson_corner(basis)
-    n = basis.total_particles
-    cos0 = 0.5 * (k + k.conj().T)
-    sin0 = -0.5j * (k - k.conj().T)
-    return (OperatorMatrix(cos0, label=f"cos_vac[N={n}]", hermitian=True),
-            OperatorMatrix(sin0, label=f"sin_vac[N={n}]", hermitian=True))
+    return _cos_sin(_boson_corner(basis), "vac", f"N={basis.total_particles}")
 
 
 def boson_unitary_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
@@ -113,13 +111,8 @@ def boson_unitary_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, Operato
     the corner term), hence exactly unitary.
     """
     n = basis.total_particles
-    cos_cn, sin_cn = boson_cn_phase(basis)
-    cos0, sin0 = boson_vacuum_phase(basis)
-    cos_u = cos_cn.entries + cos0.entries
-    sin_u = sin_cn.entries + sin0.entries
-    beta = cos_u + 1j * sin_u
-    return (OperatorMatrix(cos_u, label=f"cos_u[N={n}]", hermitian=True),
-            OperatorMatrix(sin_u, label=f"sin_u[N={n}]", hermitian=True),
+    beta = _boson_shift(basis) + _boson_corner(basis)
+    return (*_cos_sin(beta, "u", f"N={n}"),
             OperatorMatrix(beta, label=f"beta[N={n}]", hermitian=False))
 
 
@@ -168,22 +161,16 @@ def fermion_number_op(space: FermionSector, mode: Union[int, str]) -> OperatorMa
                           label=f"number[{space.mode_order[m]}]", hermitian=True)
 
 
-def _inv_sqrt_np1(mode: int) -> np.ndarray:
-    """Diagonal of (number + 1)^(-1/2) over the 16 masks."""
-    return np.array([1.0 / np.sqrt(((s >> mode) & 1) + 1.0) for s in range(FULL_DIM)])
-
-
 def _fermion_pair_shift(space: FermionSector, m: int, mp: int) -> np.ndarray:
     """(N_m+1)^(-1/2) a_m a_mp^dag (N_mp+1)^(-1/2): moves one fermion m -> mp.
 
-    On fermions every surviving scale factor is exactly 1, so the result
-    equals a_m a_mp^dag entrywise (entries are exactly 0 or +-1).
+    Both scale factors act on a mode that is empty where the product is
+    nonzero, so each is exactly 1 and the result is a_m a_mp^dag (entries
+    exactly 0 or +-1).
     """
     a_m = fermion_ladder(space, m).entries
     a_mp = fermion_ladder(space, mp).entries
-    d_m = _inv_sqrt_np1(m)
-    d_mp = _inv_sqrt_np1(mp)
-    return (d_m[:, None] * (a_m @ a_mp.conj().T)) * d_mp[None, :]
+    return a_m @ a_mp.conj().T
 
 
 def _check_pair(m: Union[int, str], mp: Union[int, str]) -> tuple[int, int]:
@@ -197,13 +184,8 @@ def fermion_cn_phase(space: FermionSector, m: Union[int, str],
                      mp: Union[int, str]) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Non-unitary cosine/sine for a mode pair (no vacuum coupling)."""
     i, j = _check_pair(m, mp)
-    _require_full_space(space)
     u = _fermion_pair_shift(space, i, j)
-    names = f"{space.mode_order[i]},{space.mode_order[j]}"
-    cos = 0.5 * (u + u.conj().T)
-    sin = -0.5j * (u - u.conj().T)
-    return (OperatorMatrix(cos, label=f"cos_cn[{names}]", hermitian=True),
-            OperatorMatrix(sin, label=f"sin_cn[{names}]", hermitian=True))
+    return _cos_sin(u, "cn", f"{space.mode_order[i]},{space.mode_order[j]}")
 
 
 def _rest_modes(m: int, mp: int) -> tuple[int, int]:
@@ -253,14 +235,10 @@ def fermion_unitary_phase(space: FermionSector, m: Union[int, str],
                           pairing: str = "matched") -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Unitary-completed cosine/sine and betaF = cos + i sin for a mode pair."""
     i, j = _check_pair(m, mp)
-    u = _fermion_pair_shift(space, i, j)
-    v = fermion_vacuum_coupling(space, i, j, pairing=pairing)
+    beta = (_fermion_pair_shift(space, i, j)
+            + fermion_vacuum_coupling(space, i, j, pairing=pairing))
     names = f"{space.mode_order[i]},{space.mode_order[j]}"
-    cos = 0.5 * ((u + v) + (u + v).conj().T)
-    sin = -0.5j * ((u + v) - (u + v).conj().T)
-    beta = cos + 1j * sin
-    return (OperatorMatrix(cos, label=f"cos_u[{names}]", hermitian=True),
-            OperatorMatrix(sin, label=f"sin_u[{names}]", hermitian=True),
+    return (*_cos_sin(beta, "u", names),
             OperatorMatrix(beta, label=f"betaF[{names}]", hermitian=False))
 
 

@@ -162,8 +162,8 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"initial amplitude list must have length {dim}, got {len(amps)}"
                 )
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
-            if abs(norm - 1.0) > AMPLITUDE_NORM_TOL:
+            norm = math.hypot(*(abs(a) for a in amps))  # inf, not OverflowError
+            if not abs(norm - 1.0) <= AMPLITUDE_NORM_TOL:  # NaN fails too
                 raise ConfigError(
                     f"initial amplitudes not normalized: |c| = {norm!r}"
                 )

@@ -1,6 +1,9 @@
 """Self-check battery: operator algebra, dynamics, and dataset plumbing.
 
-Each named check measures a residual against its contract tolerance.
+Each named check measures a residual against its contract tolerance. The
+operator and dynamics laws that tests also assert are public per-case
+residual functions (``corner_defect_residual(n)``, ...); their check is the
+worst residual over its case list, and the tests call them on their own cases.
 The ``tol`` argument feeds the operator-algebra checks (hermiticity,
 unitarity, commutators, isometry); checks tied to analytic laws or solver
 guarantees carry their own fixed tolerances, and a few are exact (tol 0).
@@ -108,129 +111,154 @@ def _herm_residual(op) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator algebra
+# operator algebra: one residual per case, one check per case list
 
 
-def _check_boson_hermiticity(n_max: int, tol: float) -> CheckResult:
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        basis = boson_basis(n)
-        ops = (*boson_cn_phase(basis), *boson_vacuum_phase(basis),
-               *boson_unitary_phase(basis)[:2])
-        worst = max(worst, max(_herm_residual(op) for op in ops))
-    return CheckResult("boson-phase-hermiticity", worst <= tol, worst, tol,
-                       f"N in 1..{n_max}, all cosine/sine flavors")
+def boson_hermiticity_residual(n: int) -> float:
+    """Largest |A - A^dag| over every boson cosine/sine flavor at N=n."""
+    basis = boson_basis(n)
+    ops = (*boson_cn_phase(basis), *boson_vacuum_phase(basis),
+           *boson_unitary_phase(basis)[:2])
+    return max(_herm_residual(op) for op in ops)
 
 
-def _check_fermion_hermiticity(tol: float) -> CheckResult:
+def fermion_hermiticity_residual(m: str, mp: str) -> float:
+    """Largest |A - A^dag| over the raw and completed cosine/sine of a pair."""
     space = fermion_sector()
-    worst = 0.0
-    pairs = [(m, mp) for i, m in enumerate(MODE_NAMES)
-             for mp in MODE_NAMES[i + 1:]]
-    for m, mp in pairs:
-        ops = (*fermion_cn_phase(space, m, mp),
-               *fermion_unitary_phase(space, m, mp)[:2])
-        worst = max(worst, max(_herm_residual(op) for op in ops))
-    return CheckResult("fermion-phase-hermiticity", worst <= tol, worst, tol,
-                       "all 6 mode pairs, raw and completed")
+    ops = (*fermion_cn_phase(space, m, mp),
+           *fermion_unitary_phase(space, m, mp)[:2])
+    return max(_herm_residual(op) for op in ops)
 
 
-def _check_boson_unitarity(n_max: int, tol: float) -> CheckResult:
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        beta = boson_unitary_phase(boson_basis(n))[2]
-        worst = max(worst, *unitarity_deficiency(beta))
-    return CheckResult("boson-beta-unitarity", worst <= tol, worst, tol,
-                       f"beta and beta-dagger products, N in 1..{n_max}")
+def boson_unitarity_residual(n: int) -> float:
+    """Largest entry of beta beta^dag - I and beta^dag beta - I at N=n."""
+    return max(unitarity_deficiency(boson_unitary_phase(boson_basis(n))[2]))
 
 
-def _check_corner_defect(n_max: int) -> CheckResult:
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        basis = boson_basis(n)
-        cos, sin = boson_cn_phase(basis)
-        beta_cn = cos.entries + 1j * sin.entries
-        dim = basis.dimension
-        top = np.zeros((dim, dim), dtype=complex)
-        top[dim - 1, dim - 1] = 1.0  # all particles in the left well
-        bottom = np.zeros((dim, dim), dtype=complex)
-        bottom[0, 0] = 1.0  # all particles in the right well
-        eye = np.eye(dim, dtype=complex)
-        worst = max(worst,
-                    _maxabs(beta_cn @ beta_cn.conj().T - (eye - top)),
-                    _maxabs(beta_cn.conj().T @ beta_cn - (eye - bottom)))
-    return CheckResult("cn-corner-defect", worst <= CORNER_TOL, worst, CORNER_TOL,
-                       "raw beta is a one-sided shift off the corner projectors")
+def corner_defect_residual(n: int) -> float:
+    """Raw beta beta^dag against I minus the all-left projector, and
+    beta^dag beta against I minus the all-right projector, at N=n."""
+    basis = boson_basis(n)
+    cos, sin = boson_cn_phase(basis)
+    beta_cn = cos.entries + 1j * sin.entries
+    index = np.arange(basis.dimension)  # index N is all-left, 0 is all-right
+    return max(_maxabs(beta_cn @ beta_cn.conj().T - np.diag(index < n)),
+               _maxabs(beta_cn.conj().T @ beta_cn - np.diag(index > 0)))
 
 
-def _check_number_phase_commutators(n_max: int, tol: float) -> CheckResult:
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        basis = boson_basis(n)
-        cos0, sin0 = boson_vacuum_phase(basis)
-        cos_u, sin_u, _ = boson_unitary_phase(basis)
-        w = boson_number_diff(basis)
-        r1 = commutator(cos_u, w) - 2j * (sin_u.entries - (n + 1) * sin0.entries)
-        r2 = commutator(sin_u, w) + 2j * (cos_u.entries - (n + 1) * cos0.entries)
-        worst = max(worst, _maxabs(r1), _maxabs(r2))
-    return CheckResult("number-phase-commutators", worst <= tol, worst, tol,
-                       "[cos,W] and [sin,W] close onto the vacuum terms")
+def number_phase_commutator_residual(n: int) -> float:
+    """[cos_U, W] = 2i(sin_U - (N+1) sin0) and [sin_U, W] = -2i(cos_U - (N+1) cos0)."""
+    basis = boson_basis(n)
+    cos0, sin0 = boson_vacuum_phase(basis)
+    cos_u, sin_u, _ = boson_unitary_phase(basis)
+    w = boson_number_diff(basis)
+    r1 = commutator(cos_u, w) - 2j * (sin_u.entries - (n + 1) * sin0.entries)
+    r2 = commutator(sin_u, w) + 2j * (cos_u.entries - (n + 1) * cos0.entries)
+    return max(_maxabs(r1), _maxabs(r2))
 
 
-def _jacobi_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+def _jacobi_residual(a, b, c) -> float:
     return _maxabs(commutator(commutator(a, b), c)
                    + commutator(commutator(b, c), a)
                    + commutator(commutator(c, a), b))
 
 
-def _check_jacobi(n_max: int, tol: float) -> CheckResult:
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        basis = boson_basis(n)
-        cos_u, sin_u, _ = boson_unitary_phase(basis)
-        w = boson_number_diff(basis)
-        worst = max(worst, _jacobi_residual(cos_u.entries, sin_u.entries, w.entries))
+def boson_jacobi_residual(n: int) -> float:
+    """Cyclic double commutators of (cos_U, sin_U, W) at N=n."""
+    basis = boson_basis(n)
+    cos_u, sin_u, _ = boson_unitary_phase(basis)
+    return _jacobi_residual(cos_u, sin_u, boson_number_diff(basis))
+
+
+def fermion_jacobi_residual(m: str, mp: str) -> float:
+    """Cyclic double commutators of (cos_U, sin_U, N_m - N_mp) for a pair."""
     space = fermion_sector()
-    for m, mp in SECTION_PAIRS:
-        cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
-        w = fermion_number_diff(space, m, mp)
-        worst = max(worst, _jacobi_residual(cos_u.entries, sin_u.entries, w.entries))
-    return CheckResult("jacobi-identity", worst <= tol, worst, tol,
-                       "cyclic double commutators, boson sweep + 3 fermion pairs")
+    cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
+    return _jacobi_residual(cos_u, sin_u, fermion_number_diff(space, m, mp))
 
 
-def _check_anticommutators() -> CheckResult:
+def anticommutator_residual() -> float:
+    """{a_i, a_j} = 0 and {a_i, a_j^dag} = delta_ij over all 4x4 mode pairs."""
     space = fermion_sector()
     ladders = [fermion_ladder(space, m).entries for m in range(4)]
     eye = np.eye(FULL_DIM, dtype=complex)
     worst = 0.0
     for i in range(4):
         for j in range(4):
-            worst = max(worst, _maxabs(anticommutator(ladders[i], ladders[j])))
             target = eye if i == j else 0.0
-            worst = max(worst,
+            worst = max(worst, _maxabs(anticommutator(ladders[i], ladders[j])),
                         _maxabs(anticommutator(ladders[i], ladders[j].conj().T) - target))
+    return worst
+
+
+def betaf_isometry_residual(m: str, mp: str) -> float:
+    """Largest |singular value - 1| of betaF on the half-filled subspace."""
+    beta = fermion_unitary_phase(fermion_sector(), m, mp)[2].entries
+    sing = np.linalg.svd(beta[:, list(half_filled_masks(m, mp))], compute_uv=False)
+    return _maxabs(sing - 1.0)
+
+
+def double_sum_residual() -> float:
+    """Half-filled unitarity deficiency of the unmatched double-sum betaF."""
+    space = fermion_sector()
+    beta = fermion_unitary_phase(space, "l_up", "r_up", pairing="double-sum")[2]
+    p = half_filled_projector(space, "l_up", "r_up")
+    return max(unitarity_deficiency(beta, subspace=p))
+
+
+def _check_boson_hermiticity(n_max: int, tol: float) -> CheckResult:
+    worst = max(boson_hermiticity_residual(n) for n in range(1, n_max + 1))
+    return CheckResult("boson-phase-hermiticity", worst <= tol, worst, tol,
+                       f"N in 1..{n_max}, all cosine/sine flavors")
+
+
+def _check_fermion_hermiticity(tol: float) -> CheckResult:
+    worst = max(fermion_hermiticity_residual(m, mp)
+                for i, m in enumerate(MODE_NAMES) for mp in MODE_NAMES[i + 1:])
+    return CheckResult("fermion-phase-hermiticity", worst <= tol, worst, tol,
+                       "all 6 mode pairs, raw and completed")
+
+
+def _check_boson_unitarity(n_max: int, tol: float) -> CheckResult:
+    worst = max(boson_unitarity_residual(n) for n in range(1, n_max + 1))
+    return CheckResult("boson-beta-unitarity", worst <= tol, worst, tol,
+                       f"beta and beta-dagger products, N in 1..{n_max}")
+
+
+def _check_corner_defect(n_max: int) -> CheckResult:
+    worst = max(corner_defect_residual(n) for n in range(1, n_max + 1))
+    return CheckResult("cn-corner-defect", worst <= CORNER_TOL, worst, CORNER_TOL,
+                       "raw beta is a one-sided shift off the corner projectors")
+
+
+def _check_number_phase_commutators(n_max: int, tol: float) -> CheckResult:
+    worst = max(number_phase_commutator_residual(n) for n in range(1, n_max + 1))
+    return CheckResult("number-phase-commutators", worst <= tol, worst, tol,
+                       "[cos,W] and [sin,W] close onto the vacuum terms")
+
+
+def _check_jacobi(n_max: int, tol: float) -> CheckResult:
+    worst = max(*(boson_jacobi_residual(n) for n in range(1, n_max + 1)),
+                *(fermion_jacobi_residual(m, mp) for m, mp in SECTION_PAIRS))
+    return CheckResult("jacobi-identity", worst <= tol, worst, tol,
+                       "cyclic double commutators, boson sweep + 3 fermion pairs")
+
+
+def _check_anticommutators() -> CheckResult:
+    worst = anticommutator_residual()
     return CheckResult("fermion-anticommutators", worst == 0.0, worst, 0.0,
                        "all 4x4 mode pairs, exact integer arithmetic")
 
 
 def _check_betaf_isometry(tol: float) -> CheckResult:
-    space = fermion_sector()
-    worst = 0.0
-    for m, mp in (("l_up", "r_up"), ("l_up", "r_down")):
-        beta = fermion_unitary_phase(space, m, mp)[2].entries
-        cols = beta[:, list(half_filled_masks(m, mp))]
-        sing = np.linalg.svd(cols, compute_uv=False)
-        worst = max(worst, _maxabs(sing - 1.0))
+    worst = max(betaf_isometry_residual(m, mp)
+                for m, mp in (("l_up", "r_up"), ("l_up", "r_down")))
     return CheckResult("betaf-isometry", worst <= tol, worst, tol,
                        "singular values on the half-filled subspace")
 
 
 def _check_double_sum_counterexample() -> CheckResult:
-    space = fermion_sector()
-    beta = fermion_unitary_phase(space, "l_up", "r_up", pairing="double-sum")[2]
-    p = half_filled_projector(space, "l_up", "r_up")
-    residual = max(unitarity_deficiency(beta, subspace=p))
+    residual = double_sum_residual()
     # pass-by-expectation: the unmatched sum MUST break the isometry
     return CheckResult("double-sum-counterexample", residual >= 0.5, residual, 0.5,
                        "expected large: equal-count rest coupling is not a matching")
@@ -287,10 +315,36 @@ def _boson_right_well_traj(n: int, ubar: float, tau: np.ndarray):
     return basis, eigen_propagate(h, fock_state(basis, "right-well"), tau)
 
 
+def conservation_residual(h, psi0, tau) -> tuple[float, float]:
+    """(norm drift, energy drift) of the exact propagation of psi0 under h."""
+    traj = eigen_propagate(h, psi0, tau)
+    norms = np.linalg.norm(traj.states, axis=1)
+    energy = expectation_series(h, traj)
+    return _maxabs(norms - 1.0), _maxabs(energy - energy[0])
+
+
+def fermion_closed_form_residual(ubar: float, init, tau) -> float:
+    """Two-frequency pair solution against eigenpropagation, all amplitudes."""
+    h = fermion_pair_hamiltonian(ubar, "single-occupancy")
+    traj = eigen_propagate(h, init, tau)
+    return _maxabs(traj.states - fermion_pair_closed_form(ubar, tau, init))
+
+
+def boson_closed_form_residual(ubar: float, tau) -> float:
+    """N=2 right-well closed form against eigenpropagation: the middle
+    amplitude at every ubar, the edges at ubar=0 (where they are exact)."""
+    _, traj = _boson_right_well_traj(2, ubar, tau)
+    closed = boson_pair_closed_form(ubar, tau)  # its default is this start
+    assert "c1" in closed.exact_components
+    worst = _maxabs(traj.states[:, 1] - closed.c1)
+    if ubar == 0.0:
+        worst = max(worst, _maxabs(traj.states[:, 0] - closed.c0),
+                    _maxabs(traj.states[:, 2] - closed.c2))
+    return worst
+
+
 def _check_conservation() -> CheckResult:
     tau = _grid()
-    worst_norm = 0.0
-    worst_energy = 0.0
     cases = []
     for n in (2, 5, 10):
         for ubar in (0.05, 5.0):
@@ -301,12 +355,8 @@ def _check_conservation() -> CheckResult:
         for ubar in (0.05, 5.0):
             h = fermion_pair_hamiltonian(ubar, variant)
             cases.append((h, np.array([0.0, 0.0, 1.0], dtype=complex)))
-    for h, psi0 in cases:
-        traj = eigen_propagate(h, psi0, tau)
-        norms = np.linalg.norm(traj.states, axis=1)
-        worst_norm = max(worst_norm, _maxabs(norms - 1.0))
-        energy = expectation_series(h, traj)
-        worst_energy = max(worst_energy, _maxabs(energy - energy[0]))
+    drifts = [conservation_residual(h, psi0, tau) for h, psi0 in cases]
+    worst_norm, worst_energy = map(max, zip(*drifts))
     passed = worst_norm <= NORM_TOL and worst_energy <= ENERGY_TOL
     return CheckResult("eigen-conservation", passed,
                        max(worst_norm, worst_energy), ENERGY_TOL,
@@ -318,28 +368,15 @@ def _check_fermion_closed_form() -> CheckResult:
     tau = _grid()
     inits = (np.array([0.0, 0.0, 1.0], dtype=complex),
              np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex))
-    worst = 0.0
-    for ubar in UBAR_SET:
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
-        for init in inits:
-            traj = eigen_propagate(h, init, tau)
-            closed = fermion_pair_closed_form(ubar, tau, init)
-            worst = max(worst, _maxabs(traj.states - closed))
+    worst = max(fermion_closed_form_residual(ubar, init, tau)
+                for ubar in UBAR_SET for init in inits)
     return CheckResult("fermion-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
                        "two-frequency solution vs eigenpropagation, all ubar")
 
 
 def _check_boson_closed_form() -> CheckResult:
     tau = _grid()
-    worst = 0.0
-    for ubar in UBAR_SET:
-        _, traj = _boson_right_well_traj(2, ubar, tau)
-        closed = boson_pair_closed_form(ubar, tau)  # its default is this start
-        assert "c1" in closed.exact_components
-        worst = max(worst, _maxabs(traj.states[:, 1] - closed.c1))
-        if ubar == 0.0:
-            worst = max(worst, _maxabs(traj.states[:, 0] - closed.c0),
-                        _maxabs(traj.states[:, 2] - closed.c2))
+    worst = max(boson_closed_form_residual(ubar, tau) for ubar in UBAR_SET)
     return CheckResult("boson-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
                        "middle amplitude everywhere; edges checked at ubar=0")
 

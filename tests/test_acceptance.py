@@ -4,13 +4,14 @@ The operator and dynamics laws are written once, as the named checks of
 ``phasekit.verify``. The tests for c01, c02, c03, c04 and c08 assert the
 checks of their criterion by name, and ``test_verify_check_passes_at_pinned_tol``
 asserts every other check that passes; each check's tolerance is pinned in
-one table, ``VERIFY_CHECKS``. The other criteria keep their own tests because
-their cases differ from any check: c05 compares the closed forms on a
-2001-point grid where ``fermion-closed-form`` and ``boson-closed-form`` use
-401 points, and c11 covers the trajectories the criteria themselves propagate
-(interaction-free N=2..5 on [0, 2 pi], N=2, 5, 10 at ubar=5, the fermion pair
-at every ubar), which ``eigen-conservation`` does not. Adding those cases to
-``verify`` would slow the command for no new law.
+one table, ``VERIFY_CHECKS``. c05 and c11 call the per-case residual
+functions those checks are built from, on their own cases: c05 compares the
+closed forms on a 2001-point grid where ``fermion-closed-form`` and
+``boson-closed-form`` use 401 points, and c11 covers the trajectories the
+criteria themselves propagate (interaction-free N=2..5 on [0, 2 pi], N=2, 5,
+10 at ubar=5, the fermion pair at every ubar), which ``eigen-conservation``
+does not. Adding those cases to ``verify`` would slow the command for no new
+law.
 
 Two criteria assert what the program provably does where the literal
 criterion cannot be met by any correct implementation:
@@ -43,11 +44,9 @@ from phasekit import (
     boson_basis,
     boson_cn_phase,
     boson_dimer_hamiltonian,
-    boson_pair_closed_form,
     boson_unitary_phase,
     eigen_propagate,
     expectation_series,
-    fermion_pair_closed_form,
     fermion_pair_hamiltonian,
     fermion_sector,
     fermion_unitary_phase,
@@ -59,6 +58,11 @@ from phasekit import (
 )
 from phasekit.observe import embedded_fermion_states
 from phasekit.operators import well_number_diff
+from phasekit.verify import (
+    boson_closed_form_residual,
+    conservation_residual,
+    fermion_closed_form_residual,
+)
 
 UBAR_SET = (0.0, 0.05, 5.0)
 RIGHT_WELL_3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -161,17 +165,8 @@ def test_c04_fermion_algebra(verify_checks):
 def test_c05_closed_forms_match_eigenpropagation():
     tau = np.linspace(0.0, 40.0, 2001)
     for ubar in UBAR_SET:
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
-        traj = eigen_propagate(h, RIGHT_WELL_3, tau)
-        closed = fermion_pair_closed_form(ubar, tau, RIGHT_WELL_3)
-        assert np.max(np.abs(traj.states - closed)) <= 1e-9
-    init = np.array([1.0, 0.0, 0.0], dtype=complex)
-    for ubar in UBAR_SET:
-        basis = boson_basis(2)
-        hb = boson_dimer_hamiltonian(basis, ubar)
-        traj = eigen_propagate(hb, init, tau)
-        closed = boson_pair_closed_form(ubar, tau, init)
-        assert np.max(np.abs(traj.states[:, 1] - closed.c1)) <= 1e-9
+        assert fermion_closed_form_residual(ubar, RIGHT_WELL_3, tau) <= 1e-9
+        assert boson_closed_form_residual(ubar, tau) <= 1e-9
 
 
 def _rk4_stability_oracle(h, psi0, tau, dtau):
@@ -303,8 +298,6 @@ def test_c11_conservation_along_acceptance_trajectories():
         h = fermion_pair_hamiltonian(ubar, "single-occupancy")
         cases.append((h, RIGHT_WELL_3, tau_long))
     for h, psi0, tau in cases:
-        traj = eigen_propagate(h, psi0, tau)
-        norms = np.linalg.norm(traj.states, axis=1)
-        assert np.max(np.abs(norms - 1.0)) <= 1e-12
-        energy = expectation_series(h, traj)
-        assert np.max(np.abs(energy - energy[0])) <= 1e-10
+        norm_drift, energy_drift = conservation_residual(h, psi0, tau)
+        assert norm_drift <= 1e-12
+        assert energy_drift <= 1e-10

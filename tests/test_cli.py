@@ -70,6 +70,18 @@ def test_run_non_finite_states_exit_two(tmp_path, capsys, body):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("system, initial", [("boson\nN=2", "nan,0,0"),
+                                             ("fermion", "nan,0,0"),
+                                             ("boson\nN=2", "1e200,0,0")],
+                         ids=["boson-nan", "fermion-nan", "boson-overflow"])
+def test_run_unnormalized_initial_amplitudes_exit_one(tmp_path, capsys, system, initial):
+    cfg, out = _write_config(tmp_path, f"system={system}\nubar=1\n"
+                                       f"initial={initial}\nchannels=avgW\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "not normalized" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rk4_on_grid_finer_than_default_step(tmp_path):
     # linspace intervals differ in their last bits; the step must come from
     # the smallest one, not the first
@@ -159,12 +171,15 @@ def test_module_invocation_subprocess(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("ubar, code", [(5.0, 2), (0.05, 0)],
-                         ids=["stiff-norm-drift", "weak-coupling"])
-def test_run_rk4_work_is_bounded_on_huge_intervals(tmp_path, ubar, code):
-    # three grid points 5e5 apart at dtau=1e-3: 5e8 RK4 substeps per interval
+@pytest.mark.parametrize("ubar, tau_max, code", [(5.0, "1e6", 2), (0.05, "1e6", 0),
+                                                  (0.05, "1e306", 1)],
+                         ids=["stiff-norm-drift", "weak-coupling",
+                              "non-finite-substeps"])
+def test_run_rk4_work_is_bounded_on_huge_intervals(tmp_path, ubar, tau_max, code):
+    # three grid points tau_max/2 apart at dtau=1e-3: 5e8 RK4 substeps per
+    # interval at 1e6, a count that overflows to inf at 1e306
     cfg, out = _write_config(tmp_path, f"system=boson\nN=10\nubar={ubar}\n"
-                                       "tau_max=1e6\nsteps=3\nintegrator=rk4\n"
+                                       f"tau_max={tau_max}\nsteps=3\nintegrator=rk4\n"
                                        "channels=avgW\n")
     proc = _run_module(cfg, timeout=10)
     assert proc.returncode == code, proc.stderr
@@ -172,5 +187,6 @@ def test_run_rk4_work_is_bounded_on_huge_intervals(tmp_path, ubar, code):
     if code == 0:
         assert len(out.read_text(encoding="utf-8").splitlines()) == 4
     else:
-        assert "norm drifted" in proc.stderr
+        assert ("norm drifted" if code == 2 else "non-finite number of RK4 substeps"
+                ) in proc.stderr
         assert not out.exists()

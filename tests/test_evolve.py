@@ -7,7 +7,6 @@ middle amplitude only for the interacting boson pair).
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ import pytest
 from phasekit import (
     ConfigError,
     NumericalError,
+    StateVector,
     StepSizeError,
     Trajectory,
     boson_basis,
@@ -24,6 +24,11 @@ from phasekit import (
     fermion_pair_closed_form,
     fermion_pair_hamiltonian,
     rk4_propagate,
+)
+from phasekit.verify import (
+    boson_closed_form_residual,
+    conservation_residual,
+    fermion_closed_form_residual,
 )
 
 RIGHT_WELL_3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -75,11 +80,9 @@ def test_eigen_propagation_against_direct_expm():
 def test_eigen_norm_and_energy_conservation():
     h = fermion_pair_hamiltonian(5.0, "single-occupancy")
     tau = np.linspace(0.0, 40.0, 801)
-    traj = eigen_propagate(h, RIGHT_WELL_3, tau)
-    norms = np.linalg.norm(traj.states, axis=1)
-    assert np.max(np.abs(norms - 1.0)) <= 1e-12
-    energies = np.einsum("ti,ij,tj->t", traj.states.conj(), h.entries, traj.states).real
-    assert np.max(np.abs(energies - energies[0])) <= 1e-10
+    norm_drift, energy_drift = conservation_residual(h, RIGHT_WELL_3, tau)
+    assert norm_drift <= 1e-12
+    assert energy_drift <= 1e-10
 
 
 def test_rk4_matches_eigen_at_weak_coupling():
@@ -140,11 +143,8 @@ def test_fermion_closed_form_all_couplings():
     inits = (RIGHT_WELL_3,
              np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex))
     for ubar in (0.0, 0.05, 5.0):
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
         for init in inits:
-            traj = eigen_propagate(h, init, tau)
-            closed = fermion_pair_closed_form(ubar, tau, init)
-            assert np.max(np.abs(traj.states - closed)) < 1e-12
+            assert fermion_closed_form_residual(ubar, init, tau) < 1e-12
 
 
 def test_fermion_closed_form_right_well_structure():
@@ -173,17 +173,11 @@ def test_boson_closed_form_validity_reporting():
 
 
 def test_boson_closed_form_against_eigen():
+    # right-well start (1, 0, 0): the middle amplitude at every ubar, the
+    # edges at ubar=0
     tau = np.linspace(0.0, 40.0, 401)
     for ubar in (0.0, 0.05, 5.0):
-        basis = boson_basis(2)
-        h = boson_dimer_hamiltonian(basis, ubar)
-        init = np.array([1.0, 0.0, 0.0], dtype=complex)
-        traj = eigen_propagate(h, init, tau)
-        closed = boson_pair_closed_form(ubar, tau, init)
-        assert np.max(np.abs(traj.states[:, 1] - closed.c1)) < 1e-12
-        if ubar == 0.0:
-            assert np.max(np.abs(traj.states[:, 0] - closed.c0)) < 1e-12
-            assert np.max(np.abs(traj.states[:, 2] - closed.c2)) < 1e-12
+        assert boson_closed_form_residual(ubar, tau) < 1e-12
 
 
 def test_boson_closed_form_edges_break_at_strong_coupling():
@@ -204,6 +198,20 @@ def test_closed_forms_reject_bad_inits():
         fermion_pair_closed_form(1.0, [0.0, 1.0], (1.0, 1.0, 0.0))
     with pytest.raises(ConfigError):
         boson_pair_closed_form(1.0, [0.0, 1.0], (1.0, 0.0))
+
+
+def test_nan_amplitudes_are_not_normalized():
+    # abs(nan - 1) > tol is False, so each norm gate is written to fail on nan
+    nan_start = (math.nan, 0.0, 0.0)
+    with pytest.raises(ConfigError):
+        StateVector(boson_basis(2), nan_start)
+    with pytest.raises(ConfigError):
+        fermion_pair_closed_form(1.0, [0.0, 1.0], nan_start)
+    with pytest.raises(ConfigError):
+        boson_pair_closed_form(1.0, [0.0, 1.0], nan_start)
+    h = fermion_pair_hamiltonian(1.0, "single-occupancy")
+    with pytest.raises(ConfigError):
+        eigen_propagate(h, nan_start, [0.0, 1.0])
 
 
 def test_propagators_reject_dimension_mismatch():

@@ -14,14 +14,12 @@ from phasekit import (
     boson_dimer_hamiltonian,
     boson_number_diff,
     boson_unitary_phase,
-    boson_vacuum_phase,
     eigen_propagate,
     embedded_fermion_states,
     expectation,
     expectation_series,
     fermion_pair_hamiltonian,
     fluctuation,
-    fluctuation_series,
     trapping_points,
     xi_boson,
     xi_fermion,

@@ -13,16 +13,13 @@ from hypothesis import strategies as st
 
 from phasekit import (
     ConfigError,
-    anticommutator,
     boson_basis,
     boson_cn_phase,
     boson_number_diff,
     boson_unitary_phase,
     boson_vacuum_phase,
-    commutator,
     fermion_cn_phase,
     fermion_ladder,
-    fermion_number_diff,
     fermion_number_op,
     fermion_sector,
     fermion_unitary_phase,
@@ -31,11 +28,16 @@ from phasekit import (
     well_number_diff,
 )
 from phasekit.fock import FULL_DIM, MODE_NAMES
-from phasekit.operators import (
-    OperatorMatrix,
-    half_filled_masks,
-    half_filled_projector,
-    project_to_sector,
+from phasekit.operators import OperatorMatrix, project_to_sector
+from phasekit.verify import (
+    anticommutator_residual,
+    betaf_isometry_residual,
+    boson_unitarity_residual,
+    corner_defect_residual,
+    double_sum_residual,
+    fermion_hermiticity_residual,
+    fermion_jacobi_residual,
+    number_phase_commutator_residual,
 )
 
 
@@ -125,25 +127,13 @@ def test_fermion_number_operator_is_diagonal_occupancy():
 @given(st.integers(min_value=1, max_value=12))
 @settings(max_examples=12, deadline=None)
 def test_completed_boson_operator_is_unitary(n):
-    beta = boson_unitary_phase(boson_basis(n))[2]
-    left, right = unitarity_deficiency(beta)
-    assert max(left, right) <= 1e-12
+    assert boson_unitarity_residual(n) <= 1e-12
 
 
 @given(st.integers(min_value=1, max_value=12))
 @settings(max_examples=12, deadline=None)
 def test_raw_boson_operator_corner_defect_is_exact(n):
-    basis = boson_basis(n)
-    cos, sin = boson_cn_phase(basis)
-    shift = cos.entries + 1j * sin.entries
-    dim = basis.dimension
-    eye = np.eye(dim, dtype=complex)
-    top = np.zeros_like(eye)
-    top[dim - 1, dim - 1] = 1.0
-    bottom = np.zeros_like(eye)
-    bottom[0, 0] = 1.0
-    assert np.max(np.abs(shift @ shift.conj().T - (eye - top))) <= 1e-15
-    assert np.max(np.abs(shift.conj().T @ shift - (eye - bottom))) <= 1e-15
+    assert corner_defect_residual(n) <= 1e-15
 
 
 def test_raw_boson_operator_full_space_residual_is_one():
@@ -178,14 +168,7 @@ def test_single_particle_special_case():
 @given(st.integers(min_value=1, max_value=10))
 @settings(max_examples=10, deadline=None)
 def test_number_phase_commutator_identities(n):
-    basis = boson_basis(n)
-    cos0, sin0 = boson_vacuum_phase(basis)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
-    w = boson_number_diff(basis)
-    r1 = commutator(cos_u, w) - 2j * (sin_u.entries - (n + 1) * sin0.entries)
-    r2 = commutator(sin_u, w) + 2j * (cos_u.entries - (n + 1) * cos0.entries)
-    assert np.max(np.abs(r1)) <= 1e-12
-    assert np.max(np.abs(r2)) <= 1e-12
+    assert number_phase_commutator_residual(n) <= 1e-12
 
 
 def test_number_diff_diagonal():
@@ -198,16 +181,7 @@ def test_number_diff_diagonal():
 
 
 def test_anticommutators_exact():
-    space = fermion_sector()
-    ladders = [fermion_ladder(space, m).entries for m in range(4)]
-    eye = np.eye(FULL_DIM, dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            assert np.array_equal(anticommutator(ladders[i], ladders[j]),
-                                  np.zeros_like(eye))
-            expected = eye if i == j else np.zeros_like(eye)
-            assert np.array_equal(
-                anticommutator(ladders[i], ladders[j].conj().T), expected)
+    assert anticommutator_residual() == 0.0
 
 
 def test_pair_shift_signs():
@@ -262,33 +236,18 @@ def test_same_spin_coupling_keeps_rest_configuration():
 
 
 def test_double_sum_variant_breaks_isometry():
-    space = fermion_sector()
-    beta = fermion_unitary_phase(space, "l_up", "r_up", pairing="double-sum")[2]
-    p = half_filled_projector(space, "l_up", "r_up")
-    residual = max(unitarity_deficiency(beta, subspace=p))
-    assert residual >= 0.5
+    assert double_sum_residual() >= 0.5
 
 
 @pytest.mark.parametrize("pair", [("l_up", "r_up"), ("l_up", "r_down")])
 def test_completed_fermion_operator_is_half_filled_isometry(pair):
-    space = fermion_sector()
-    beta = fermion_unitary_phase(space, *pair)[2].entries
-    cols = beta[:, list(half_filled_masks(*pair))]
-    sing = np.linalg.svd(cols, compute_uv=False)
-    assert np.max(np.abs(sing - 1.0)) <= 1e-12
+    assert betaf_isometry_residual(*pair) <= 1e-12
 
 
 @pytest.mark.parametrize("pair", [("l_up", "r_up"), ("l_up", "r_down"),
                                   ("l_down", "r_down")])
 def test_fermion_jacobi_identity(pair):
-    space = fermion_sector()
-    cos_u, sin_u, _ = fermion_unitary_phase(space, *pair)
-    w = fermion_number_diff(space, *pair)
-    c, s, ww = cos_u.entries, sin_u.entries, w.entries
-    residual = (commutator(commutator(c, s), ww)
-                + commutator(commutator(s, ww), c)
-                + commutator(commutator(ww, c), s))
-    assert np.max(np.abs(residual)) <= 1e-12
+    assert fermion_jacobi_residual(*pair) <= 1e-12
 
 
 def test_well_number_diff_counts_both_spins():
@@ -314,10 +273,6 @@ def test_operator_matrix_validates_hermiticity_flag():
 
 
 def test_hermiticity_all_pairs():
-    space = fermion_sector()
-    pairs = [(m, mp) for i, m in enumerate(MODE_NAMES) for mp in MODE_NAMES[i + 1:]]
-    for m, mp in pairs:
-        for op in (*fermion_cn_phase(space, m, mp),
-                   *fermion_unitary_phase(space, m, mp)[:2]):
-            a = op.entries
-            assert np.max(np.abs(a - a.conj().T)) <= 1e-12
+    for i, m in enumerate(MODE_NAMES):
+        for mp in MODE_NAMES[i + 1:]:
+            assert fermion_hermiticity_residual(m, mp) <= 1e-12

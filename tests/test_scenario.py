@@ -29,7 +29,6 @@ from phasekit.scenario import (
     propagate_scenario,
     run,
     run_scenario,
-    write_csv,
 )
 
 
