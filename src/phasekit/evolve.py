@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, NumericalError, StepSizeError
-from .fock import StateVector
+from .fock import StateVector, amplitude_norm
 from .operators import OperatorMatrix, _as_array
 
 DEFAULT_DTAU = 1e-3
@@ -41,7 +41,8 @@ class Trajectory:
             raise ConfigError(f"tau grid must start at 0, got {tau[0]!r}")
         if np.any(np.diff(tau) <= 0):
             raise ConfigError("tau grid must be strictly increasing")
-        norms = np.linalg.norm(states, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf and fails below
+            norms = np.linalg.norm(states, axis=1)
         drift = float(np.max(np.abs(norms - 1.0)))
         if not drift <= self.norm_tol:  # NaN drift fails too
             raise NumericalError(
@@ -67,7 +68,7 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
         raise ConfigError(
             f"state dimension {amps.shape} does not match operator dimension {arr.shape[0]}"
         )
-    norm = float(np.linalg.norm(amps))
+    norm = amplitude_norm(amps)
     if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError(f"initial state not normalized: |psi| = {norm!r}")
     tau = np.asarray(tau_grid, dtype=float)
@@ -199,7 +200,7 @@ def _check_init(init: Sequence[complex]) -> np.ndarray:
     arr = np.asarray(init, dtype=complex)
     if arr.shape != (3,):
         raise ConfigError(f"closed forms take 3 initial amplitudes, got {arr.shape}")
-    norm = float(np.linalg.norm(arr))
+    norm = amplitude_norm(arr)
     if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError(f"initial amplitudes not normalized: |c| = {norm!r}")
     return arr

@@ -15,6 +15,7 @@ sign in :mod:`phasekit.operators`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -210,6 +211,13 @@ def fermion_sector(particle_count_filter: Optional[int] = None,
                          twice_sz_filter=tsz)
 
 
+def amplitude_norm(amplitudes: Sequence[complex]) -> float:
+    """Euclidean norm of complex amplitudes: inf for an overflowing sum of
+    squares and nan for a nan amplitude, with no numpy warning."""
+    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    return math.hypot(*amps.real.tolist(), *amps.imag.tolist())
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm complex amplitude vector over a basis.
@@ -228,7 +236,8 @@ class StateVector:
             raise ConfigError(
                 f"amplitude count {len(amps)} does not match basis dimension {dim}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm = amplitude_norm(amps)
+        norm_sq = norm * norm  # inf, not OverflowError as norm ** 2 would be
         if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails too
             raise ConfigError(
                 f"state not normalized: sum of squared amplitudes is {norm_sq!r}"
@@ -238,9 +247,9 @@ class StateVector:
     @classmethod
     def normalized(cls, basis: object, amplitudes: Sequence[complex]) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex)
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ConfigError("cannot normalize the zero vector")
+        norm = amplitude_norm(amps)
+        if not 0.0 < norm < math.inf:  # NaN fails too
+            raise ConfigError(f"cannot normalize amplitudes of norm {norm!r}")
         return cls(basis, amps / norm)
 
     @property

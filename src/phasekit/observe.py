@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -51,6 +52,11 @@ class TimeSeries:
         object.__setattr__(self, "tau_grid", tau)
         object.__setattr__(self, "channels", chans)
 
+    @cached_property
+    def _tau_cells(self) -> list[str]:
+        # formatted once per series, however many CSVs are cut from it
+        return ["%.17g" % t for t in self.tau_grid.tolist()]
+
 
 def _states_matrix(states: Union[Trajectory, np.ndarray]) -> np.ndarray:
     arr = states.states if isinstance(states, Trajectory) else np.asarray(states, dtype=complex)
@@ -60,7 +66,9 @@ def _states_matrix(states: Union[Trajectory, np.ndarray]) -> np.ndarray:
 
 
 def _real_expectation(op: np.ndarray, states: np.ndarray, what: str) -> np.ndarray:
-    values = np.einsum("ti,ij,tj->t", states.conj(), op, states)
+    # one matmul, then a row-wise dot; a three-operand einsum would run
+    # numpy's unoptimised nditer loop
+    values = np.einsum("tj,tj->t", states.conj() @ op, states)
     worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if worst > IMAG_ERROR_TOL:
         raise NumericalError(

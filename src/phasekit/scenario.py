@@ -18,9 +18,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
-from .fock import boson_basis, fermion_sector
+from .fock import amplitude_norm, boson_basis, fermion_sector
 from .hamiltonians import (
     DEFAULT_FERMION_VARIANT,
     FERMION_VARIANTS,
@@ -162,7 +162,7 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"initial amplitude list must have length {dim}, got {len(amps)}"
                 )
-            norm = math.hypot(*(abs(a) for a in amps))  # inf, not OverflowError
+            norm = amplitude_norm(amps)
             if not abs(norm - 1.0) <= AMPLITUDE_NORM_TOL:  # NaN fails too
                 raise ConfigError(
                     f"initial amplitudes not normalized: |c| = {norm!r}"
@@ -333,17 +333,33 @@ def run_scenario(cfg: ScenarioConfig) -> TimeSeries:
 # CSV
 
 
+_CSV_BLOCK_ROWS = 256
+
+
 def format_csv(series: TimeSeries, channel_order: Sequence[str]) -> str:
+    """CSV text of ``series``; NumericalError if any emitted value is not finite."""
     names = list(channel_order)
     for name in names:
         if name not in series.channels:
             raise ConfigError(f"series has no channel {name!r}")
+    tau = series.tau_grid
+    for name, column in [("tau", tau)] + [(n, series.channels[n]) for n in names]:
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise NumericalError(f"channel {name!r} is {float(column[bad[0]])!r} "
+                                 f"at tau={float(tau[bad[0]])!r}")
+    table = np.empty((len(tau), len(names)))
+    for j, name in enumerate(names):
+        table[:, j] = series.channels[name]
     lines = ["tau," + ",".join(names)]
-    # Python floats format faster than numpy scalars, to the same text; a row
-    # at a time, so no list of the whole table's floats is held
-    table = np.column_stack([series.tau_grid] + [series.channels[n] for n in names])
-    for row in table:
-        lines.append(",".join(f"{v:.17g}" for v in row.tolist()))
+    # one % per block of rows: the tau cells are preformatted, and "%.17g" on
+    # a Python float is the same text as f"{v:.17g}". Blocks bound the list
+    # of Python floats held at once.
+    cells = ",%.17g" * len(names)
+    for start in range(0, len(tau), _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        template = "\n".join(t + cells for t in series._tau_cells[start:stop])
+        lines.append(template % tuple(table[start:stop].ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import phasekit
+from phasekit import TimeSeries, scenario
 from phasekit.cli import main
 
 
@@ -72,13 +73,28 @@ def test_run_non_finite_states_exit_two(tmp_path, capsys, body):
 
 @pytest.mark.parametrize("system, initial", [("boson\nN=2", "nan,0,0"),
                                              ("fermion", "nan,0,0"),
-                                             ("boson\nN=2", "1e200,0,0")],
-                         ids=["boson-nan", "fermion-nan", "boson-overflow"])
+                                             ("boson\nN=2", "1e200,0,0"),
+                                             ("fermion", "1.7e308+1.7e308j,0,0")],
+                         ids=["boson-nan", "fermion-nan", "boson-overflow",
+                              "fermion-abs-overflow"])
 def test_run_unnormalized_initial_amplitudes_exit_one(tmp_path, capsys, system, initial):
     cfg, out = _write_config(tmp_path, f"system={system}\nubar=1\n"
                                        f"initial={initial}\nchannels=avgW\n")
     assert main(["run", "--config", str(cfg)]) == 1
     assert "not normalized" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_non_finite_channel_exit_two(tmp_path, capsys, monkeypatch):
+    # the last gate before the file: whatever produced a nan, no CSV is written
+    def nan_series(cfg):
+        tau = np.linspace(0.0, cfg.tau_max, cfg.steps)
+        return TimeSeries(tau, {name: np.full(cfg.steps, np.nan) for name in cfg.channels})
+
+    monkeypatch.setattr(scenario, "run_scenario", nan_series)
+    cfg, out = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "'avgC_CN' is nan at tau=0.0" in capsys.readouterr().err
     assert not out.exists()
 
 

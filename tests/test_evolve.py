@@ -7,6 +7,7 @@ middle amplitude only for the interacting boson pair).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,6 +213,31 @@ def test_nan_amplitudes_are_not_normalized():
     h = fermion_pair_hamiltonian(1.0, "single-occupancy")
     with pytest.raises(ConfigError):
         eigen_propagate(h, nan_start, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("gate", [
+    lambda start: StateVector(boson_basis(2), start),
+    lambda start: eigen_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
+                                  start, [0.0, 1.0]),
+    lambda start: rk4_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
+                                start, [0.0, 1.0]),
+    lambda start: fermion_pair_closed_form(1.0, [0.0, 1.0], start),
+    lambda start: boson_pair_closed_form(1.0, [0.0, 1.0], start),
+], ids=["state-vector", "eigen", "rk4", "fermion-closed-form", "boson-closed-form"])
+def test_overflowing_amplitudes_fail_without_warning(gate):
+    # the squares of a 1e200 amplitude overflow; each gate must raise its
+    # own error, not a numpy RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigError, match="not normalized"):
+            gate((1e200, 0.0, 0.0))
+
+
+def test_trajectory_overflowing_state_fails_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="drift by inf"):
+            Trajectory(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1e200, 0.0]]))
 
 
 def test_propagators_reject_dimension_mismatch():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,17 @@ def test_state_vector_norm_gate():
         StateVector(None, np.array([1.0, 0.5]))
     sv = StateVector.normalized(None, np.array([1.0, 1.0]))
     assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-15
+
+
+def test_normalized_scales_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tiny_or_huge in (1e200, 1e-200):
+            sv = StateVector.normalized(None, [tiny_or_huge, 0.0, 0.0])
+            assert sv.amplitudes.tolist() == [1.0, 0.0, 0.0]
+        for bad in ([0.0, 0.0], [math.inf, 0.0], [math.nan, 1.0]):
+            with pytest.raises(ConfigError, match="cannot normalize"):
+                StateVector.normalized(None, bad)
 
 
 def test_fock_state_boson_wells():

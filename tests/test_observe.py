@@ -18,13 +18,19 @@ from phasekit import (
     embedded_fermion_states,
     expectation,
     expectation_series,
+    fermion_cn_phase,
     fermion_pair_hamiltonian,
+    fermion_sector,
+    fermion_unitary_phase,
     fluctuation,
+    fluctuation_series,
     trapping_points,
     xi_boson,
     xi_fermion,
     xi_fermion_closed_form,
+    well_number_diff,
 )
+from phasekit.observe import pair_moments
 
 RIGHT_WELL_3 = np.array([0.0, 0.0, 1.0], dtype=complex)
 
@@ -82,6 +88,47 @@ def test_expectation_series_matches_pointwise_expectation():
     series = expectation_series(cos_u, traj)
     for k in (0, 5, 10):
         assert series[k] == pytest.approx(expectation(cos_u, traj.states[k]), abs=1e-14)
+
+
+def _quadratic_form_by_einsum(op, states):
+    """The three-operand form _real_expectation replaced: the oracle."""
+    return np.einsum("ti,ij,tj->t", states.conj(), op, states).real
+
+
+def _random_states(rng, count, dim):
+    states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    return states / np.linalg.norm(states, axis=1)[:, None]
+
+
+def _pair_operators():
+    space = fermion_sector()
+    return [pair_moments(op) for op in (*fermion_cn_phase(space, "l_up", "r_down"),
+                                        *fermion_unitary_phase(space, "l_up", "r_up")[:2],
+                                        well_number_diff(space))]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 11, 16])
+def test_quadratic_forms_match_three_operand_einsum(dim):
+    rng = np.random.default_rng(dim)
+    states = _random_states(rng, 257, dim)
+    for _ in range(4):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        op = (a + a.conj().T) / 2
+        mean = _quadratic_form_by_einsum(op, states)
+        radicand = _quadratic_form_by_einsum(op @ op, states) - mean * mean
+        assert np.max(np.abs(expectation_series(op, states) - mean)) <= 1e-13
+        assert np.max(np.abs(fluctuation_series(op, states)
+                             - np.sqrt(np.clip(radicand, 0.0, None)))) <= 1e-13
+
+
+def test_pair_moment_quadratic_forms_match_three_operand_einsum():
+    states = _random_states(np.random.default_rng(3), 257, 3)
+    for op, second in _pair_operators():
+        mean = _quadratic_form_by_einsum(op, states)
+        radicand = _quadratic_form_by_einsum(second, states) - mean * mean
+        assert np.max(np.abs(expectation_series(op, states) - mean)) <= 1e-13
+        assert np.max(np.abs(fluctuation_series(op, states, second)
+                             - np.sqrt(np.clip(radicand, 0.0, None)))) <= 1e-13
 
 
 def test_nonhermitian_sandwich_raises():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from phasekit import (
     ConfigError,
+    NumericalError,
     ScenarioConfig,
+    TimeSeries,
     embedded_fermion_states,
     expectation_series,
     fermion_cn_phase,
@@ -29,7 +31,9 @@ from phasekit.scenario import (
     propagate_scenario,
     run,
     run_scenario,
+    write_csv,
 )
+from phasekit.presets import PRESETS
 
 
 def test_parse_minimal_boson_config():
@@ -272,3 +276,65 @@ def test_format_csv_rejects_unknown_channel():
     series = run_scenario(cfg)
     with pytest.raises(ConfigError):
         format_csv(series, ["missing"])
+
+
+def _format_csv_by_row(series, names):
+    """The per-value formatter format_csv replaced: the byte oracle."""
+    lines = ["tau," + ",".join(names)]
+    table = np.column_stack([series.tau_grid] + [series.channels[n] for n in names])
+    for row in table:
+        lines.append(",".join(f"{v:.17g}" for v in row.tolist()))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1 / 3, 1.0, 0.1)
+
+
+@given(rows=st.sampled_from((1, 2, 255, 256, 257, 2001)),
+       width=st.sampled_from((1, 14)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=16))
+@settings(max_examples=40, deadline=None)
+def test_format_csv_matches_per_value_formatter(rows, width, seed, drawn):
+    # random bit patterns span every exponent; non-finite ones become specials
+    rng = np.random.default_rng(seed)
+    specials = np.array(_SPECIAL_VALUES + tuple(drawn))
+    table = rng.integers(0, 2 ** 64, size=(rows, width + 1), dtype=np.uint64).view(float)
+    bad = ~np.isfinite(table)
+    table[bad] = rng.choice(specials, size=int(bad.sum()))
+    spots = rng.integers(0, table.size, size=len(specials))
+    table.ravel()[spots] = specials
+    names = [f"c{j}" for j in range(width)]
+    series = TimeSeries(table[:, 0], {n: table[:, j + 1] for j, n in enumerate(names)})
+    assert format_csv(series, names) == _format_csv_by_row(series, names)
+
+
+def test_preset_series_format_as_per_value_formatter():
+    for entries in PRESETS.values():
+        for entry in entries:
+            series = run_scenario(entry.config)
+            names = entry.config.channels
+            assert format_csv(series, names) == _format_csv_by_row(series, names), \
+                entry.filename
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_write_csv_refuses_non_finite_values(tmp_path, bad):
+    tau = np.linspace(0.0, 2.0, 5)
+    values = np.zeros(5)
+    values[3] = bad
+    series = TimeSeries(tau, {"ok": np.ones(5), "avgW": values})
+    target = tmp_path / "series.csv"
+    with pytest.raises(NumericalError, match=r"'avgW' is (nan|inf) at tau=1\.5"):
+        write_csv(series, ["ok", "avgW"], target)
+    assert not target.exists()
+    # a channel left out of the file is not checked
+    assert write_csv(series, ["ok"], target).exists()
+
+
+def test_write_csv_refuses_non_finite_tau(tmp_path):
+    series = TimeSeries(np.array([0.0, math.inf]), {"avgW": np.zeros(2)})
+    target = tmp_path / "series.csv"
+    with pytest.raises(NumericalError, match="'tau' is inf"):
+        write_csv(series, ["avgW"], target)
+    assert not target.exists()
