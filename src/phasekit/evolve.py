@@ -22,6 +22,8 @@ from .operators import OperatorMatrix, _as_array
 
 DEFAULT_DTAU = 1e-3
 RK4_NORM_DRIFT_TOL = 1e-6
+# at |E*tau| = 1e15 a double resolves the phase E*tau only to 0.125 rad
+PHASE_SCALE_LIMIT = 1e15
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,10 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
              psi0: Union[StateVector, Sequence[complex]],
              tau_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     arr = _as_array(h)
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > 1e-12:
+    if not np.isfinite(arr).all():  # before inf - inf can warn
+        raise NumericalError("propagation needs a finite matrix")
+    dev = float(np.abs(arr - arr.conj().T).max())
+    if not dev <= 1e-12:
         raise NumericalError(f"propagation needs a hermitian matrix; deviation {dev:.3e}")
     amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     if amps.shape != (arr.shape[0],):
@@ -84,6 +88,11 @@ def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
         energies, vectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    scale = float(np.max(np.abs(energies))) * float(np.max(np.abs(tau), initial=0.0))
+    if not scale <= PHASE_SCALE_LIMIT:  # NaN fails too
+        raise NumericalError(
+            f"max|E|*max|tau| = {scale:.3e} exceeds {PHASE_SCALE_LIMIT:g}: the "
+            f"phases E*tau would have no significant digit left")
     weights = vectors.conj().T @ amps
     phases = np.exp(-1j * np.outer(tau, energies))
     states = (phases * weights[None, :]) @ vectors.T

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -51,11 +50,6 @@ class TimeSeries:
         tau.setflags(write=False)
         object.__setattr__(self, "tau_grid", tau)
         object.__setattr__(self, "channels", chans)
-
-    @cached_property
-    def _tau_cells(self) -> list[str]:
-        # formatted once per series, however many CSVs are cut from it
-        return ["%.17g" % t for t in self.tau_grid.tolist()]
 
 
 def _states_matrix(states: Union[Trajectory, np.ndarray]) -> np.ndarray:

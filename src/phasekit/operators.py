@@ -52,8 +52,10 @@ class OperatorMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError(f"operator {self.label!r} is not square: {arr.shape}")
         if self.hermitian:
-            dev = float(np.max(np.abs(arr - arr.conj().T)))
-            if dev > HERMITICITY_TOL:
+            if not np.isfinite(arr).all():  # before inf - inf can warn
+                raise NumericalError(f"operator {self.label!r} has non-finite entries")
+            dev = float(np.abs(arr - arr.conj().T).max())
+            if not dev <= HERMITICITY_TOL:
                 raise NumericalError(
                     f"operator {self.label!r} flagged hermitian but deviates by {dev:.3e}"
                 )

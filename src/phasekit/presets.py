@@ -9,11 +9,12 @@ pair, interaction strength, and channel, e.g.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .scenario import ScenarioConfig, run_scenario, write_csv
 
 _PAIR_TAGS = {"l-up/r-down": "lu-rd", "l-up/r-up": "lu-ru"}
@@ -102,7 +103,10 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     """Run one preset bundle sequentially, returning the written CSV paths.
 
     Entries whose configs differ only in their channels share one
-    propagation, and each entry's CSV is cut from that series.
+    propagation, and each entry's CSV is cut from that series. The files of
+    one call share one row-template table, so each tau grid is formatted
+    once. If an entry fails, the files already written are removed before
+    the error propagates.
     """
     entries = preset_entries(name)
     groups: dict[tuple, tuple[ScenarioConfig, list[str]]] = {}
@@ -113,9 +117,19 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     series = {key: run_scenario(replace(cfg, channels=tuple(channels)))
               for key, (cfg, channels) in groups.items()}
     out = Path(out_dir)
-    return [write_csv(series[_without_channels(entry.config)],
-                      entry.config.channels, out / entry.filename)
-            for entry in entries]
+    templates: dict = {}  # this call's row templates, shared by its files
+    written: list[Path] = []
+    try:
+        for entry in entries:
+            written.append(write_csv(series[_without_channels(entry.config)],
+                                     entry.config.channels, out / entry.filename,
+                                     templates))
+    except (ConfigError, NumericalError):
+        for path in written:  # leave no partial bundle
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+    return written
 
 
 def _without_channels(cfg: ScenarioConfig) -> tuple:

@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -61,13 +62,17 @@ def test_run_duplicate_channels_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("body", [
     "system=fermion\nubar=1e308\nchannels=avgW\n",
     "system=boson\nN=2\nubar=1e308\nchannels=avgW\n",
-], ids=["fermion", "boson"])
+    "system=boson\nN=10\nubar=1e308\nchannels=avgW\n",
+    "system=boson\nN=2\nubar=1e306\nchannels=avgW\n",
+    "system=boson\nN=2\nubar=0.05\ntau_max=1e300\nsteps=3\nchannels=avgW\n",
+], ids=["fermion", "boson", "boson-infinite-h", "boson-1e306", "tau-max-1e300"])
 def test_run_non_finite_states_exit_two(tmp_path, capsys, body):
-    # the propagated phases overflow to nan; no all-nan CSV may be written
+    # E*tau overflows, H overflows, or E*tau keeps no significant digit: each
+    # fails before the phases are formed, with no numpy warning and no CSV
     cfg, out = _write_config(tmp_path, body)
-    with np.errstate(all="ignore"):
-        assert main(["run", "--config", str(cfg)]) == 2
-    assert "numerical error" in capsys.readouterr().err
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -129,6 +134,50 @@ def test_unwritable_output_exits_one(tmp_path, capsys, case):
     assert err.startswith("phasekit:") and f"cannot write {taken}" in err
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_run_failed_replace_keeps_old_target(tmp_path, capsys, monkeypatch):
+    cfg, out = _write_config(tmp_path)
+    out.write_bytes(b"old bytes\n")
+
+    def failing_replace(src, dst):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(scenario.os, "replace", failing_replace)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert out.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg", "series.csv"]
+
+
+@pytest.mark.parametrize("failure, code", [("replace", 1), ("non-finite", 2)])
+def test_failed_figure_leaves_no_file(tmp_path, capsys, monkeypatch, failure, code):
+    # fig1 writes six files; the third fails, and the two before it go too
+    done = []
+    real_replace, real_format = os.replace, scenario.format_csv
+
+    def failing_replace(src, dst):
+        if len(done) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        done.append(dst)
+        real_replace(src, dst)
+
+    def failing_format(series, channel_order, templates=None):
+        if len(done) == 2:
+            raise phasekit.NumericalError("channel 'avgC_U' is nan at tau=0.0")
+        done.append(channel_order)
+        return real_format(series, channel_order, templates)
+
+    if failure == "replace":
+        monkeypatch.setattr(scenario.os, "replace", failing_replace)
+    else:
+        monkeypatch.setattr(scenario, "format_csv", failing_format)
+    out = tmp_path / "bundle"
+    assert main(["figure", "fig1", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("phasekit:") and "Traceback" not in err
+    assert len(done) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_run_without_out_exits_one(tmp_path, capsys):

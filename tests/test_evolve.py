@@ -240,6 +240,22 @@ def test_trajectory_overflowing_state_fails_without_warning():
             Trajectory(np.array([0.0, 1.0]), np.array([[1.0, 0.0], [1e200, 0.0]]))
 
 
+@pytest.mark.parametrize("h, tau_max, match", [
+    (np.diag([math.nan, 0.0]), 1.0, "finite matrix"),
+    (np.diag([math.inf, 0.0]), 1.0, "finite matrix"),
+    (np.diag([1e306, 0.0]), 1.0, "no significant digit"),
+    (np.diag([1.0, -1.0]), 2e15, "no significant digit"),
+], ids=["nan-h", "inf-h", "huge-energy", "huge-tau"])
+def test_eigen_propagate_rejects_unrepresentable_phases(h, tau_max, match):
+    with pytest.raises(NumericalError, match=match):
+        eigen_propagate(h, [1.0, 0.0], [0.0, tau_max])
+
+
+def test_eigen_propagate_phase_bound_is_inclusive():
+    traj = eigen_propagate(np.diag([1.0, -1.0]), [1.0, 0.0], [0.0, 1e15])
+    assert np.all(np.isfinite(traj.states))
+
+
 def test_propagators_reject_dimension_mismatch():
     h = boson_dimer_hamiltonian(boson_basis(2), 0.0)
     with pytest.raises(ConfigError):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from phasekit import (
     ConfigError,
+    NumericalError,
     boson_basis,
     boson_cn_phase,
     boson_number_diff,
@@ -270,6 +271,10 @@ def test_operator_matrix_validates_hermiticity_flag():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(Exception):
         OperatorMatrix(bad, label="bad", hermitian=True)
+    # a nan deviation must not pass, and inf - inf must not warn first
+    for value in (np.nan, np.inf):
+        with pytest.raises(NumericalError, match="non-finite"):
+            OperatorMatrix(np.diag([value, 0.0]), label="bad", hermitian=True)
 
 
 def test_hermiticity_all_pairs():

@@ -33,7 +33,7 @@ from phasekit.scenario import (
     run_scenario,
     write_csv,
 )
-from phasekit.presets import PRESETS
+from phasekit.presets import PRESETS, run_figure
 
 
 def test_parse_minimal_boson_config():
@@ -309,13 +309,17 @@ def test_format_csv_matches_per_value_formatter(rows, width, seed, drawn):
     assert format_csv(series, names) == _format_csv_by_row(series, names)
 
 
-def test_preset_series_format_as_per_value_formatter():
-    for entries in PRESETS.values():
-        for entry in entries:
+def test_preset_series_format_as_per_value_formatter(tmp_path):
+    # alone and through one figure call's shared row templates
+    for name, entries in PRESETS.items():
+        written = run_figure(name, tmp_path / name)
+        assert [p.name for p in written] == [e.filename for e in entries]
+        for entry, path in zip(entries, written):
             series = run_scenario(entry.config)
             names = entry.config.channels
-            assert format_csv(series, names) == _format_csv_by_row(series, names), \
-                entry.filename
+            expected = _format_csv_by_row(series, names)
+            assert format_csv(series, names) == expected, entry.filename
+            assert path.read_bytes() == expected.encode("utf-8"), entry.filename
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -330,6 +334,13 @@ def test_write_csv_refuses_non_finite_values(tmp_path, bad):
     assert not target.exists()
     # a channel left out of the file is not checked
     assert write_csv(series, ["ok"], target).exists()
+
+
+def test_write_csv_longest_file_name(tmp_path):
+    series = TimeSeries(np.linspace(0.0, 1.0, 3), {"avgW": np.zeros(3)})
+    target = tmp_path / ("x" * 251 + ".csv")
+    assert write_csv(series, ["avgW"], target) == target
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
 
 def test_write_csv_refuses_non_finite_tau(tmp_path):
