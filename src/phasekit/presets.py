@@ -10,12 +10,13 @@ pair, interaction strength, and channel, e.g.
 from __future__ import annotations
 
 import contextlib
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Union
 
 from .errors import ConfigError, NumericalError
-from .scenario import ScenarioConfig, run_scenario, write_csv
+from .scenario import ScenarioConfig, _Templates, run_scenario, write_csv
 
 _PAIR_TAGS = {"l-up/r-down": "lu-rd", "l-up/r-up": "lu-ru"}
 
@@ -105,8 +106,8 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     Entries whose configs differ only in their channels share one
     propagation, and each entry's CSV is cut from that series. The files of
     one call share one row-template table, so each tau grid is formatted
-    once. If an entry fails, the files already written are removed before
-    the error propagates.
+    once. If an entry fails, the files this call created are removed before
+    the error propagates; files it replaced keep their new content.
     """
     entries = preset_entries(name)
     groups: dict[tuple, tuple[ScenarioConfig, list[str]]] = {}
@@ -117,15 +118,20 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     series = {key: run_scenario(replace(cfg, channels=tuple(channels)))
               for key, (cfg, channels) in groups.items()}
     out = Path(out_dir)
-    templates: dict = {}  # this call's row templates, shared by its files
+    templates: _Templates = {}  # this call's row templates, shared by its files
     written: list[Path] = []
+    created: list[Path] = []
     try:
         for entry in entries:
+            target = out / entry.filename
+            existed = os.path.lexists(target)
             written.append(write_csv(series[_without_channels(entry.config)],
-                                     entry.config.channels, out / entry.filename,
-                                     templates))
+                                     entry.config.channels, target,
+                                     _templates=templates))
+            if not existed:
+                created.append(target)
     except (ConfigError, NumericalError):
-        for path in written:  # leave no partial bundle
+        for path in created:  # leave no new file of a partial bundle
             with contextlib.suppress(OSError):
                 path.unlink()
         raise

@@ -8,10 +8,10 @@ CSV format: header ``tau,<channel names>``, one row per grid point, '.'
 decimal, ',' separator, LF line endings, no quoting, 17 significant digits —
 enough to round-trip doubles, so reruns are byte-identical on one platform.
 This module alone knows that format. Rows are formatted 256 at a time from a
-template of their tau cells; a command that writes several files passes one
-template table to all of them, so each tau grid is formatted once per command
-and nothing is kept between commands. A non-finite value fails before any
-text is built, and each file is written to a temporary name beside it and
+template of their tau cells. The files of one ``figure`` command share one
+template table, so each tau grid is formatted once per command and channel
+count, and nothing is kept between commands. A non-finite value fails before
+any text is built, and each file is written to a temporary name beside it and
 then renamed over the target, so a failed write leaves no partial file.
 """
 
@@ -20,9 +20,10 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -342,28 +343,25 @@ def run_scenario(cfg: ScenarioConfig) -> TimeSeries:
 
 
 _CSV_BLOCK_ROWS = 256
+# one command's row templates: (tau grid bytes, channel count) -> the
+# template of each 256-row block
+_Templates = dict[tuple[bytes, int], list[str]]
 
 
 def _tau_cells(tau: np.ndarray) -> list[str]:
     return ["%.17g" % t for t in tau.tolist()]
 
 
-def _block_templates(cells: list[str], width: int) -> Iterator[str]:
+def _block_templates(cells: list[str], width: int) -> list[str]:
     # a block's tau cells, each followed by one ",%.17g" per channel
     row = ",%.17g" * width
-    for start in range(0, len(cells), _CSV_BLOCK_ROWS):
-        yield "\n".join(t + row for t in cells[start:start + _CSV_BLOCK_ROWS])
+    return ["\n".join(t + row for t in cells[start:start + _CSV_BLOCK_ROWS])
+            for start in range(0, len(cells), _CSV_BLOCK_ROWS)]
 
 
-def format_csv(series: TimeSeries, channel_order: Sequence[str],
-               templates: Optional[dict] = None) -> str:
-    """CSV text of ``series``; NumericalError if any emitted value is not finite.
-
-    ``templates`` is the row-template table of one command: pass one empty
-    dict to every file the command writes, and each distinct tau grid is
-    formatted once and its block templates are built once per channel count.
-    Without it, each block's template is built, used and dropped.
-    """
+def format_csv(series: TimeSeries, channel_order: Sequence[str], *,
+               _templates: Optional[_Templates] = None) -> str:
+    """CSV text of ``series``; NumericalError if any emitted value is not finite."""
     names = list(channel_order)
     for name in names:
         if name not in series.channels:
@@ -377,39 +375,31 @@ def format_csv(series: TimeSeries, channel_order: Sequence[str],
     table = np.empty((len(tau), len(names)))
     for j, name in enumerate(names):
         table[:, j] = series.channels[name]
-    width = len(names)
-    if templates is None:
-        # one file: build each template as it is used; holding them all at
-        # once grows the heap, which made an 11-channel write ~1.5% slower
-        blocks: Iterable[str] = _block_templates(_tau_cells(tau), width)
-    else:
-        # keys: a grid's bytes -> its tau cells; (bytes, width) -> templates
-        grid = tau.tobytes()
-        if (grid, width) not in templates:
-            if grid not in templates:
-                templates[grid] = _tau_cells(tau)
-            templates[(grid, width)] = list(_block_templates(templates[grid], width))
-        blocks = templates[(grid, width)]
+    # the files of one figure command share a table; any other call has its own
+    templates = {} if _templates is None else _templates
+    key = (tau.tobytes(), len(names))
+    if key not in templates:
+        templates[key] = _block_templates(_tau_cells(tau), len(names))
     lines = ["tau," + ",".join(names)]
     # one % per block of rows; "%.17g" on a Python float is the same text as
     # f"{v:.17g}". Blocks bound the list of Python floats held at once.
-    for start, template in zip(range(0, len(tau), _CSV_BLOCK_ROWS), blocks):
+    for start, template in zip(range(0, len(tau), _CSV_BLOCK_ROWS), templates[key]):
         lines.append(template % tuple(table[start:start + _CSV_BLOCK_ROWS].ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
 def write_csv(series: TimeSeries, channel_order: Sequence[str],
-              path: Union[str, Path], templates: Optional[dict] = None) -> Path:
+              path: Union[str, Path], *,
+              _templates: Optional[_Templates] = None) -> Path:
     """Write the CSV of ``series`` to ``path`` atomically and return ``path``.
 
     The text goes to a temporary file beside the target, which then replaces
     it, so an interrupted or failed write leaves any old target whole.
-    ``templates`` is passed on to ``format_csv``.
     """
     target = Path(path)
-    text = format_csv(series, channel_order, templates)
-    # cut the name so the temporary one stays within a 255-byte NAME_MAX
-    temp = target.parent / f".{target.name[:200]}.{os.getpid()}.tmp"
+    text = format_csv(series, channel_order, _templates=_templates)
+    # a fixed-length name, so it fits wherever the target's name fits
+    temp = target.parent / f".phasekit-{os.getpid()}-{threading.get_ident()}.tmp"
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         with open(temp, "w", encoding="utf-8", newline="\n") as fh:

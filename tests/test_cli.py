@@ -10,6 +10,7 @@ import pytest
 import phasekit
 from phasekit import TimeSeries, scenario
 from phasekit.cli import main
+from phasekit.presets import preset_entries, run_figure
 
 
 def _write_config(tmp_path, body="system=boson\nN=2\nubar=0.05\nsteps=5\n"
@@ -162,11 +163,11 @@ def test_failed_figure_leaves_no_file(tmp_path, capsys, monkeypatch, failure, co
         done.append(dst)
         real_replace(src, dst)
 
-    def failing_format(series, channel_order, templates=None):
+    def failing_format(series, channel_order, **kwargs):
         if len(done) == 2:
             raise phasekit.NumericalError("channel 'avgC_U' is nan at tau=0.0")
         done.append(channel_order)
-        return real_format(series, channel_order, templates)
+        return real_format(series, channel_order, **kwargs)
 
     if failure == "replace":
         monkeypatch.setattr(scenario.os, "replace", failing_replace)
@@ -178,6 +179,34 @@ def test_failed_figure_leaves_no_file(tmp_path, capsys, monkeypatch, failure, co
     assert err.startswith("phasekit:") and "Traceback" not in err
     assert len(done) == 2
     assert list(out.iterdir()) == []
+
+
+def test_failed_figure_rerun_keeps_earlier_files(tmp_path, capsys, monkeypatch):
+    # a rerun into a full bundle whose third write fails removes nothing
+    names = [e.filename for e in preset_entries("fig1")]
+    out = tmp_path / "bundle"
+    out.mkdir()
+    for name in names:
+        (out / name).write_bytes(b"old " + name.encode() + b"\n")
+    (out / "notes.txt").write_bytes(b"kept\n")
+    fresh = {p.name: p.read_bytes() for p in run_figure("fig1", tmp_path / "fresh")}
+    done = []
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if len(done) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        done.append(Path(dst).name)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(scenario.os, "replace", failing_replace)
+    assert main(["figure", "fig1", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert done == names[:2]
+    got = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert got == {"notes.txt": b"kept\n",
+                   **{n: fresh[n] for n in names[:2]},
+                   **{n: b"old " + n.encode() + b"\n" for n in names[2:]}}
 
 
 def test_run_without_out_exits_one(tmp_path, capsys):

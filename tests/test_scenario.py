@@ -336,9 +336,12 @@ def test_write_csv_refuses_non_finite_values(tmp_path, bad):
     assert write_csv(series, ["ok"], target).exists()
 
 
-def test_write_csv_longest_file_name(tmp_path):
+@pytest.mark.parametrize("stem", ["x" * 251, "\u3042" * 83 + "xx"], ids=["ascii", "utf8"])
+def test_write_csv_longest_file_name(tmp_path, stem):
+    # 255 bytes, the NAME_MAX of common filesystems
+    target = tmp_path / (stem + ".csv")
+    assert len(target.name.encode("utf-8")) == 255
     series = TimeSeries(np.linspace(0.0, 1.0, 3), {"avgW": np.zeros(3)})
-    target = tmp_path / ("x" * 251 + ".csv")
     assert write_csv(series, ["avgW"], target) == target
     assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
