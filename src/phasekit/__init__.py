@@ -23,11 +23,8 @@ from .fock import (
     boson_basis,
     fermion_sector,
     fock_state,
-    mask_label,
-    parse_mask_label,
 )
 from .hamiltonians import (
-    barrier_height,
     boson_dimer_hamiltonian,
     fermion_pair_embedding,
     fermion_pair_hamiltonian,
@@ -35,11 +32,8 @@ from .hamiltonians import (
 from .observe import (
     TimeSeries,
     embedded_fermion_states,
-    expectation,
     expectation_series,
-    fluctuation,
     fluctuation_series,
-    trapping_points,
     xi_boson,
     xi_fermion,
     xi_fermion_closed_form,
@@ -59,7 +53,6 @@ from .operators import (
     fermion_unitary_phase,
     fermion_vacuum_coupling,
     half_filled_projector,
-    project_to_sector,
     unitarity_deficiency,
     well_number_diff,
 )
@@ -92,7 +85,6 @@ __all__ = [
     "Trajectory",
     "VerificationReport",
     "anticommutator",
-    "barrier_height",
     "boson_basis",
     "boson_cn_phase",
     "boson_dimer_hamiltonian",
@@ -103,7 +95,6 @@ __all__ = [
     "commutator",
     "eigen_propagate",
     "embedded_fermion_states",
-    "expectation",
     "expectation_series",
     "fermion_cn_phase",
     "fermion_ladder",
@@ -115,22 +106,17 @@ __all__ = [
     "fermion_sector",
     "fermion_unitary_phase",
     "fermion_vacuum_coupling",
-    "fluctuation",
     "fluctuation_series",
     "fock_state",
     "half_filled_projector",
-    "mask_label",
     "parse_config",
-    "parse_mask_label",
     "preset_entries",
-    "project_to_sector",
     "rk4_propagate",
     "run",
     "run_figure",
     "run_scenario",
     "run_verification",
     "serialize_config",
-    "trapping_points",
     "unitarity_deficiency",
     "well_number_diff",
     "write_csv",

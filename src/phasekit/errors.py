@@ -18,4 +18,5 @@ class NumericalError(PhasekitError):
 
 
 class StepSizeError(NumericalError):
-    """Fixed-step integration rejected because norm drift exceeded tolerance."""
+    """Fixed-step integration rejected: its step is beyond RK4's stability
+    limit, or its norm drift exceeded tolerance."""

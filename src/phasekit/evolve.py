@@ -24,6 +24,9 @@ DEFAULT_DTAU = 1e-3
 RK4_NORM_DRIFT_TOL = 1e-6
 # at |E*tau| = 1e15 a double resolves the phase E*tau only to 0.125 rad
 PHASE_SCALE_LIMIT = 1e15
+# |R(ix)| <= 1 for real |x| <= 2*sqrt(2): RK4's stability interval on the
+# imaginary axis, where the eigenvalues of -i*s*H lie
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -146,23 +149,38 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
                   norm_drift_tol: Optional[float] = RK4_NORM_DRIFT_TOL) -> Trajectory:
     """Classical fixed-step RK4 for i dpsi/dtau = H psi, no renormalization.
 
-    Norm drift beyond ``norm_drift_tol`` over the run raises StepSizeError
-    (pass None to disable the guard for diagnostics; the drift stays visible
-    in the returned states either way).
+    A substep whose product with the max absolute row sum of H exceeds
+    2*sqrt(2) raises StepSizeError before any state is built. Norm drift
+    beyond ``norm_drift_tol`` over the run raises StepSizeError (pass None to
+    disable the guard for diagnostics; the drift stays visible in the
+    returned states either way).
     """
     arr, amps, tau = _prepare(h, psi0, tau_grid)
     if not dtau > 0:
         raise ConfigError(f"dtau must be positive, got {dtau}")
-    spacing = float(np.min(np.diff(tau))) if len(tau) > 1 else math.inf
+    spans = np.diff(tau)
+    spacing = float(np.min(spans, initial=math.inf))
     if dtau > spacing * (1 + 1e-12):
         raise ConfigError(
             f"dtau {dtau:g} exceeds the smallest grid spacing {spacing:g}"
         )
-    widest = float(np.max(np.diff(tau))) if len(tau) > 1 else 0.0
+    widest = float(np.max(spans, initial=0.0))
     if not math.isfinite(widest / dtau):
         raise ConfigError(
             f"grid interval {widest:g} needs a non-finite number of RK4 "
             f"substeps at dtau {dtau:g}"
+        )
+    # the kernel's longest substep (up to 1.5*dtau) times the max absolute
+    # row sum of H, which bounds rho(H) without an eigensolver
+    step = float(np.max(spans / np.maximum(1.0, np.floor(spans / dtau + 0.5)),
+                        initial=0.0))
+    with np.errstate(over="ignore"):  # an overflowing row sum is inf and fails below
+        row_sum = float(np.max(np.sum(np.abs(arr), axis=1)))
+    if not row_sum * step <= RK4_STABILITY_LIMIT:
+        raise StepSizeError(
+            f"RK4 substep {step:g} times the row-sum norm {row_sum:.3e} of H exceeds "
+            f"the stability limit 2*sqrt(2); reduce dtau below "
+            f"{RK4_STABILITY_LIMIT / row_sum:.3e}"
         )
     states = active_kernel()(arr, amps, tau, float(dtau))
     norms = np.linalg.norm(states, axis=1)

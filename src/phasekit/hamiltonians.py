@@ -90,10 +90,3 @@ def fermion_pair_embedding() -> np.ndarray:
     e[_MASK_BOTH_RIGHT, 2] = 1.0
     e.setflags(write=False)
     return e
-
-
-def barrier_height(lam: float, q: float) -> float:
-    """Barrier height of the symmetric double well with minima at +-q."""
-    if not (math.isfinite(lam) and math.isfinite(q)):
-        raise ConfigError("barrier parameters must be finite")
-    return 0.5 * lam * lam * q ** 4

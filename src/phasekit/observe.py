@@ -1,4 +1,4 @@
-"""Expectations, fluctuations, squeezing parameters, trapping detection.
+"""Expectation and fluctuation series and squeezing parameters.
 
 All quantities are evaluated from trajectory states. Fermion-pair
 trajectories live in the three-state dynamical basis. A 16-dim Fock operator A
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolve import Trajectory
-from .fock import BosonDimerBasis, StateVector, fermion_sector
+from .fock import BosonDimerBasis, fermion_sector
 from .hamiltonians import fermion_pair_embedding
 from .operators import OperatorMatrix, _as_array, boson_number_diff, well_number_diff
 
@@ -60,6 +60,10 @@ def _states_matrix(states: Union[Trajectory, np.ndarray]) -> np.ndarray:
 
 
 def _real_expectation(op: np.ndarray, states: np.ndarray, what: str) -> np.ndarray:
+    if states.shape[1] != op.shape[0]:
+        raise ConfigError(
+            f"state dimension {states.shape[1]} does not match operator "
+            f"dimension {op.shape[0]}")
     # one matmul, then a row-wise dot; a three-operand einsum would run
     # numpy's unoptimised nditer loop
     values = np.einsum("tj,tj->t", states.conj() @ op, states)
@@ -71,19 +75,10 @@ def _real_expectation(op: np.ndarray, states: np.ndarray, what: str) -> np.ndarr
     return values.real
 
 
-def expectation(op: Union[OperatorMatrix, np.ndarray],
-                state: Union[StateVector, np.ndarray]) -> float:
-    """<psi|op|psi> for a hermitian operator; the tiny imaginary residue is
-    checked against 1e-10 and then discarded."""
-    amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
-    arr = _as_array(op)
-    if amps.shape != (arr.shape[0],):
-        raise ConfigError("state and operator dimensions do not match")
-    return float(_real_expectation(arr, amps[None, :], "expectation")[0])
-
-
 def expectation_series(op: Union[OperatorMatrix, np.ndarray],
                        states: Union[Trajectory, np.ndarray]) -> np.ndarray:
+    """<psi|op|psi> per state (a 1-D state gives one value) for a hermitian
+    operator; the imaginary residue is checked against 1e-10 and discarded."""
     return _real_expectation(_as_array(op), _states_matrix(states), "expectation")
 
 
@@ -99,16 +94,6 @@ def _fluct(op: np.ndarray, states: np.ndarray,
             f"fluctuation radicand {worst:.3e} below tolerance; inconsistent moments"
         )
     return np.sqrt(np.clip(radicand, 0.0, None))
-
-
-def fluctuation(op: Union[OperatorMatrix, np.ndarray],
-                state: Union[StateVector, np.ndarray]) -> float:
-    """sqrt(<op^2> - <op>^2); roundoff radicands within -1e-12 clamp to 0."""
-    amps = state.amplitudes if isinstance(state, StateVector) else np.asarray(state, dtype=complex)
-    arr = _as_array(op)
-    if amps.shape != (arr.shape[0],):
-        raise ConfigError("state and operator dimensions do not match")
-    return float(_fluct(arr, amps[None, :])[0])
 
 
 def fluctuation_series(op: Union[OperatorMatrix, np.ndarray],
@@ -210,30 +195,3 @@ def xi_fermion_closed_form(ubar: float, tau: Union[float, Sequence[float]]) -> n
     values = 2.0 * (1.0 - (2.0 / omega ** 2) * np.sin(omega * tau_arr) ** 2
                     - beat ** 2 / (4.0 * omega ** 2))
     return values
-
-
-def trapping_points(tau_grid: Sequence[float], avg_w: Sequence[float],
-                    eps: float = 1e-3) -> list[tuple[float, float]]:
-    """Intervals of the sampled grid where |<W>| < eps.
-
-    Threshold detection only: consecutive qualifying grid points merge into
-    [tau_start, tau_end] intervals (single points give zero-width intervals).
-    """
-    if not eps > 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
-    tau = np.asarray(tau_grid, dtype=float)
-    w = np.asarray(avg_w, dtype=float)
-    if tau.shape != w.shape:
-        raise ConfigError("tau grid and channel lengths differ")
-    inside = np.abs(w) < eps
-    intervals: list[tuple[float, float]] = []
-    start = None
-    for i, flag in enumerate(inside):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            intervals.append((float(tau[start]), float(tau[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(tau[start]), float(tau[-1])))
-    return intervals

@@ -8,7 +8,7 @@ links |N,0> with |0,N> and restores unitarity.
 
 Fermion operators are built as dense 16x16 matrices on the full four-mode
 Fock space from bitmask ladder matrices (sign = parity of occupied lower
-modes) and projected to sectors afterwards, so composite signs are automatic.
+modes), so composite signs are automatic.
 The vacuum coupling for a mode pair matches each one-occupied configuration
 with its partner: identical rest occupations when the pair's spins agree,
 well-mirrored rest occupations (the two rest modes swap) when they differ.
@@ -133,8 +133,7 @@ def boson_number_diff(basis: BosonDimerBasis) -> OperatorMatrix:
 def _require_full_space(space: FermionSector) -> None:
     if space.dimension != FULL_DIM:
         raise ConfigError(
-            "fermion operators are built on the full 16-dimensional space; "
-            "project to a sector afterwards"
+            "fermion operators are built on the full 16-dimensional space"
         )
 
 
@@ -280,16 +279,6 @@ def half_filled_projector(space: FermionSector, m: Union[int, str],
     for s in half_filled_masks(m, mp):
         p[s, s] = 1.0
     return p
-
-
-def project_to_sector(op: Union[OperatorMatrix, np.ndarray],
-                      sector: FermionSector) -> np.ndarray:
-    """Restrict a full-space operator to a sector's rows and columns."""
-    arr = _as_array(op)
-    if arr.shape[0] != FULL_DIM:
-        raise ConfigError("sector projection expects a full-space operator")
-    idx = np.array(sector.states)
-    return arr[np.ix_(idx, idx)]
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,12 @@ _CONFIG_KEYS = ("system", "N", "ubar", "variant", "mode_pair", "tau_max",
                 "steps", "initial", "integrator", "channels", "out")
 
 AMPLITUDE_NORM_TOL = 1e-9
+# Work limits, checked before any array is built. Presets, tests and the
+# benchmark use N <= 10 and at most 40 001 x 3 grid amplitudes. Operators are
+# dense (N+1)^2. On 2 cores with one BLAS thread, a boson run with every
+# channel at the grid limit takes about 6 s and 0.6 GB, most of it CSV text.
+MAX_N = 500
+MAX_GRID_AMPLITUDES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ class ScenarioConfig:
         if self.system == "boson":
             if self.N is None:
                 raise ConfigError("boson scenarios need N")
-            if self.N < 1:
-                raise ConfigError(f"N must be at least 1, got {self.N}")
+            if not 1 <= self.N <= MAX_N:
+                raise ConfigError(f"N must be in 1..{MAX_N}, got {self.N}")
             if self.variant is not None:
                 raise ConfigError("variant applies to fermion scenarios only")
             if self.mode_pair is not None:
@@ -144,6 +150,11 @@ class ScenarioConfig:
                     f"unknown mode_pair {self.mode_pair!r}; expected one of "
                     f"{tuple(MODE_PAIRS)}"
                 )
+        if self.steps * self.dimension > MAX_GRID_AMPLITUDES:
+            raise ConfigError(
+                f"steps x dimension = {self.steps} x {self.dimension} exceeds "
+                f"{MAX_GRID_AMPLITUDES} grid amplitudes"
+            )
 
         known = BOSON_CHANNELS if self.system == "boson" else FERMION_CHANNELS
         chans = tuple(self.channels)

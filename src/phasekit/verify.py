@@ -63,6 +63,10 @@ LAW_TOL = 1e-9
 ENERGY_TOL = 1e-10
 NORM_TOL = 1e-12
 CORNER_TOL = 1e-15
+# The boson sweeps grow steeply with n_max: on 2 cores with one BLAS thread
+# n_max = 100 takes ~0.2 s and 400 ~20 s. The CLI default, 12, is the largest
+# any test or the benchmark uses.
+N_MAX_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -463,8 +467,8 @@ def _check_config_round_trip() -> CheckResult:
 
 
 def run_verification(n_max: int = 12, tol: float = 1e-12) -> VerificationReport:
-    if n_max < 2:
-        raise ConfigError(f"n_max must be at least 2, got {n_max}")
+    if not 2 <= n_max <= N_MAX_LIMIT:
+        raise ConfigError(f"n_max must be in 2..{N_MAX_LIMIT}, got {n_max}")
     if not (tol > 0):
         raise ConfigError(f"tol must be positive, got {tol!r}")
     results = (

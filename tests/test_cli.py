@@ -66,14 +66,35 @@ def test_run_duplicate_channels_exits_one(tmp_path, capsys):
     "system=boson\nN=10\nubar=1e308\nchannels=avgW\n",
     "system=boson\nN=2\nubar=1e306\nchannels=avgW\n",
     "system=boson\nN=2\nubar=0.05\ntau_max=1e300\nsteps=3\nchannels=avgW\n",
-], ids=["fermion", "boson", "boson-infinite-h", "boson-1e306", "tau-max-1e300"])
+    "system=boson\nN=2\nubar=1e306\nintegrator=rk4\nchannels=avgW\n",
+    "system=boson\nN=2\nubar=1e308\nintegrator=rk4\nchannels=avgW\n",
+    "system=fermion\nubar=1e306\nintegrator=rk4\nchannels=avgW\n",
+    "system=fermion\nubar=1e308\nintegrator=rk4\nchannels=avgW\n",
+], ids=["fermion", "boson", "boson-infinite-h", "boson-1e306", "tau-max-1e300",
+        "boson-1e306-rk4", "boson-1e308-rk4", "fermion-1e306-rk4", "fermion-1e308-rk4"])
 def test_run_non_finite_states_exit_two(tmp_path, capsys, body):
-    # E*tau overflows, H overflows, or E*tau keeps no significant digit: each
-    # fails before the phases are formed, with no numpy warning and no CSV
+    # E*tau overflows, H overflows, E*tau keeps no significant digit, or the
+    # RK4 step exceeds its stability limit: each fails before the phases or
+    # the RK4 polynomial are formed, with no numpy warning and no CSV
     cfg, out = _write_config(tmp_path, body)
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "numerical error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body, argv", [
+    ("system=boson\nN=2\nubar=1\nsteps=10000000000000\n", []),
+    ("system=boson\nN=2\nubar=1\n", ["--steps", "10000000000000"]),
+    ("system=boson\nN=100000000\nubar=1\n", []),
+    ("system=boson\nN=10\nubar=1\nsteps=200000\n", []),
+    ("system=fermion\nubar=1\nsteps=700000\n", []),
+], ids=["steps", "steps-override", "N", "boson-grid", "fermion-grid"])
+def test_run_oversized_request_exits_one(tmp_path, capsys, body, argv):
+    cfg, out = _write_config(tmp_path, body + "channels=avgW\n")
+    assert main(["run", "--config", str(cfg), *argv]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -245,6 +266,18 @@ def test_verify_reports_and_exits_two(capsys):
 
 def test_verify_bad_n_max_exits_one(capsys):
     assert main(["verify", "--n-max", "1"]) == 1
+    assert main(["verify", "--n-max", "100000000"]) == 1  # rejected before any sweep
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_public_names_resolve():
+    assert len(set(phasekit.__all__)) == len(phasekit.__all__)
+    for name in phasekit.__all__:
+        assert hasattr(phasekit, name), name
+    namespace: dict = {}
+    exec("from phasekit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(phasekit.__all__)
 
 
 def _run_module(cfg, timeout):

@@ -5,24 +5,15 @@ import numpy as np
 import pytest
 
 from phasekit import ConfigError, StateVector, boson_basis, fermion_sector, fock_state
-from phasekit.fock import (
-    FULL_DIM,
-    MODE_NAMES,
-    mask_label,
-    mode_index,
-    parse_mask_label,
-    particle_count,
-    twice_sz,
-)
+from phasekit.fock import FULL_DIM, MODE_NAMES, mode_index, particle_count
 
 
 def test_boson_basis_indexing():
     basis = boson_basis(3)
     assert basis.dimension == 4
     # index is the left-well occupation
-    assert basis.occupations(0) == (0, 3)
-    assert basis.occupations(3) == (3, 0)
-    assert len(basis.labels) == 4
+    assert fock_state(basis, (0, 3)).amplitudes[0] == 1.0
+    assert fock_state(basis, (3, 0)).amplitudes[3] == 1.0
 
 
 def test_boson_basis_rejects_degenerate_sizes():
@@ -44,20 +35,10 @@ def test_mode_index_accepts_aliases():
 
 
 def test_mask_bookkeeping():
-    # mask 9 = l_up + r_down: one particle in each well, net spin zero
+    # mask 9 = l_up + r_down: one particle in each well
     assert particle_count(9) == 2
-    assert twice_sz(9) == 0
     assert particle_count(0) == 0
-    assert twice_sz(5) == 2  # both spins up
-
-
-def test_mask_labels_round_trip():
-    for mask in range(FULL_DIM):
-        assert parse_mask_label(mask_label(mask)) == mask
-
-
-def test_mask_label_unicode_arrows():
-    assert parse_mask_label("ud,0") == parse_mask_label("↑↓,0")
+    assert particle_count(15) == 4
 
 
 def test_full_sector_is_all_sixteen_masks():
@@ -65,17 +46,6 @@ def test_full_sector_is_all_sixteen_masks():
     assert space.states == tuple(range(FULL_DIM))
     assert space.dimension == FULL_DIM
     assert space.mode_order == MODE_NAMES
-
-
-def test_filtered_sectors():
-    half = fermion_sector(particle_count_filter=2)
-    assert len(half.states) == 6
-    neutral = fermion_sector(particle_count_filter=2, sz=0.0)
-    assert neutral.states == (3, 6, 9, 12)
-    with pytest.raises(ConfigError):
-        fermion_sector(particle_count_filter=5)
-    with pytest.raises(ConfigError):
-        fermion_sector(sz=0.3)
 
 
 def test_state_vector_norm_gate():
@@ -105,13 +75,5 @@ def test_fock_state_boson_wells():
     assert left.amplitudes[4] == 1.0
     pair = fock_state(basis, (1, 3))
     assert pair.amplitudes[1] == 1.0
-
-
-def test_fock_state_fermion_labels():
-    space = fermion_sector()
-    both_right = fock_state(space, "0,ud")
-    assert both_right.amplitudes[12] == 1.0
-    by_mask = fock_state(space, 9)
-    assert by_mask.amplitudes[9] == 1.0
     with pytest.raises(ConfigError):
-        fock_state(space, "0,uu")
+        fock_state(fermion_sector(), 12)  # fermion states are pair amplitudes

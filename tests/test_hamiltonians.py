@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from phasekit import (
     ConfigError,
-    barrier_height,
     boson_basis,
     boson_dimer_hamiltonian,
     fermion_pair_embedding,
@@ -98,10 +97,3 @@ def test_embedding_is_isometric_and_places_amplitudes():
     assert sym[6] == pytest.approx(1.0 / math.sqrt(2.0))
     assert q[3, 1] == 1.0   # both-left
     assert q[12, 2] == 1.0  # both-right
-
-
-def test_barrier_height():
-    assert barrier_height(2.0, 3.0) == pytest.approx(0.5 * 4.0 * 81.0)
-    assert barrier_height(0.0, 1.0) == 0.0
-    with pytest.raises(ConfigError):
-        barrier_height(float("nan"), 1.0)

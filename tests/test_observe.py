@@ -16,15 +16,12 @@ from phasekit import (
     boson_unitary_phase,
     eigen_propagate,
     embedded_fermion_states,
-    expectation,
     expectation_series,
     fermion_cn_phase,
     fermion_pair_hamiltonian,
     fermion_sector,
     fermion_unitary_phase,
-    fluctuation,
     fluctuation_series,
-    trapping_points,
     xi_boson,
     xi_fermion,
     xi_fermion_closed_form,
@@ -49,7 +46,7 @@ def test_expectation_against_manual_quadratic_form():
     w = boson_number_diff(basis)
     state = np.array([0.6, 0.0, 0.8j], dtype=complex)
     manual = float((state.conj() @ w.entries @ state).real)
-    assert expectation(w, state) == pytest.approx(manual, abs=1e-15)
+    assert expectation_series(w, state)[0] == pytest.approx(manual, abs=1e-15)
 
 
 amplitude_lists = st.lists(
@@ -64,7 +61,7 @@ def test_fluctuation_is_nonnegative_and_bounded(amps):
     state = np.asarray(amps, dtype=complex)
     state = state / np.linalg.norm(state)
     w = boson_number_diff(boson_basis(2))
-    df = fluctuation(w, state)
+    (df,) = fluctuation_series(w, state)
     assert df >= 0.0
     # |W| <= 2 on three particles-in-two-wells... N=2: eigenvalues -2,0,2
     assert df <= 2.0 + 1e-12
@@ -73,13 +70,13 @@ def test_fluctuation_is_nonnegative_and_bounded(amps):
 def test_fluctuation_of_eigenstate_is_zero():
     w = boson_number_diff(boson_basis(2))
     state = np.array([1.0, 0.0, 0.0], dtype=complex)
-    assert fluctuation(w, state) == pytest.approx(0.0, abs=1e-12)
+    assert fluctuation_series(w, state)[0] == pytest.approx(0.0, abs=1e-12)
     # completed cosine picks up the corner coupling: fluctuation sqrt(1/2)
     cos_u = boson_unitary_phase(boson_basis(2))[0]
-    assert fluctuation(cos_u, state) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert fluctuation_series(cos_u, state)[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
     # the raw cosine misses it: fluctuation 1/2
     cos_cn, _ = boson_cn_phase(boson_basis(2))
-    assert fluctuation(cos_cn, state) == pytest.approx(0.5, abs=1e-12)
+    assert fluctuation_series(cos_cn, state)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expectation_series_matches_pointwise_expectation():
@@ -87,7 +84,9 @@ def test_expectation_series_matches_pointwise_expectation():
     cos_u = boson_unitary_phase(basis)[0]
     series = expectation_series(cos_u, traj)
     for k in (0, 5, 10):
-        assert series[k] == pytest.approx(expectation(cos_u, traj.states[k]), abs=1e-14)
+        psi = traj.states[k]
+        manual = (psi.conj() @ cos_u.entries @ psi).real
+        assert series[k] == pytest.approx(manual, abs=1e-14)
 
 
 def _quadratic_form_by_einsum(op, states):
@@ -135,7 +134,16 @@ def test_nonhermitian_sandwich_raises():
     shift = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     state = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
     with pytest.raises(NumericalError):
-        expectation(shift, state)
+        expectation_series(shift, state)
+
+
+def test_mismatched_state_dimension_raises_config_error():
+    w = boson_number_diff(boson_basis(2))
+    for state in (np.array([1.0, 0.0], dtype=complex), np.eye(4, dtype=complex)):
+        with pytest.raises(ConfigError, match="does not match"):
+            expectation_series(w, state)
+        with pytest.raises(ConfigError, match="does not match"):
+            fluctuation_series(w, state)
 
 
 def test_time_series_length_validation():
@@ -206,17 +214,3 @@ def test_xi_fermion_closed_form_departs_from_trajectory_when_interacting():
     assert closed.min() < -0.5
     assert second_moment.min() >= -1e-12
     assert second_moment.max() <= 2.0 + 1e-12
-
-
-def test_trapping_points_merges_intervals():
-    tau = np.linspace(0.0, 10.0, 101)
-    avg_w = np.cos(tau)  # zeros near pi/2 + k pi
-    intervals = trapping_points(tau, avg_w, eps=0.05)
-    assert len(intervals) == 3
-    for lo, hi in intervals:
-        assert lo <= hi
-    centers = [0.5 * (lo + hi) for lo, hi in intervals]
-    for k, center in enumerate(centers):
-        assert center == pytest.approx(math.pi / 2.0 + k * math.pi, abs=0.1)
-    with pytest.raises(ConfigError):
-        trapping_points(tau, avg_w, eps=0.0)

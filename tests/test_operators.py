@@ -29,7 +29,7 @@ from phasekit import (
     well_number_diff,
 )
 from phasekit.fock import FULL_DIM, MODE_NAMES
-from phasekit.operators import OperatorMatrix, project_to_sector
+from phasekit.operators import OperatorMatrix
 from phasekit.verify import (
     anticommutator_residual,
     betaf_isometry_residual,
@@ -207,18 +207,15 @@ def test_pair_shift_entries_are_integers():
 
 
 def test_matched_coupling_cross_spin_sector_example():
-    # on the two-particle, net-spin-zero sector the completed cosine couples
-    # only the two doubly-occupied wells, with weight 1/2
+    # on the two-particle, net-spin-zero masks {3, 6, 9, 12} the completed
+    # cosine couples only the two doubly-occupied wells, with weight 1/2
     space = fermion_sector()
-    cos_u = fermion_unitary_phase(space, "l_up", "r_down")[0]
-    sector = fermion_sector(particle_count_filter=2, sz=0.0)
-    block = project_to_sector(cos_u, sector)
-    expected = np.zeros((4, 4), dtype=complex)
-    i_ud0 = sector.index_of(3)
-    i_0ud = sector.index_of(12)
-    expected[i_ud0, i_0ud] = 0.5
-    expected[i_0ud, i_ud0] = 0.5
-    assert np.array_equal(block, expected)
+    cos_u = fermion_unitary_phase(space, "l_up", "r_down")[0].entries
+    sector = (3, 6, 9, 12)
+    for i in sector:
+        for j in sector:
+            expected = 0.5 if {i, j} == {3, 12} else 0.0
+            assert cos_u[i, j] == expected, (i, j)
 
 
 def test_same_spin_coupling_keeps_rest_configuration():

@@ -6,10 +6,13 @@ loop, one substep at a time; the two are the same integrator, so they must
 agree to roundoff.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from phasekit import (
+    StepSizeError,
     boson_basis,
     boson_dimer_hamiltonian,
     fermion_pair_hamiltonian,
@@ -83,3 +86,17 @@ def test_rk4_propagate_matches_classical_step_loop(h, tau, dtau):
     psi0 /= np.linalg.norm(psi0)
     states = rk4_propagate(h, psi0, tau, dtau=dtau).states
     assert np.max(np.abs(states - _classical_rk4(h, psi0, tau, dtau))) <= 1e-11
+
+
+@pytest.mark.parametrize("tau", [np.linspace(0.0, 1.0, 11), np.array([0.0, 0.149])],
+                         ids=["substep-dtau", "substep-1.49-dtau"])
+def test_rk4_rejects_substeps_beyond_stability_limit(tau):
+    # row sums of this H are all 1, so the limit is a substep of 2*sqrt(2);
+    # an interval under 1.5 dtau is one substep longer than dtau
+    limit = 2.0 * math.sqrt(2.0)
+    step = float(np.max(np.diff(tau)))
+    h = np.array([[0.0, 1.0], [1.0, 0.0]]) * (limit / step)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    rk4_propagate(h * (1.0 - 1e-12), psi0, tau, dtau=0.1, norm_drift_tol=None)
+    with pytest.raises(StepSizeError, match="stability limit"):
+        rk4_propagate(h * (1.0 + 1e-12), psi0, tau, dtau=0.1, norm_drift_tol=None)

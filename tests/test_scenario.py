@@ -24,6 +24,8 @@ from phasekit import (
 from phasekit.scenario import (
     BOSON_CHANNELS,
     FERMION_CHANNELS,
+    MAX_GRID_AMPLITUDES,
+    MAX_N,
     MODE_PAIRS,
     apply_overrides,
     format_csv,
@@ -95,6 +97,16 @@ def test_field_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(system="fermion", ubar=1.0, channels=("avgW",),
                        variant="eq-printed")
+
+
+def test_work_limits_are_inclusive():
+    ScenarioConfig(system="boson", N=MAX_N, ubar=1.0, channels=("xi",), steps=2)
+    with pytest.raises(ConfigError, match="N must be"):
+        ScenarioConfig(system="boson", N=MAX_N + 1, ubar=1.0, channels=("xi",), steps=2)
+    most = MAX_GRID_AMPLITUDES // 3
+    ScenarioConfig(system="fermion", ubar=1.0, channels=("avgW",), steps=most)
+    with pytest.raises(ConfigError, match="grid amplitudes"):
+        ScenarioConfig(system="fermion", ubar=1.0, channels=("avgW",), steps=most + 1)
 
 
 def test_initial_amplitude_validation():
