@@ -58,7 +58,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config_path = Path(args.config)
     try:
         text = config_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         print(f"phasekit: cannot read config: {exc}", file=sys.stderr)
         return 1
     cfg = parse_config(text)
@@ -83,8 +83,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 2
 
 
+# built by the first main call and reused: parsing leaves a parser unchanged
+# and returns a fresh namespace each time
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
         if args.command == "run":

@@ -79,6 +79,15 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
     if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
         raise ConfigError(f"initial state not normalized: |psi| = {norm!r}")
     tau = np.asarray(tau_grid, dtype=float)
+    # the Trajectory checks again, but only after the propagation ran
+    if tau.ndim != 1 or tau.size == 0:
+        raise ConfigError(f"tau grid must be a non-empty 1-D sequence, got shape {tau.shape}")
+    if not np.isfinite(tau).all():
+        raise ConfigError("tau grid must be finite")
+    if tau[0] != 0.0:
+        raise ConfigError(f"tau grid must start at 0, got {float(tau[0])!r}")
+    if not (np.diff(tau) > 0).all():
+        raise ConfigError("tau grid must be strictly increasing")
     return arr, amps.astype(complex), tau
 
 
@@ -114,25 +123,28 @@ def _rk4_steps(h: np.ndarray, psi0: np.ndarray, tau_grid: np.ndarray,
     points are hit exactly. H does not depend on tau, so one classical RK4
     substep of length s is exactly psi <- R(-i s H) psi, with R(z) = 1 + z +
     z^2/2 + z^3/6 + z^4/24 the method's stability polynomial. R^n_sub is built
-    by repeated squaring once per distinct (n_sub, s) and applied with one
-    matvec per grid point. No renormalization: norm drift stays visible as a
-    diagnostic for the caller.
+    by repeated squaring once per distinct interval length (equal lengths give
+    equal n_sub and s) and applied with one matvec per grid point, written in
+    place. The substep count stays a Python int, so an interval of more than
+    2^63 substeps still costs only log2(n_sub) squarings. No renormalization:
+    norm drift stays visible as a diagnostic for the caller.
     """
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
-    out = np.empty((tau_grid.shape[0], dim), dtype=complex)
-    out[0] = psi0
-    powers: dict[tuple[int, float], np.ndarray] = {}
-    for g in range(1, tau_grid.shape[0]):
-        span = float(tau_grid[g] - tau_grid[g - 1])
-        n_sub = max(1, int(span / dtau + 0.5))
-        step = span / n_sub
-        power = powers.get((n_sub, step))
-        if power is None:
+    spans = np.diff(tau_grid).tolist()
+    powers: dict[float, np.ndarray] = {}
+    for span in spans:
+        if span not in powers:
+            n_sub = max(1, int(span / dtau + 0.5))
+            step = span / n_sub
             z = -1j * step * h
             r = eye + z @ (eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0)))
-            power = powers[(n_sub, step)] = np.linalg.matrix_power(r, n_sub)
-        out[g] = power @ out[g - 1]
+            powers[span] = np.linalg.matrix_power(r, n_sub)
+    out = np.empty((tau_grid.shape[0], dim), dtype=complex)
+    out[0] = psi0
+    matmul = np.matmul
+    for g, span in enumerate(spans, start=1):
+        matmul(powers[span], out[g - 1], out=out[g])
     return out
 
 
@@ -182,8 +194,11 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
             f"the stability limit 2*sqrt(2); reduce dtau below "
             f"{RK4_STABILITY_LIMIT / row_sum:.3e}"
         )
-    states = active_kernel()(arr, amps, tau, float(dtau))
-    norms = np.linalg.norm(states, axis=1)
+    # an interval of ~1e300 substeps can overflow R^n_sub; the non-finite
+    # states then fail the drift gate below
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = active_kernel()(arr, amps, tau, float(dtau))
+        norms = np.linalg.norm(states, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     # NaN drift fails too
     if norm_drift_tol is not None and not drift <= norm_drift_tol:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -82,11 +82,8 @@ def expectation_series(op: Union[OperatorMatrix, np.ndarray],
     return _real_expectation(_as_array(op), _states_matrix(states), "expectation")
 
 
-def _fluct(op: np.ndarray, states: np.ndarray,
-           second_op: Optional[np.ndarray] = None) -> np.ndarray:
-    mean = _real_expectation(op, states, "expectation")
-    second = _real_expectation(op @ op if second_op is None else second_op,
-                               states, "second moment")
+def _spread(mean: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """sqrt(second - mean^2) from the two moments of one observable."""
     radicand = second - mean * mean
     worst = float(np.min(radicand)) if radicand.size else 0.0
     if worst < RADICAND_ERROR_TOL:
@@ -102,8 +99,12 @@ def fluctuation_series(op: Union[OperatorMatrix, np.ndarray],
                        ) -> np.ndarray:
     """sqrt(<op^2> - <op>^2) per state; ``second_op`` stands in for op @ op
     where that product is not the second moment (see ``pair_moments``)."""
-    second = None if second_op is None else _as_array(second_op)
-    return _fluct(_as_array(op), _states_matrix(states), second)
+    arr = _as_array(op)
+    matrix = _states_matrix(states)
+    mean = _real_expectation(arr, matrix, "expectation")
+    second = _real_expectation(arr @ arr if second_op is None else _as_array(second_op),
+                               matrix, "second moment")
+    return _spread(mean, second)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +144,11 @@ def xi_boson(trajectory: Union[Trajectory, np.ndarray],
              basis: BosonDimerBasis) -> np.ndarray:
     """Variance form (delta W)^2 / N along a boson trajectory."""
     dw = fluctuation_series(boson_number_diff(basis), trajectory)
-    return dw * dw / float(basis.total_particles)
+    return _xi_boson_form(dw, basis.total_particles)
+
+
+def _xi_boson_form(dw: np.ndarray, n: int) -> np.ndarray:
+    return dw * dw / float(n)
 
 
 def xi_fermion(trajectory: Union[Trajectory, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -158,11 +163,13 @@ def xi_fermion(trajectory: Union[Trajectory, np.ndarray]) -> tuple[np.ndarray, n
     if states.shape[1] != 3:
         raise ConfigError(f"expected 3-amplitude pair states, got {states.shape[1]}")
     w, w2 = pair_moments(well_number_diff(fermion_sector()))
-    mean = _real_expectation(w, states, "expectation")
-    second = _real_expectation(w2, states, "second moment")
-    variance_form = (second - mean * mean) / 2.0
-    second_moment_form = second / 2.0
-    return variance_form, second_moment_form
+    return _xi_fermion_forms(_real_expectation(w, states, "expectation"),
+                             _real_expectation(w2, states, "second moment"))
+
+
+def _xi_fermion_forms(mean: np.ndarray,
+                      second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return (second - mean * mean) / 2.0, second / 2.0
 
 
 def xi_fermion_closed_form(ubar: float, tau: Union[float, Sequence[float]]) -> np.ndarray:

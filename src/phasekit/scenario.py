@@ -38,11 +38,11 @@ from .hamiltonians import (
 )
 from .observe import (
     TimeSeries,
+    _spread,
+    _xi_boson_form,
+    _xi_fermion_forms,
     expectation_series,
-    fluctuation_series,
     pair_moments,
-    xi_boson,
-    xi_fermion,
     xi_fermion_closed_form,
 )
 from .operators import (
@@ -62,9 +62,19 @@ MODE_PAIRS = {
 }
 DEFAULT_MODE_PAIR = "l-up/r-down"
 
+# observable -> (operator family, its position in the family)
+_OBSERVABLES = {
+    "C_CN": ("CN", 0),
+    "S_CN": ("CN", 1),
+    "C_U": ("U", 0),
+    "S_U": ("U", 1),
+    "W": ("W", 0),
+}
 # channel -> (kind, operator). "mean" and "fluct" channels serve both systems
-# and name an observable of _observables; a "boson" or "fermion" channel is a
-# squeezing form of that system only, computed by operator(cfg, traj).
+# and name an observable of _OBSERVABLES; a "boson" or "fermion" channel is a
+# squeezing form of that system only, computed by operator(moment table).
+# xi, xi_variance and xi_second_moment are the forms of xi_boson and
+# xi_fermion, taken from the run's moments of W.
 _CHANNELS = {
     "avgC_CN": ("mean", "C_CN"),
     "avgS_CN": ("mean", "S_CN"),
@@ -74,11 +84,12 @@ _CHANNELS = {
     "fluctS": ("fluct", "S_U"),
     "avgW": ("mean", "W"),
     "fluctW": ("fluct", "W"),
-    "xi": ("boson", lambda cfg, traj: xi_boson(traj, boson_basis(cfg.N))),
-    "xi_variance": ("fermion", lambda cfg, traj: xi_fermion(traj)[0]),
-    "xi_second_moment": ("fermion", lambda cfg, traj: xi_fermion(traj)[1]),
-    "xi_closed": ("fermion",
-                  lambda cfg, traj: xi_fermion_closed_form(cfg.ubar, traj.tau_grid)),
+    "xi": ("boson", lambda table: _xi_boson_form(table.spread("W"), table.cfg.N)),
+    "xi_variance": ("fermion", lambda table: _xi_fermion_forms(*table.moments("W"))[0]),
+    "xi_second_moment": ("fermion",
+                         lambda table: _xi_fermion_forms(*table.moments("W"))[1]),
+    "xi_closed": ("fermion", lambda table: xi_fermion_closed_form(
+        table.cfg.ubar, table.traj.tau_grid)),
 }
 BOSON_CHANNELS = tuple(n for n, (kind, _) in _CHANNELS.items() if kind != "fermion")
 FERMION_CHANNELS = tuple(n for n, (kind, _) in _CHANNELS.items() if kind != "boson")
@@ -314,38 +325,67 @@ def propagate_scenario(cfg: ScenarioConfig) -> Trajectory:
     return rk4_propagate(h, psi0, tau_grid, dtau=dtau)
 
 
-def _observables(cfg: ScenarioConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Each observable as (operator, second-moment operator) on cfg's
-    dynamical basis."""
+def _family_operators(cfg: ScenarioConfig,
+                      family: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each observable of ``family`` as (operator, second-moment operator) on
+    cfg's dynamical basis."""
     if cfg.system == "boson":
         basis = boson_basis(cfg.N)
-        cos_cn, sin_cn = boson_cn_phase(basis)
-        cos_u, sin_u, _ = boson_unitary_phase(basis)
-        ops = (cos_cn, sin_cn, cos_u, sin_u, boson_number_diff(basis))
-        moments = [(op.entries, op.entries @ op.entries) for op in ops]
+        if family == "W":
+            ops = (boson_number_diff(basis),)
+        else:
+            ops = (boson_cn_phase if family == "CN" else boson_unitary_phase)(basis)[:2]
+        return [(op.entries, op.entries @ op.entries) for op in ops]
+    space = fermion_sector()
+    if family == "W":
+        ops = (well_number_diff(space),)
     else:
-        space = fermion_sector()
-        m, mp = MODE_PAIRS[cfg.mode_pair]
-        cos_cn, sin_cn = fermion_cn_phase(space, m, mp)
-        cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
-        ops = (cos_cn, sin_cn, cos_u, sin_u, well_number_diff(space))
-        moments = [pair_moments(op) for op in ops]
-    return dict(zip(("C_CN", "S_CN", "C_U", "S_U", "W"), moments))
+        build = fermion_cn_phase if family == "CN" else fermion_unitary_phase
+        ops = build(space, *MODE_PAIRS[cfg.mode_pair])[:2]
+    return [pair_moments(op) for op in ops]
+
+
+class _MomentTable:
+    """One run's observable moments: an operator family is built when a
+    channel first needs it, and each moment is evaluated at most once."""
+
+    def __init__(self, cfg: ScenarioConfig, traj: Trajectory) -> None:
+        self.cfg = cfg
+        self.traj = traj
+        self._families: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._moments: dict[tuple[str, int], np.ndarray] = {}
+
+    def moment(self, name: str, order: int) -> np.ndarray:
+        """<A> (order 1) or <A^2> (order 2) per state for observable ``name``."""
+        key = (name, order)
+        if key not in self._moments:
+            family, index = _OBSERVABLES[name]
+            if family not in self._families:
+                self._families[family] = _family_operators(self.cfg, family)
+            operator = self._families[family][index][order - 1]
+            self._moments[key] = expectation_series(operator, self.traj)
+        return self._moments[key]
+
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        return self.moment(name, 1), self.moment(name, 2)
+
+    def spread(self, name: str) -> np.ndarray:
+        """The fluctuation of ``name``, as ``fluctuation_series`` computes it."""
+        return _spread(*self.moments(name))
 
 
 def run_scenario(cfg: ScenarioConfig) -> TimeSeries:
     traj = propagate_scenario(cfg)
-    observables = _observables(cfg)
+    table = _MomentTable(cfg, traj)
     values: dict[str, np.ndarray] = {}
     for name in cfg.channels:
         kind, operator = _CHANNELS[name]
         if kind == "mean":
-            values[name] = expectation_series(observables[operator][0], traj)
+            values[name] = table.moment(operator, 1)
         elif kind == "fluct":
-            op, second = observables[operator]
-            values[name] = fluctuation_series(op, traj, second)
+            values[name] = table.spread(operator)
         else:
-            values[name] = operator(cfg, traj)
+            values[name] = operator(table)
     return TimeSeries(traj.tau_grid, values)
 
 
@@ -416,10 +456,11 @@ def write_csv(series: TimeSeries, channel_order: Sequence[str],
         with open(temp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(temp, target)
-    except OSError as exc:
-        with contextlib.suppress(OSError):
+    except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take (NUL)
+        with contextlib.suppress(OSError, ValueError):
             temp.unlink()
-        raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
+        raise ConfigError(
+            f"cannot write {target}: {getattr(exc, 'strerror', None) or exc}") from exc
     return target
 
 

@@ -1,15 +1,21 @@
+import contextlib
 import errno
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasekit
-from phasekit import TimeSeries, scenario
-from phasekit.cli import main
+from phasekit import TimeSeries, cli, scenario
+from phasekit.cli import build_parser, main
 from phasekit.presets import preset_entries, run_figure
 
 
@@ -43,6 +49,21 @@ def test_run_overrides(tmp_path):
 def test_run_missing_config_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "out-with-nul"])
+def test_unusable_config_bytes_exit_one(tmp_path, capsys, case):
+    if case == "config-not-utf8":
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"system=boson\nN=2\nubar=\xff\nchannels=avgW\n")
+        message = "cannot read config"
+    else:
+        cfg, _ = _write_config(tmp_path, out=f"{tmp_path}/a\0b.csv")
+        message = "embedded null byte"
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
 
 
 def test_run_invalid_config_exits_one(tmp_path, capsys):
@@ -242,6 +263,34 @@ def test_usage_error_exits_one(capsys):
     assert exc.value.code == 1
 
 
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys, monkeypatch):
+    builds = []
+
+    def counting_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cfg, out = _write_config(tmp_path)  # steps=5
+    assert main(["run", "--config", str(cfg), "--steps", "9", "--tau-max", "2"]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[-1].startswith("2,")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 10
+    # the overrides of the first call do not reach the second
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert out.read_text(encoding="utf-8").splitlines()[-1].startswith("1,")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 6
+    first = cli._parser.parse_args(["verify", "--n-max", "4"])
+    cli._parser.parse_args(["figure", "fig1", "--out", str(tmp_path)])
+    assert vars(first) == {"command": "verify", "n_max": 4, "tol": 1e-12}
+    for argv in (["run"], ["bogus"], ["verify", "--n-max", "x"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+    assert main(["verify", "--n-max", "1"]) == 1
+    assert len(builds) == 1
+
+
 def test_figure_subcommand(tmp_path, capsys):
     assert main(["figure", "fig9", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -317,3 +366,133 @@ def test_run_rk4_work_is_bounded_on_huge_intervals(tmp_path, ubar, tau_max, code
         assert ("norm drifted" if code == 2 else "non-finite number of RK4 substeps"
                 ) in proc.stderr
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# property: every `run` ends in a valid CSV (exit 0) or a mapped error with
+# no file (exit 1 or 2), never in a traceback
+
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-300, 1e300, 1e306,
+               1.7976931348623157e308)
+
+
+def _mostly(good, odd):
+    """``good`` nine draws in ten, else ``odd``: most requests stay runnable."""
+    return st.sampled_from(range(10)).flatmap(lambda k: odd if k == 9 else good)
+
+
+@st.composite
+def _run_request(draw):
+    """A config text and the argv that runs it, each field now and then odd:
+    out of range, NaN, huge, missing, misspelt, or an odd ``out`` path."""
+    system = draw(_mostly(st.sampled_from(("boson", "fermion")),
+                          st.sampled_from(("Boson", ""))))
+    boson = system == "boson"
+    n = draw(_mostly(st.integers(1, 6) if boson else st.none(),
+                     st.sampled_from((None, -1, 0, 2, 501, 10 ** 30))))
+    lines = [f"system={system}"] + ([] if n is None else [f"N={n}"])
+    lines.append(f"ubar={draw(_mostly(st.floats(-10.0, 10.0), st.sampled_from(_ODD_FLOATS)))!r}")
+    tau_max = draw(_mostly(st.one_of(st.none(), st.floats(0.1, 50.0)),
+                           st.sampled_from(_ODD_FLOATS)))
+    if tau_max is not None:
+        lines.append(f"tau_max={tau_max!r}")
+    steps = draw(_mostly(st.integers(2, 30), st.sampled_from((-1, 0, 1, 10 ** 13))))
+    lines.append(f"steps={steps}")
+    pair = draw(_mostly(st.sampled_from((None,) if boson else (None, "l-up/r-up", "l-up/r-down")),
+                        st.sampled_from(("l-up/r-up", "x"))))
+    if pair is not None:
+        lines.append(f"mode_pair={pair}")
+    dim = (n + 1 if n is not None and 0 <= n <= 6 else 4) if boson else 3
+    sizes = _mostly(st.just(dim), st.sampled_from((1, dim + 1)))
+    parts = draw(sizes.flatmap(lambda k: st.lists(
+        _mostly(st.floats(-1.0, 1.0), st.sampled_from(_ODD_FLOATS)),
+        min_size=2 * k, max_size=2 * k)))
+    amps = [complex(re, im) for re, im in zip(parts[:len(parts) // 2], parts[len(parts) // 2:])]
+    with np.errstate(all="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if draw(_mostly(st.just(True), st.just(False))) and math.isfinite(norm) and norm > 1e-3:
+        amps = [a / norm for a in amps]
+    initial = draw(_mostly(st.sampled_from(("right-well", "left-well", "amplitudes")),
+                           st.just("middle")))
+    if initial == "amplitudes":
+        initial = ",".join(repr(a) for a in amps)
+    lines.append(f"initial={initial}")
+    lines.append("integrator=" + draw(_mostly(st.sampled_from(("eigen", "rk4")),
+                                              st.just("euler"))))
+    known = scenario.BOSON_CHANNELS if boson else scenario.FERMION_CHANNELS
+    channels = draw(_mostly(st.lists(st.sampled_from(known), min_size=1, max_size=4,
+                                     unique=True),
+                            st.lists(st.sampled_from(known + ("xi", "xi_closed", "bogus")),
+                                     max_size=4)))
+    lines.append("channels=" + ",".join(channels))
+    # no "/" in a drawn name, so a relative path stays in the working directory
+    name = draw(st.text(st.characters(blacklist_characters="/", blacklist_categories=("Cs",)),
+                        min_size=1, max_size=12))
+    out = draw(_mostly(st.sampled_from(("{name}.csv", "new/{name}/x.csv")),
+                       st.sampled_from(("taken", "taken/", "file/{name}", "{long}", "",
+                                        ".", "a\0b.csv"))))
+    lines.append("out=" + out.format(name=name, long="x" * 300))
+    argv = ["run", "--config", "scenario.cfg"]
+    for flag, values in (("--steps", ("3", "0", "x")), ("--tau-max", ("2", "nan", "-1")),
+                         ("--integrator", ("rk4", "eigen", "euler"))):
+        if draw(st.sampled_from(range(10))) == 9:
+            argv += [flag, draw(st.sampled_from(values))]
+    return "\n".join(lines) + "\n", argv
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _assert_valid_csv(text, cfg):
+    assert text.endswith("\n") and "\r" not in text
+    lines = text.split("\n")[:-1]
+    assert lines[0] == "tau," + ",".join(cfg.channels)
+    table = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 1 + len(cfg.channels)
+        values = [float(c) for c in cells]
+        assert ["%.17g" % v for v in values] == cells
+        table.append(values)
+    table = np.array(table)
+    assert np.isfinite(table).all()
+    assert np.array_equal(table[:, 0], np.linspace(0.0, cfg.tau_max, cfg.steps))
+
+
+@given(_run_request())
+@settings(max_examples=60, deadline=None)
+def test_run_ends_in_valid_csv_or_mapped_error(request):
+    text, argv = request
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "taken").mkdir()
+        (root / "file").write_text("a file, not a directory\n", encoding="utf-8")
+        (root / "scenario.cfg").write_text(text, encoding="utf-8")
+        before = _tree(root)
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # usage errors
+                    code = exc.code
+            if code == 0:
+                cfg = scenario.parse_config(text)
+                flags = dict(zip(argv[3::2], argv[4::2]))
+                cfg = scenario.apply_overrides(
+                    cfg,
+                    tau_max=float(flags["--tau-max"]) if "--tau-max" in flags else None,
+                    steps=int(flags["--steps"]) if "--steps" in flags else None,
+                    integrator=flags.get("--integrator"))
+                _assert_valid_csv(Path(cfg.out).read_text(encoding="utf-8"), cfg)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert err.getvalue().startswith(("phasekit", "usage")), err.getvalue()
+            assert _tree(root) == before

@@ -119,6 +119,37 @@ def test_rk4_rejects_bad_steps():
         rk4_propagate(h, _right_well(2), tau, dtau=0.5)  # exceeds spacing
 
 
+@pytest.mark.parametrize("propagate", [eigen_propagate, rk4_propagate],
+                         ids=["eigen", "rk4"])
+@pytest.mark.parametrize("tau, message", [
+    ([], "non-empty 1-D"),
+    ([[0.0, 1.0]], "non-empty 1-D"),
+    ([0.0, 1.0, 0.5], "strictly increasing"),
+    ([0.0, 1.0, 1.0], "strictly increasing"),
+    ([0.5, 1.0], "start at 0"),
+    ([0.0, math.nan], "finite"),
+    ([0.0, math.inf], "finite"),
+], ids=["empty", "2-D", "decreasing", "repeated", "late-start", "nan", "inf"])
+def test_degenerate_tau_grid_is_rejected_before_propagation(propagate, tau, message,
+                                                            monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagation ran on a rejected grid")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr("phasekit.evolve._rk4_steps", refuse)
+    h = boson_dimer_hamiltonian(boson_basis(2), 0.05)
+    with pytest.raises(ConfigError, match=message):
+        propagate(h, _right_well(2), tau)
+
+
+def test_rk4_overflowing_power_fails_the_drift_gate():
+    # 1e303 substeps in one interval: R^n_sub overflows to inf without a
+    # numpy warning, and the drift gate reports it
+    h = fermion_pair_hamiltonian(0.0)
+    with pytest.raises(StepSizeError, match="norm drifted"):
+        rk4_propagate(h, RIGHT_WELL_3, [0.0, 1e300], dtau=1e-3)
+
+
 def test_rk4_norm_guard_trips_on_stiff_problem():
     # N=10 at strong coupling has spectral radius ~225; dtau=1e-3 is far from
     # the accuracy regime and the drift guard must catch it

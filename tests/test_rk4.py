@@ -3,7 +3,9 @@
 ``evolve.active_kernel()`` applies each grid interval as a power of RK4's
 stability polynomial. ``_classical_rk4`` below is the textbook four-stage
 loop, one substep at a time; the two are the same integrator, so they must
-agree to roundoff.
+agree to roundoff. ``_per_point_rk4`` is the kernel's earlier form, which
+looked the power up per grid point by (n_sub, s); the kernel does the same
+arithmetic, so the two must agree bit for bit.
 """
 
 import math
@@ -35,6 +37,25 @@ def _classical_rk4(h, psi0, tau, dtau):
             psi = psi + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(psi)
     return np.array(out)
+
+
+def _per_point_rk4(h, psi0, tau_grid, dtau):
+    dim = h.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    out = np.empty((tau_grid.shape[0], dim), dtype=complex)
+    out[0] = psi0
+    powers = {}
+    for g in range(1, tau_grid.shape[0]):
+        span = float(tau_grid[g] - tau_grid[g - 1])
+        n_sub = max(1, int(span / dtau + 0.5))
+        step = span / n_sub
+        power = powers.get((n_sub, step))
+        if power is None:
+            z = -1j * step * h
+            r = eye + z @ (eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0)))
+            power = powers[(n_sub, step)] = np.linalg.matrix_power(r, n_sub)
+        out[g] = power @ out[g - 1]
+    return out
 
 
 def _small_problem():
@@ -100,3 +121,25 @@ def test_rk4_rejects_substeps_beyond_stability_limit(tau):
     rk4_propagate(h * (1.0 - 1e-12), psi0, tau, dtau=0.1, norm_drift_tol=None)
     with pytest.raises(StepSizeError, match="stability limit"):
         rk4_propagate(h * (1.0 + 1e-12), psi0, tau, dtau=0.1, norm_drift_tol=None)
+
+
+@pytest.mark.parametrize("h, tau, dtau", [
+    (boson_dimer_hamiltonian(boson_basis(10), 0.05).entries,
+     np.linspace(0.0, 40.0, 2001), 1e-3),
+    (boson_dimer_hamiltonian(boson_basis(10), 5.0).entries,
+     np.linspace(0.0, 5.0, 2001), 1e-4),
+    (fermion_pair_hamiltonian(5.0).entries,
+     np.array([0.0, 0.1, 0.19, 0.34, 0.37, 0.47, 0.56, 1.0]), 0.03),
+    # 1e19 substeps per interval: the count must not pass through int64
+    (boson_dimer_hamiltonian(boson_basis(3), 0.05).entries,
+     np.array([0.0, 10.0, 20.0]), 1e-18),
+    (fermion_pair_hamiltonian(0.05).entries, np.array([0.0]), 1e-3),
+], ids=["boson-N10-default-grid", "boson-N10-stiff", "irregular-grid",
+        "1e19-substeps", "one-point"])
+def test_kernel_equals_per_point_loop_bit_for_bit(h, tau, dtau):
+    rng = np.random.default_rng(14)
+    dim = h.shape[0]
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi0 /= np.linalg.norm(psi0)
+    assert np.array_equal(active_kernel()(h, psi0, tau, dtau),
+                          _per_point_rk4(h, psi0, tau, dtau))

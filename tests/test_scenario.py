@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from phasekit import (
     NumericalError,
     ScenarioConfig,
     TimeSeries,
+    boson_basis,
+    boson_cn_phase,
+    boson_number_diff,
+    boson_unitary_phase,
     embedded_fermion_states,
     expectation_series,
     fermion_cn_phase,
@@ -19,8 +24,12 @@ from phasekit import (
     parse_config,
     serialize_config,
     well_number_diff,
+    xi_boson,
+    xi_fermion,
     xi_fermion_closed_form,
 )
+from phasekit import observe
+from phasekit.observe import pair_moments
 from phasekit.scenario import (
     BOSON_CHANNELS,
     FERMION_CHANNELS,
@@ -195,6 +204,81 @@ def test_run_scenario_fermion_channels():
     assert series.channels["avgW"][0] == pytest.approx(-2.0, abs=1e-12)
     assert series.channels["xi_second_moment"][0] == pytest.approx(2.0, abs=1e-12)
     assert series.channels["xi_variance"][0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _all_channels(system, integrator):
+    """Every channel of ``system`` from a seeded random start."""
+    rng = np.random.default_rng(14)
+    dim = 11 if system == "boson" else 3
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    size = {"N": 10} if system == "boson" else {"mode_pair": "l-up/r-up"}
+    return ScenarioConfig(system=system, ubar=0.5, steps=201, tau_max=10.0,
+                          initial=tuple(amps / np.linalg.norm(amps)),
+                          integrator=integrator,
+                          channels=BOSON_CHANNELS if system == "boson"
+                          else FERMION_CHANNELS, **size)
+
+
+@pytest.mark.parametrize("integrator", ["eigen", "rk4"])
+@pytest.mark.parametrize("system", ["boson", "fermion"])
+def test_all_channel_run_evaluates_each_moment_once(system, integrator, monkeypatch):
+    forms = []
+    real = observe._real_expectation
+
+    def counting(op, states, what):
+        forms.append(what)
+        return real(op, states, what)
+
+    monkeypatch.setattr(observe, "_real_expectation", counting)
+    run_scenario(_all_channels(system, integrator))
+    # the means of C_CN, S_CN, C_U, S_U and W, and the second moments of
+    # C_U, S_U and W (13 boson and 15 fermion forms when each channel had its own)
+    assert len(forms) == 8
+
+
+@pytest.mark.parametrize("system", ["boson", "fermion"])
+def test_channels_equal_the_public_series_functions(system):
+    cfg = _all_channels(system, "rk4")
+    series = run_scenario(cfg)
+    traj = propagate_scenario(cfg)
+    if system == "boson":
+        basis = boson_basis(cfg.N)
+        ops = (*boson_cn_phase(basis), *boson_unitary_phase(basis)[:2],
+               boson_number_diff(basis))
+        pairs = [(op, None) for op in ops]
+        want = {"xi": xi_boson(traj, basis)}
+    else:
+        space = fermion_sector()
+        pair = MODE_PAIRS[cfg.mode_pair]
+        ops = (*fermion_cn_phase(space, *pair), *fermion_unitary_phase(space, *pair)[:2],
+               well_number_diff(space))
+        pairs = [pair_moments(op) for op in ops]
+        want = dict(zip(("xi_variance", "xi_second_moment"), xi_fermion(traj)))
+        want["xi_closed"] = xi_fermion_closed_form(cfg.ubar, traj.tau_grid)
+    c_cn, s_cn, c_u, s_u, w = pairs
+    for name, (op, _) in zip(("avgC_CN", "avgS_CN", "avgC_U", "avgS_U", "avgW"),
+                             (c_cn, s_cn, c_u, s_u, w)):
+        want[name] = expectation_series(op, traj)
+    for name, (op, second) in zip(("fluctC", "fluctS", "fluctW"), (c_u, s_u, w)):
+        want[name] = fluctuation_series(op, traj, second)
+    assert set(want) == set(cfg.channels)
+    for name in cfg.channels:
+        assert np.array_equal(series.channels[name], want[name]), name
+
+
+@pytest.mark.parametrize("system, channel", [
+    ("boson", "fluctC"), ("boson", "fluctW"), ("boson", "xi"),
+    ("fermion", "fluctS"), ("fermion", "fluctW"),
+])
+def test_inconsistent_moments_raise_the_radicand_error(system, channel, monkeypatch):
+    # every moment reads -1, so every radicand is -1 - (-1)^2 = -2
+    monkeypatch.setattr(observe, "_real_expectation",
+                        lambda op, states, what: -np.ones(states.shape[0]))
+    cfg = replace(_all_channels(system, "eigen"), channels=(channel,))
+    with pytest.raises(NumericalError, match="fluctuation radicand -2.000e"):
+        run_scenario(cfg)
+    with pytest.raises(NumericalError, match="fluctuation radicand -2.000e"):
+        fluctuation_series(np.eye(cfg.dimension), propagate_scenario(cfg))
 
 
 def _fock_space_channels(cfg, traj):
