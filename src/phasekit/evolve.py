@@ -11,13 +11,13 @@ components carry that guarantee for the given inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, StepSizeError
-from .fock import StateVector, amplitude_norm
+from .fock import StateVector, _check_unit_norm
 from .operators import OperatorMatrix, _as_array
 
 DEFAULT_DTAU = 1e-3
@@ -29,30 +29,45 @@ PHASE_SCALE_LIMIT = 1e15
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
+def _check_tau_grid(tau_grid: Sequence[float]) -> np.ndarray:
+    """The grid as a float array; ConfigError unless it is non-empty, 1-D,
+    finite, starts at 0 and is strictly increasing."""
+    tau = np.asarray(tau_grid, dtype=float)
+    if tau.ndim != 1 or tau.size == 0:
+        raise ConfigError(f"tau grid must be a non-empty 1-D sequence, got shape {tau.shape}")
+    if not np.isfinite(tau).all():  # before a NaN or inf difference
+        raise ConfigError("tau grid must be finite")
+    if tau[0] != 0.0:
+        raise ConfigError(f"tau grid must start at 0, got {float(tau[0])!r}")
+    if not (np.diff(tau) > 0).all():
+        raise ConfigError("tau grid must be strictly increasing")
+    return tau
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a strictly increasing tau grid starting at 0."""
+    """States on a strictly increasing tau grid starting at 0, each of norm 1
+    within ``norm_tol``; ``norm_drift`` is the largest distance from 1."""
 
     tau_grid: np.ndarray
     states: np.ndarray  # shape (len(tau_grid), dim)
     norm_tol: float = 1e-10
+    norm_drift: float = field(init=False)
 
     def __post_init__(self) -> None:
-        tau = np.asarray(self.tau_grid, dtype=float)
+        tau = _check_tau_grid(self.tau_grid)
         states = np.asarray(self.states, dtype=complex)
-        if tau.ndim != 1 or states.ndim != 2 or states.shape[0] != tau.shape[0]:
+        if states.ndim != 2 or states.shape[0] != tau.shape[0]:
             raise ConfigError("trajectory arrays have inconsistent shapes")
-        if tau[0] != 0.0:
-            raise ConfigError(f"tau grid must start at 0, got {tau[0]!r}")
-        if np.any(np.diff(tau) <= 0):
-            raise ConfigError("tau grid must be strictly increasing")
-        with np.errstate(over="ignore"):  # an overflowing norm is inf and fails below
+        # a non-finite state gives an inf or NaN norm, which fails below
+        with np.errstate(over="ignore", invalid="ignore"):
             norms = np.linalg.norm(states, axis=1)
         drift = float(np.max(np.abs(norms - 1.0)))
         if not drift <= self.norm_tol:  # NaN drift fails too
             raise NumericalError(
                 f"trajectory state norms drift by {drift:.3e} (tol {self.norm_tol:g})"
             )
+        object.__setattr__(self, "norm_drift", drift)
         tau = tau.copy()
         states = states.copy()
         tau.setflags(write=False)
@@ -64,31 +79,17 @@ class Trajectory:
 def _prepare(h: Union[OperatorMatrix, np.ndarray],
              psi0: Union[StateVector, Sequence[complex]],
              tau_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    arr = _as_array(h)
-    if not np.isfinite(arr).all():  # before inf - inf can warn
-        raise NumericalError("propagation needs a finite matrix")
-    dev = float(np.abs(arr - arr.conj().T).max())
-    if not dev <= 1e-12:
-        raise NumericalError(f"propagation needs a hermitian matrix; deviation {dev:.3e}")
+    if not (isinstance(h, OperatorMatrix) and h.hermitian):  # else checked when built
+        h = OperatorMatrix(_as_array(h), label="propagation matrix", hermitian=True)
+    arr = h.entries
     amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
     if amps.shape != (arr.shape[0],):
         raise ConfigError(
             f"state dimension {amps.shape} does not match operator dimension {arr.shape[0]}"
         )
-    norm = amplitude_norm(amps)
-    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
-        raise ConfigError(f"initial state not normalized: |psi| = {norm!r}")
-    tau = np.asarray(tau_grid, dtype=float)
-    # the Trajectory checks again, but only after the propagation ran
-    if tau.ndim != 1 or tau.size == 0:
-        raise ConfigError(f"tau grid must be a non-empty 1-D sequence, got shape {tau.shape}")
-    if not np.isfinite(tau).all():
-        raise ConfigError("tau grid must be finite")
-    if tau[0] != 0.0:
-        raise ConfigError(f"tau grid must start at 0, got {float(tau[0])!r}")
-    if not (np.diff(tau) > 0).all():
-        raise ConfigError("tau grid must be strictly increasing")
-    return arr, amps.astype(complex), tau
+    _check_unit_norm(amps)
+    # the Trajectory checks the grid again, but only after the propagation ran
+    return arr, amps.astype(complex), _check_tau_grid(tau_grid)
 
 
 def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
@@ -108,10 +109,6 @@ def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
     weights = vectors.conj().T @ amps
     phases = np.exp(-1j * np.outer(tau, energies))
     states = (phases * weights[None, :]) @ vectors.T
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    if not drift <= 1e-12:  # NaN drift fails too
-        raise NumericalError(f"eigen propagation lost norm by {drift:.3e}")
     return Trajectory(tau, states, norm_tol=1e-12)
 
 
@@ -157,15 +154,13 @@ def active_kernel():
 def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
                   psi0: Union[StateVector, Sequence[complex]],
                   tau_grid: Sequence[float],
-                  dtau: float = DEFAULT_DTAU,
-                  norm_drift_tol: Optional[float] = RK4_NORM_DRIFT_TOL) -> Trajectory:
+                  dtau: float = DEFAULT_DTAU) -> Trajectory:
     """Classical fixed-step RK4 for i dpsi/dtau = H psi, no renormalization.
 
     A substep whose product with the max absolute row sum of H exceeds
     2*sqrt(2) raises StepSizeError before any state is built. Norm drift
-    beyond ``norm_drift_tol`` over the run raises StepSizeError (pass None to
-    disable the guard for diagnostics; the drift stays visible in the
-    returned states either way).
+    beyond RK4_NORM_DRIFT_TOL over the run raises StepSizeError; the drift
+    of an accepted run is the returned Trajectory's ``norm_drift``.
     """
     arr, amps, tau = _prepare(h, psi0, tau_grid)
     if not dtau > 0:
@@ -195,19 +190,14 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
             f"{RK4_STABILITY_LIMIT / row_sum:.3e}"
         )
     # an interval of ~1e300 substeps can overflow R^n_sub; the non-finite
-    # states then fail the drift gate below
+    # states then fail the Trajectory's drift gate
     with np.errstate(over="ignore", invalid="ignore"):
         states = active_kernel()(arr, amps, tau, float(dtau))
-        norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
-    # NaN drift fails too
-    if norm_drift_tol is not None and not drift <= norm_drift_tol:
-        raise StepSizeError(
-            f"norm drifted by {drift:.3e} over the run (tol {norm_drift_tol:g}); "
-            f"reduce dtau below {dtau:g}"
-        )
-    tol = math.inf if norm_drift_tol is None else max(norm_drift_tol, 1e-10)
-    return Trajectory(tau, states, norm_tol=tol)
+    try:
+        return Trajectory(tau, states, norm_tol=RK4_NORM_DRIFT_TOL)
+    except NumericalError as exc:
+        raise StepSizeError(f"norm drifted over the run: {exc}; "
+                            f"reduce dtau below {dtau:g}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +232,7 @@ def _check_init(init: Sequence[complex]) -> np.ndarray:
     arr = np.asarray(init, dtype=complex)
     if arr.shape != (3,):
         raise ConfigError(f"closed forms take 3 initial amplitudes, got {arr.shape}")
-    norm = amplitude_norm(arr)
-    if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
-        raise ConfigError(f"initial amplitudes not normalized: |c| = {norm!r}")
+    _check_unit_norm(arr)
     return arr
 
 

@@ -26,6 +26,7 @@ from .errors import ConfigError
 MODE_NAMES = ("l_up", "l_down", "r_up", "r_down")
 N_MODES = 4
 FULL_DIM = 16
+AMPLITUDE_NORM_TOL = 1e-9
 
 # spin of each mode in units of 1/2: +1 for up, -1 for down
 _MODE_TWICE_SZ = (1, -1, 1, -1)
@@ -112,6 +113,13 @@ def amplitude_norm(amplitudes: Sequence[complex]) -> float:
     squares and nan for a nan amplitude, with no numpy warning."""
     amps = np.asarray(amplitudes, dtype=complex).ravel()
     return math.hypot(*amps.real.tolist(), *amps.imag.tolist())
+
+
+def _check_unit_norm(amplitudes: Sequence[complex]) -> None:
+    """ConfigError unless the amplitudes have norm 1 within AMPLITUDE_NORM_TOL."""
+    norm = amplitude_norm(amplitudes)
+    if not abs(norm - 1.0) <= AMPLITUDE_NORM_TOL:  # NaN fails too
+        raise ConfigError(f"initial amplitudes not normalized: |c| = {norm!r}")
 
 
 @dataclass(frozen=True)

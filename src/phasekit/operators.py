@@ -51,13 +51,15 @@ class OperatorMatrix:
         arr = np.array(self.entries, dtype=complex, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ConfigError(f"operator {self.label!r} is not square: {arr.shape}")
-        if self.hermitian:
+        if self.hermitian:  # the one hermiticity check, which propagation also uses
             if not np.isfinite(arr).all():  # before inf - inf can warn
-                raise NumericalError(f"operator {self.label!r} has non-finite entries")
-            dev = float(np.abs(arr - arr.conj().T).max())
-            if not dev <= HERMITICITY_TOL:
                 raise NumericalError(
-                    f"operator {self.label!r} flagged hermitian but deviates by {dev:.3e}"
+                    f"operator {self.label!r} is not a finite matrix: it has non-finite entries"
+                )
+            dev = float(np.abs(arr - arr.conj().T).max())
+            if not dev <= HERMITICITY_TOL:  # NaN fails too
+                raise NumericalError(
+                    f"operator {self.label!r} is not hermitian: it deviates by {dev:.3e}"
                 )
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

@@ -51,11 +51,11 @@ from phasekit import (
     fermion_sector,
     fermion_unitary_phase,
     fluctuation_series,
-    rk4_propagate,
     run_verification,
     xi_fermion,
     xi_fermion_closed_form,
 )
+from phasekit.evolve import active_kernel
 from phasekit.observe import embedded_fermion_states
 from phasekit.operators import well_number_diff
 from phasekit.verify import (
@@ -189,22 +189,20 @@ def _rk4_stability_oracle(h, psi0, tau, dtau):
 def test_c06_rk4_cross_check_at_contract_step():
     # at dtau=1e-3 this stiff problem (rho(H)*dtau ~ 0.23) is outside RK4's
     # 1e-6 accuracy regime: the truncation error itself is ~1.887e-1 (see
-    # module docstring). The drift guard is disabled so the integrator's raw
-    # output is what gets checked.
+    # module docstring). rk4_propagate refuses this run on its norm drift of
+    # ~3.5e-2 (test_evolve.py::test_rk4_norm_guard_trips_on_stiff_problem), so
+    # the integrator's raw output is taken from its kernel.
     basis = boson_basis(10)
     h = boson_dimer_hamiltonian(basis, 5.0)
     tau = np.linspace(0.0, 40.0, 2001)
     exact = eigen_propagate(h, _right_well(10), tau)
-    warm = boson_dimer_hamiltonian(boson_basis(2), 0.0)  # JIT warm-up off the clock
-    rk4_propagate(warm, _right_well(2), np.linspace(0.0, 0.1, 3), dtau=1e-3)
     start = time.perf_counter()
-    approx = rk4_propagate(h, _right_well(10), tau, dtau=1e-3,
-                           norm_drift_tol=None)
+    approx = active_kernel()(h.entries, _right_well(10), tau, 1e-3)
     elapsed = time.perf_counter() - start
     assert elapsed <= 30.0
     oracle = _rk4_stability_oracle(h, _right_well(10), tau, 1e-3)
-    assert np.max(np.abs(approx.states - oracle)) <= 1e-10
-    deviation = float(np.max(np.abs(exact.states - approx.states)))
+    assert np.max(np.abs(approx - oracle)) <= 1e-10
+    deviation = float(np.max(np.abs(exact.states - approx)))
     truncation = float(np.max(np.abs(exact.states - oracle)))
     assert deviation == pytest.approx(truncation, abs=1e-10)
     assert deviation > 1e-6, (

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phasekit
@@ -320,6 +320,14 @@ def test_verify_bad_n_max_exits_one(capsys):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_non_finite_tol_exits_one(capsys, tol):
+    assert main(["verify", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "tol must be positive and finite" in captured.err
+
+
 def test_public_names_resolve():
     assert len(set(phasekit.__all__)) == len(phasekit.__all__)
     for name in phasekit.__all__:
@@ -462,6 +470,10 @@ def _assert_valid_csv(text, cfg):
 
 
 @given(_run_request())
+# linspace's last product overflows before it is replaced by tau_max
+@example(("system=fermion\nubar=0.0\ntau_max=1.7976931348623157e+308\nsteps=4\n"
+          "initial=right-well\nintegrator=eigen\nchannels=avgC_CN\nout=0.csv\n",
+          ["run", "--config", "scenario.cfg"]))
 @settings(max_examples=60, deadline=None)
 def test_run_ends_in_valid_csv_or_mapped_error(request):
     text, argv = request

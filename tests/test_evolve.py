@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekit import (
     ConfigError,
@@ -101,8 +103,7 @@ def test_rk4_error_scales_as_fourth_order():
     exact = eigen_propagate(h, _right_well(3), tau)
 
     def err(dtau):
-        out = rk4_propagate(h, _right_well(3), tau, dtau=dtau,
-                            norm_drift_tol=None)
+        out = rk4_propagate(h, _right_well(3), tau, dtau=dtau)
         return np.max(np.abs(out.states - exact.states))
 
     e_coarse, e_fine = err(0.02), err(0.01)
@@ -119,8 +120,14 @@ def test_rk4_rejects_bad_steps():
         rk4_propagate(h, _right_well(2), tau, dtau=0.5)  # exceeds spacing
 
 
-@pytest.mark.parametrize("propagate", [eigen_propagate, rk4_propagate],
-                         ids=["eigen", "rk4"])
+def _trajectory_of(h, psi0, tau):
+    """Trajectory(tau, states) with psi0 in every row the grid has."""
+    rows = np.shape(tau)[0] if np.ndim(tau) else 1
+    return Trajectory(tau, np.tile(psi0, (rows, 1)))
+
+
+@pytest.mark.parametrize("propagate", [eigen_propagate, rk4_propagate, _trajectory_of],
+                         ids=["eigen", "rk4", "trajectory"])
 @pytest.mark.parametrize("tau, message", [
     ([], "non-empty 1-D"),
     ([[0.0, 1.0]], "non-empty 1-D"),
@@ -140,6 +147,45 @@ def test_degenerate_tau_grid_is_rejected_before_propagation(propagate, tau, mess
     h = boson_dimer_hamiltonian(boson_basis(2), 0.05)
     with pytest.raises(ConfigError, match=message):
         propagate(h, _right_well(2), tau)
+
+
+_GRID_EDITS = ("none", "empty", "2-D", "repeat", "late-start", "nan", "inf", "-inf")
+
+
+@st.composite
+def _tau_grids(draw):
+    """Increasing grids from 0, about half of them edited to break one rule."""
+    steps = draw(st.lists(st.floats(0.0, 10.0, exclude_min=True), max_size=5))
+    tau = np.cumsum([0.0] + steps)  # a tiny step after a large one repeats a point
+    edit = draw(st.sampled_from(("none",) * len(_GRID_EDITS) + _GRID_EDITS))
+    at = draw(st.integers(0, len(tau) - 1))
+    if edit == "empty":
+        return np.array([])
+    if edit == "2-D":
+        return tau[None, :]
+    if edit == "repeat":
+        return np.insert(tau, at, tau[at])
+    if edit == "late-start":
+        return tau + draw(st.sampled_from([-1.0, 1e-300, 0.5]))
+    if edit != "none":
+        tau[at] = float(edit)
+    return tau
+
+
+@given(_tau_grids())
+@settings(max_examples=150, deadline=None)
+def test_trajectory_and_propagator_accept_the_same_grids(tau):
+    h = boson_dimer_hamiltonian(boson_basis(2), 0.05)
+    outcomes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (_trajectory_of, eigen_propagate):
+            try:
+                build(h, _right_well(2), tau)
+                outcomes.append("accepted")
+            except ConfigError:
+                outcomes.append("rejected")
+    assert outcomes[0] == outcomes[1], (tau, outcomes)
 
 
 def test_rk4_overflowing_power_fails_the_drift_gate():
@@ -291,3 +337,7 @@ def test_propagators_reject_dimension_mismatch():
     h = boson_dimer_hamiltonian(boson_basis(2), 0.0)
     with pytest.raises(ConfigError):
         eigen_propagate(h, np.array([1.0, 0.0]), [0.0, 1.0])
+    for not_square in (np.ones((2, 3)), np.ones(2)):
+        for propagate in (eigen_propagate, rk4_propagate):
+            with pytest.raises(ConfigError, match="not square"):
+                propagate(not_square, np.array([1.0, 0.0]), [0.0, 1.0])

@@ -118,9 +118,9 @@ def test_rk4_rejects_substeps_beyond_stability_limit(tau):
     step = float(np.max(np.diff(tau)))
     h = np.array([[0.0, 1.0], [1.0, 0.0]]) * (limit / step)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    rk4_propagate(h * (1.0 - 1e-12), psi0, tau, dtau=0.1, norm_drift_tol=None)
+    rk4_propagate(h * (1.0 - 1e-12), psi0, tau, dtau=0.1)
     with pytest.raises(StepSizeError, match="stability limit"):
-        rk4_propagate(h * (1.0 + 1e-12), psi0, tau, dtau=0.1, norm_drift_tol=None)
+        rk4_propagate(h * (1.0 + 1e-12), psi0, tau, dtau=0.1)
 
 
 @pytest.mark.parametrize("h, tau, dtau", [
