@@ -30,9 +30,16 @@ RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 def _check_tau_grid(tau_grid: Sequence[float]) -> np.ndarray:
-    """The grid as a float array; ConfigError unless it is non-empty, 1-D,
-    finite, starts at 0 and is strictly increasing."""
-    tau = np.asarray(tau_grid, dtype=float)
+    """The grid as a float array; ConfigError unless it holds real numbers
+    (bool, integer or float dtype) and is non-empty, 1-D, finite, starts at 0
+    and is strictly increasing."""
+    try:
+        raw = np.asarray(tau_grid)
+    except ValueError as exc:  # a ragged nesting
+        raise ConfigError(f"tau grid is not an array of numbers: {exc}") from exc
+    if raw.dtype.kind not in "biuf":  # a complex grid would lose its imaginary part
+        raise ConfigError(f"tau grid must hold real numbers, got dtype {raw.dtype}")
+    tau = raw.astype(float, copy=False)
     if tau.ndim != 1 or tau.size == 0:
         raise ConfigError(f"tau grid must be a non-empty 1-D sequence, got shape {tau.shape}")
     if not np.isfinite(tau).all():  # before a NaN or inf difference

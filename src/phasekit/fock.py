@@ -135,6 +135,8 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.ndim != 1:
+            raise ConfigError(f"amplitudes must be a 1-D sequence, got shape {amps.shape}")
         dim = getattr(self.basis, "dimension", len(amps))
         if len(amps) != dim:
             raise ConfigError(

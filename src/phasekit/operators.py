@@ -76,9 +76,10 @@ def _cos_sin(x: np.ndarray, kind: str,
     cos = (X + X^dag)/2 and sin = (X - X^dag)/2i, for bosons and fermions,
     raw (X the one-sided shift) and unitary (X closed by the vacuum term).
     """
-    xd = x.conj().T
-    return (OperatorMatrix(0.5 * (x + xd), label=f"cos_{kind}[{where}]", hermitian=True),
-            OperatorMatrix(-0.5j * (x - xd), label=f"sin_{kind}[{where}]", hermitian=True))
+    # X^dag is taken twice, not held across both builds: one N x N array
+    # fewer at the peak of a large family's build
+    return (OperatorMatrix(0.5 * (x + x.conj().T), label=f"cos_{kind}[{where}]", hermitian=True),
+            OperatorMatrix(-0.5j * (x - x.conj().T), label=f"sin_{kind}[{where}]", hermitian=True))
 
 
 # ---------------------------------------------------------------------------

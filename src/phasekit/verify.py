@@ -4,6 +4,21 @@ Each named check measures a residual against its contract tolerance. The
 operator and dynamics laws that tests also assert are public per-case
 residual functions (``corner_defect_residual(n)``, ...); their check is the
 worst residual over its case list, and the tests call them on their own cases.
+
+Called on its own, a per-case function builds the operators and trajectory
+of its one case. ``run_verification`` instead builds each of them once per
+run and feeds every check that reads it:
+
+* one boson sweep over N: each N's family (CN, vacuum and unitary
+  cosine/sine, beta, and W where the commutators are checked) serves the
+  five boson operator checks and is dropped before the next N, so one large
+  family is alive at a time;
+* one family per fermion mode pair, for hermiticity, Jacobi and isometry;
+* one trajectory per (Hamiltonian, start, grid): a propagation that two
+  checks read is held only until the second takes it.
+
+Nothing is kept between runs.
+
 The ``tol`` argument feeds the operator-algebra checks (hermiticity,
 unitarity, commutators, isometry); checks tied to analytic laws or solver
 guarantees carry their own fixed tolerances, and a few are exact (tol 0).
@@ -23,11 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .evolve import (
+    Trajectory,
     boson_pair_closed_form,
     eigen_propagate,
     fermion_pair_closed_form,
@@ -40,6 +57,7 @@ from .hamiltonians import (
 )
 from .observe import expectation_series, xi_fermion, xi_fermion_closed_form
 from .operators import (
+    OperatorMatrix,
     anticommutator,
     boson_cn_phase,
     boson_number_diff,
@@ -57,6 +75,7 @@ from .operators import (
 from .scenario import ScenarioConfig, parse_config, serialize_config
 
 SECTION_PAIRS = (("l_up", "r_up"), ("l_up", "r_down"), ("l_down", "r_down"))
+ISOMETRY_PAIRS = (("l_up", "r_up"), ("l_up", "r_down"))
 UBAR_SET = (0.0, 0.05, 5.0)
 
 LAW_TOL = 1e-9
@@ -67,6 +86,8 @@ CORNER_TOL = 1e-15
 # n_max = 100 takes ~0.2 s and 400 ~20 s. The CLI default, 12, is the largest
 # any test or the benchmark uses.
 N_MAX_LIMIT = 100
+# the commutator and Jacobi checks sweep N = 1..min(n_max, 10)
+COMMUTATOR_N_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -115,50 +136,98 @@ def _herm_residual(op) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator algebra: one residual per case, one check per case list
+# operator algebra: one residual per case, one check per case list. A run
+# builds each family once and computes every residual of its cases from it;
+# a public per-case function builds the family of its own case.
+
+
+class _BosonFamily(NamedTuple):
+    """The raw (CN), vacuum and unitary cosine/sine and beta at N=n."""
+
+    n: int
+    cos_cn: OperatorMatrix
+    sin_cn: OperatorMatrix
+    cos0: OperatorMatrix
+    sin0: OperatorMatrix
+    cos_u: OperatorMatrix
+    sin_u: OperatorMatrix
+    beta: OperatorMatrix
+
+
+def _boson_family(n: int) -> _BosonFamily:
+    basis = boson_basis(n)
+    return _BosonFamily(n, *boson_cn_phase(basis), *boson_vacuum_phase(basis),
+                        *boson_unitary_phase(basis))
+
+
+class _PairFamily(NamedTuple):
+    """The raw and completed cosine/sine and betaF of the mode pair (m, mp)."""
+
+    m: str
+    mp: str
+    cos_cn: OperatorMatrix
+    sin_cn: OperatorMatrix
+    cos_u: OperatorMatrix
+    sin_u: OperatorMatrix
+    beta: OperatorMatrix
+
+
+def _pair_family(m: str, mp: str) -> _PairFamily:
+    space = fermion_sector()
+    return _PairFamily(m, mp, *fermion_cn_phase(space, m, mp),
+                       *fermion_unitary_phase(space, m, mp))
+
+
+def _boson_hermiticity(f: _BosonFamily) -> float:
+    return max(_herm_residual(op)
+               for op in (f.cos_cn, f.sin_cn, f.cos0, f.sin0, f.cos_u, f.sin_u))
 
 
 def boson_hermiticity_residual(n: int) -> float:
     """Largest |A - A^dag| over every boson cosine/sine flavor at N=n."""
-    basis = boson_basis(n)
-    ops = (*boson_cn_phase(basis), *boson_vacuum_phase(basis),
-           *boson_unitary_phase(basis)[:2])
-    return max(_herm_residual(op) for op in ops)
+    return _boson_hermiticity(_boson_family(n))
+
+
+def _fermion_hermiticity(f: _PairFamily) -> float:
+    return max(_herm_residual(op) for op in (f.cos_cn, f.sin_cn, f.cos_u, f.sin_u))
 
 
 def fermion_hermiticity_residual(m: str, mp: str) -> float:
     """Largest |A - A^dag| over the raw and completed cosine/sine of a pair."""
-    space = fermion_sector()
-    ops = (*fermion_cn_phase(space, m, mp),
-           *fermion_unitary_phase(space, m, mp)[:2])
-    return max(_herm_residual(op) for op in ops)
+    return _fermion_hermiticity(_pair_family(m, mp))
+
+
+def _boson_unitarity(f: _BosonFamily) -> float:
+    return max(unitarity_deficiency(f.beta))
 
 
 def boson_unitarity_residual(n: int) -> float:
     """Largest entry of beta beta^dag - I and beta^dag beta - I at N=n."""
-    return max(unitarity_deficiency(boson_unitary_phase(boson_basis(n))[2]))
+    return _boson_unitarity(_boson_family(n))
+
+
+def _corner_defect(f: _BosonFamily) -> float:
+    beta_cn = f.cos_cn.entries + 1j * f.sin_cn.entries
+    index = np.arange(f.n + 1)  # index N is all-left, 0 is all-right
+    return max(_maxabs(beta_cn @ beta_cn.conj().T - np.diag(index < f.n)),
+               _maxabs(beta_cn.conj().T @ beta_cn - np.diag(index > 0)))
 
 
 def corner_defect_residual(n: int) -> float:
     """Raw beta beta^dag against I minus the all-left projector, and
     beta^dag beta against I minus the all-right projector, at N=n."""
-    basis = boson_basis(n)
-    cos, sin = boson_cn_phase(basis)
-    beta_cn = cos.entries + 1j * sin.entries
-    index = np.arange(basis.dimension)  # index N is all-left, 0 is all-right
-    return max(_maxabs(beta_cn @ beta_cn.conj().T - np.diag(index < n)),
-               _maxabs(beta_cn.conj().T @ beta_cn - np.diag(index > 0)))
+    return _corner_defect(_boson_family(n))
+
+
+def _number_phase_commutators(f: _BosonFamily, w: OperatorMatrix) -> float:
+    r1 = commutator(f.cos_u, w) - 2j * (f.sin_u.entries - (f.n + 1) * f.sin0.entries)
+    r2 = commutator(f.sin_u, w) + 2j * (f.cos_u.entries - (f.n + 1) * f.cos0.entries)
+    return max(_maxabs(r1), _maxabs(r2))
 
 
 def number_phase_commutator_residual(n: int) -> float:
     """[cos_U, W] = 2i(sin_U - (N+1) sin0) and [sin_U, W] = -2i(cos_U - (N+1) cos0)."""
-    basis = boson_basis(n)
-    cos0, sin0 = boson_vacuum_phase(basis)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
-    w = boson_number_diff(basis)
-    r1 = commutator(cos_u, w) - 2j * (sin_u.entries - (n + 1) * sin0.entries)
-    r2 = commutator(sin_u, w) + 2j * (cos_u.entries - (n + 1) * cos0.entries)
-    return max(_maxabs(r1), _maxabs(r2))
+    return _number_phase_commutators(_boson_family(n), boson_number_diff(boson_basis(n)))
 
 
 def _jacobi_residual(a, b, c) -> float:
@@ -167,18 +236,23 @@ def _jacobi_residual(a, b, c) -> float:
                    + commutator(commutator(c, a), b))
 
 
+def _boson_jacobi(f: _BosonFamily, w: OperatorMatrix) -> float:
+    return _jacobi_residual(f.cos_u, f.sin_u, w)
+
+
 def boson_jacobi_residual(n: int) -> float:
     """Cyclic double commutators of (cos_U, sin_U, W) at N=n."""
-    basis = boson_basis(n)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
-    return _jacobi_residual(cos_u, sin_u, boson_number_diff(basis))
+    return _boson_jacobi(_boson_family(n), boson_number_diff(boson_basis(n)))
+
+
+def _fermion_jacobi(f: _PairFamily) -> float:
+    w = fermion_number_diff(fermion_sector(), f.m, f.mp)
+    return _jacobi_residual(f.cos_u, f.sin_u, w)
 
 
 def fermion_jacobi_residual(m: str, mp: str) -> float:
     """Cyclic double commutators of (cos_U, sin_U, N_m - N_mp) for a pair."""
-    space = fermion_sector()
-    cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
-    return _jacobi_residual(cos_u, sin_u, fermion_number_diff(space, m, mp))
+    return _fermion_jacobi(_pair_family(m, mp))
 
 
 def anticommutator_residual() -> float:
@@ -195,11 +269,15 @@ def anticommutator_residual() -> float:
     return worst
 
 
+def _betaf_isometry(f: _PairFamily) -> float:
+    columns = list(half_filled_masks(f.m, f.mp))
+    sing = np.linalg.svd(f.beta.entries[:, columns], compute_uv=False)
+    return _maxabs(sing - 1.0)
+
+
 def betaf_isometry_residual(m: str, mp: str) -> float:
     """Largest |singular value - 1| of betaF on the half-filled subspace."""
-    beta = fermion_unitary_phase(fermion_sector(), m, mp)[2].entries
-    sing = np.linalg.svd(beta[:, list(half_filled_masks(m, mp))], compute_uv=False)
-    return _maxabs(sing - 1.0)
+    return _betaf_isometry(_pair_family(m, mp))
 
 
 def double_sum_residual() -> float:
@@ -210,55 +288,52 @@ def double_sum_residual() -> float:
     return max(unitarity_deficiency(beta, subspace=p))
 
 
-def _check_boson_hermiticity(n_max: int, tol: float) -> CheckResult:
-    worst = max(boson_hermiticity_residual(n) for n in range(1, n_max + 1))
-    return CheckResult("boson-phase-hermiticity", worst <= tol, worst, tol,
-                       f"N in 1..{n_max}, all cosine/sine flavors")
+def _boson_sweep(n_max: int, shared: _Shared) -> dict[str, list[float]]:
+    """Per-N residuals of the five boson operator checks, N = 1..n_max, in
+    order. Each N's family is built once, or taken from ``shared`` where a
+    dynamics check built it, and dropped before the next N is built, so one
+    large family is alive at a time."""
+    cases: dict[str, list[float]] = {
+        "hermiticity": [], "unitarity": [], "corner": [], "commutators": [], "jacobi": []}
+    for n in range(1, n_max + 1):
+        family = shared.take_family(n)
+        cases["hermiticity"].append(_boson_hermiticity(family))
+        cases["unitarity"].append(_boson_unitarity(family))
+        cases["corner"].append(_corner_defect(family))
+        if n <= COMMUTATOR_N_MAX:
+            w = boson_number_diff(boson_basis(n))
+            cases["commutators"].append(_number_phase_commutators(family, w))
+            cases["jacobi"].append(_boson_jacobi(family, w))
+        del family  # before the next N's family is built
+    return cases
 
 
-def _check_fermion_hermiticity(tol: float) -> CheckResult:
-    worst = max(fermion_hermiticity_residual(m, mp)
-                for i, m in enumerate(MODE_NAMES) for mp in MODE_NAMES[i + 1:])
-    return CheckResult("fermion-phase-hermiticity", worst <= tol, worst, tol,
-                       "all 6 mode pairs, raw and completed")
+def _pair_sweep() -> dict[str, list[float]]:
+    """Per-pair residuals of the three fermion operator checks, from one
+    family per mode pair: hermiticity over all 6 pairs, the Jacobi identity
+    over SECTION_PAIRS and the isometry over ISOMETRY_PAIRS, in that order."""
+    cases: dict[str, list[float]] = {"hermiticity": [], "jacobi": [], "isometry": []}
+    for i, m in enumerate(MODE_NAMES):
+        for mp in MODE_NAMES[i + 1:]:
+            family = _pair_family(m, mp)
+            cases["hermiticity"].append(_fermion_hermiticity(family))
+            if (m, mp) in SECTION_PAIRS:
+                cases["jacobi"].append(_fermion_jacobi(family))
+            if (m, mp) in ISOMETRY_PAIRS:
+                cases["isometry"].append(_betaf_isometry(family))
+    return cases
 
 
-def _check_boson_unitarity(n_max: int, tol: float) -> CheckResult:
-    worst = max(boson_unitarity_residual(n) for n in range(1, n_max + 1))
-    return CheckResult("boson-beta-unitarity", worst <= tol, worst, tol,
-                       f"beta and beta-dagger products, N in 1..{n_max}")
-
-
-def _check_corner_defect(n_max: int) -> CheckResult:
-    worst = max(corner_defect_residual(n) for n in range(1, n_max + 1))
-    return CheckResult("cn-corner-defect", worst <= CORNER_TOL, worst, CORNER_TOL,
-                       "raw beta is a one-sided shift off the corner projectors")
-
-
-def _check_number_phase_commutators(n_max: int, tol: float) -> CheckResult:
-    worst = max(number_phase_commutator_residual(n) for n in range(1, n_max + 1))
-    return CheckResult("number-phase-commutators", worst <= tol, worst, tol,
-                       "[cos,W] and [sin,W] close onto the vacuum terms")
-
-
-def _check_jacobi(n_max: int, tol: float) -> CheckResult:
-    worst = max(*(boson_jacobi_residual(n) for n in range(1, n_max + 1)),
-                *(fermion_jacobi_residual(m, mp) for m, mp in SECTION_PAIRS))
-    return CheckResult("jacobi-identity", worst <= tol, worst, tol,
-                       "cyclic double commutators, boson sweep + 3 fermion pairs")
+def _worst_check(name: str, residuals: list[float], tol: float, detail: str) -> CheckResult:
+    """The check of a case list: it passes when its worst residual is within tol."""
+    worst = max(residuals)
+    return CheckResult(name, worst <= tol, worst, tol, detail)
 
 
 def _check_anticommutators() -> CheckResult:
     worst = anticommutator_residual()
     return CheckResult("fermion-anticommutators", worst == 0.0, worst, 0.0,
                        "all 4x4 mode pairs, exact integer arithmetic")
-
-
-def _check_betaf_isometry(tol: float) -> CheckResult:
-    worst = max(betaf_isometry_residual(m, mp)
-                for m, mp in (("l_up", "r_up"), ("l_up", "r_down")))
-    return CheckResult("betaf-isometry", worst <= tol, worst, tol,
-                       "singular values on the half-filled subspace")
 
 
 def _check_double_sum_counterexample() -> CheckResult:
@@ -308,36 +383,98 @@ def _check_interaction_free_spectra(tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 # dynamics
 
+# (tau_max, steps) of the grids the dynamics checks propagate on
+_GRID = (40.0, 401)
+_FREE_GRID = (2.0 * math.pi, 2001)  # two periods of the interaction-free pair
+_SQUEEZING_GRID = (40.0, 2001)
+_BOTH_RIGHT = (0.0, 0.0, 1.0)  # pair amplitudes with both fermions in the right well
 
-def _grid(tau_max: float = 40.0, steps: int = 401) -> np.ndarray:
+
+def _grid(tau_max: float, steps: int) -> np.ndarray:
     return np.linspace(0.0, tau_max, steps)
 
 
-def _boson_right_well_traj(n: int, ubar: float, tau: np.ndarray):
+def _boson_right_well(n: int, ubar: float,
+                      tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
     basis = boson_basis(n)
     h = boson_dimer_hamiltonian(basis, ubar)
-    return basis, eigen_propagate(h, fock_state(basis, "right-well"), tau)
+    return h, eigen_propagate(h, fock_state(basis, "right-well"), tau)
 
 
-def conservation_residual(h, psi0, tau) -> tuple[float, float]:
-    """(norm drift, energy drift) of the exact propagation of psi0 under h."""
-    traj = eigen_propagate(h, psi0, tau)
+def _pair(ubar: float, variant: str, init,
+          tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
+    h = fermion_pair_hamiltonian(ubar, variant)
+    return h, eigen_propagate(h, init, tau)
+
+
+class _Shared:
+    """What one verify run builds once and hands to every check that reads it.
+
+    A propagation that a later check reads again is asked for with
+    ``keep=True``; the table holds it, keyed by (system, size or variant,
+    ubar, start, grid), until that check takes it. Every other trajectory is
+    dropped by the check that read it. Boson families that the dynamics
+    checks ask for are held until the boson sweep takes them. A run makes one
+    and drops it on return, so nothing is kept between runs.
+    """
+
+    def __init__(self) -> None:
+        self._trajectories: dict[tuple, tuple[OperatorMatrix, Trajectory]] = {}
+        self._families: dict[int, _BosonFamily] = {}
+
+    def family(self, n: int) -> _BosonFamily:
+        if n not in self._families:
+            self._families[n] = _boson_family(n)
+        return self._families[n]
+
+    def take_family(self, n: int) -> _BosonFamily:
+        """The family at N=n, which the run no longer holds."""
+        return self._families.pop(n) if n in self._families else _boson_family(n)
+
+    def _trajectory(self, key: tuple, keep: bool, propagate) -> tuple[OperatorMatrix, Trajectory]:
+        if key in self._trajectories:  # its second and last reader
+            return self._trajectories.pop(key)
+        found = propagate()
+        if keep:
+            self._trajectories[key] = found
+        return found
+
+    def boson(self, n: int, ubar: float, grid: tuple[float, int] = _GRID,
+              keep: bool = False) -> tuple[OperatorMatrix, Trajectory]:
+        """H and the exact trajectory of the N=n dimer from the right well."""
+        return self._trajectory(("boson", n, ubar, grid), keep,
+                                lambda: _boson_right_well(n, ubar, _grid(*grid)))
+
+    def pair(self, ubar: float, variant: str = "single-occupancy",
+             init: tuple[complex, ...] = _BOTH_RIGHT, grid: tuple[float, int] = _GRID,
+             keep: bool = False) -> tuple[OperatorMatrix, Trajectory]:
+        """H and the exact trajectory of the fermion pair from ``init``."""
+        return self._trajectory(
+            ("pair", variant, ubar, init, grid), keep,
+            lambda: _pair(ubar, variant, np.array(init, dtype=complex), _grid(*grid)))
+
+
+def _conservation(h: OperatorMatrix, traj: Trajectory) -> tuple[float, float]:
     energy = expectation_series(h, traj)
     return traj.norm_drift, _maxabs(energy - energy[0])
 
 
+def conservation_residual(h, psi0, tau) -> tuple[float, float]:
+    """(norm drift, energy drift) of the exact propagation of psi0 under h."""
+    return _conservation(h, eigen_propagate(h, psi0, tau))
+
+
+def _fermion_closed_form(ubar: float, init, traj: Trajectory) -> float:
+    return _maxabs(traj.states - fermion_pair_closed_form(ubar, traj.tau_grid, init))
+
+
 def fermion_closed_form_residual(ubar: float, init, tau) -> float:
     """Two-frequency pair solution against eigenpropagation, all amplitudes."""
-    h = fermion_pair_hamiltonian(ubar, "single-occupancy")
-    traj = eigen_propagate(h, init, tau)
-    return _maxabs(traj.states - fermion_pair_closed_form(ubar, tau, init))
+    return _fermion_closed_form(ubar, init, _pair(ubar, "single-occupancy", init, tau)[1])
 
 
-def boson_closed_form_residual(ubar: float, tau) -> float:
-    """N=2 right-well closed form against eigenpropagation: the middle
-    amplitude at every ubar, the edges at ubar=0 (where they are exact)."""
-    _, traj = _boson_right_well_traj(2, ubar, tau)
-    closed = boson_pair_closed_form(ubar, tau)  # its default is this start
+def _boson_closed_form(ubar: float, traj: Trajectory) -> float:
+    closed = boson_pair_closed_form(ubar, traj.tau_grid)  # its default is this start
     assert "c1" in closed.exact_components
     worst = _maxabs(traj.states[:, 1] - closed.c1)
     if ubar == 0.0:
@@ -346,19 +483,18 @@ def boson_closed_form_residual(ubar: float, tau) -> float:
     return worst
 
 
-def _check_conservation() -> CheckResult:
-    tau = _grid()
-    cases = []
-    for n in (2, 5, 10):
-        for ubar in (0.05, 5.0):
-            basis = boson_basis(n)
-            cases.append((boson_dimer_hamiltonian(basis, ubar),
-                          fock_state(basis, "right-well")))
-    for variant in FERMION_VARIANTS:
-        for ubar in (0.05, 5.0):
-            h = fermion_pair_hamiltonian(ubar, variant)
-            cases.append((h, np.array([0.0, 0.0, 1.0], dtype=complex)))
-    drifts = [conservation_residual(h, psi0, tau) for h, psi0 in cases]
+def boson_closed_form_residual(ubar: float, tau) -> float:
+    """N=2 right-well closed form against eigenpropagation: the middle
+    amplitude at every ubar, the edges at ubar=0 (where they are exact)."""
+    return _boson_closed_form(ubar, _boson_right_well(2, ubar, tau)[1])
+
+
+def _check_conservation(shared: _Shared) -> CheckResult:
+    # the closed-form checks read N=2 and the single-occupancy pair again
+    drifts = [_conservation(*shared.boson(n, ubar, keep=n == 2))
+              for n in (2, 5, 10) for ubar in (0.05, 5.0)]
+    drifts += [_conservation(*shared.pair(ubar, variant, keep=variant == "single-occupancy"))
+               for variant in FERMION_VARIANTS for ubar in (0.05, 5.0)]
     worst_norm, worst_energy = map(max, zip(*drifts))
     passed = worst_norm <= NORM_TOL and worst_energy <= ENERGY_TOL
     return CheckResult("eigen-conservation", passed,
@@ -367,79 +503,67 @@ def _check_conservation() -> CheckResult:
                        f"energy drift {worst_energy:.2e}")
 
 
-def _check_fermion_closed_form() -> CheckResult:
-    tau = _grid()
-    inits = (np.array([0.0, 0.0, 1.0], dtype=complex),
-             np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex))
-    worst = max(fermion_closed_form_residual(ubar, init, tau)
+def _check_fermion_closed_form(shared: _Shared) -> CheckResult:
+    inits = (_BOTH_RIGHT, (0.5, 0.5j, math.sqrt(0.5)))
+    worst = max(_fermion_closed_form(ubar, init, shared.pair(ubar, init=init)[1])
                 for ubar in UBAR_SET for init in inits)
     return CheckResult("fermion-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
                        "two-frequency solution vs eigenpropagation, all ubar")
 
 
-def _check_boson_closed_form() -> CheckResult:
-    tau = _grid()
-    worst = max(boson_closed_form_residual(ubar, tau) for ubar in UBAR_SET)
+def _check_boson_closed_form(shared: _Shared) -> CheckResult:
+    worst = max(_boson_closed_form(ubar, shared.boson(2, ubar)[1]) for ubar in UBAR_SET)
     return CheckResult("boson-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
                        "middle amplitude everywhere; edges checked at ubar=0")
 
 
-def _check_phase_linearity(tol: float) -> CheckResult:
-    basis, traj = _boson_right_well_traj(3, 5.0, _grid())
-    cos_cn, sin_cn = boson_cn_phase(basis)
-    cos0, sin0 = boson_vacuum_phase(basis)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
+def _check_phase_linearity(shared: _Shared, tol: float) -> CheckResult:
+    _, traj = shared.boson(3, 5.0)
+    f = shared.family(3)
     worst = max(
-        _maxabs(expectation_series(cos_u, traj)
-                - expectation_series(cos_cn, traj) - expectation_series(cos0, traj)),
-        _maxabs(expectation_series(sin_u, traj)
-                - expectation_series(sin_cn, traj) - expectation_series(sin0, traj)),
+        _maxabs(expectation_series(f.cos_u, traj)
+                - expectation_series(f.cos_cn, traj) - expectation_series(f.cos0, traj)),
+        _maxabs(expectation_series(f.sin_u, traj)
+                - expectation_series(f.sin_cn, traj) - expectation_series(f.sin0, traj)),
     )
     return CheckResult("phase-average-linearity", worst <= tol, worst, tol,
                        "completed average = raw average + vacuum average")
 
 
-def _check_interaction_free_laws() -> CheckResult:
-    tau = np.linspace(0.0, 2.0 * math.pi, 2001)
-    basis, traj = _boson_right_well_traj(2, 0.0, tau)
-    cos_cn, sin_cn = boson_cn_phase(basis)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
+def _check_interaction_free_laws(shared: _Shared) -> CheckResult:
+    _, traj = shared.boson(2, 0.0, _FREE_GRID, keep=True)  # the odd-even law reads it too
+    tau = traj.tau_grid
+    f = shared.family(2)
     worst = max(
-        _maxabs(expectation_series(cos_cn, traj)),
-        _maxabs(expectation_series(sin_cn, traj) - np.sin(2.0 * tau) / math.sqrt(2.0)),
-        _maxabs(expectation_series(cos_u, traj) - (np.cos(4.0 * tau) - 1.0) / 8.0),
+        _maxabs(expectation_series(f.cos_cn, traj)),
+        _maxabs(expectation_series(f.sin_cn, traj) - np.sin(2.0 * tau) / math.sqrt(2.0)),
+        _maxabs(expectation_series(f.cos_u, traj) - (np.cos(4.0 * tau) - 1.0) / 8.0),
     )
-    sine_gap = _maxabs(expectation_series(sin_u, traj) - expectation_series(sin_cn, traj))
+    sine_gap = _maxabs(expectation_series(f.sin_u, traj) - expectation_series(f.sin_cn, traj))
     passed = worst <= LAW_TOL and sine_gap <= 1e-12
     return CheckResult("two-boson-free-laws", passed, max(worst, sine_gap), LAW_TOL,
                        "closed trig laws for the interaction-free pair")
 
 
-def _check_odd_even_law() -> CheckResult:
-    tau = np.linspace(0.0, 2.0 * math.pi, 2001)
-    worst_odd = 0.0
-    min_even = math.inf
-    for n in (3, 5):
-        basis, traj = _boson_right_well_traj(n, 0.0, tau)
-        cos_u = boson_unitary_phase(basis)[0]
-        worst_odd = max(worst_odd, _maxabs(expectation_series(cos_u, traj)))
-    for n in (2, 4):
-        basis, traj = _boson_right_well_traj(n, 0.0, tau)
-        cos_u = boson_unitary_phase(basis)[0]
-        min_even = min(min_even, _maxabs(expectation_series(cos_u, traj)))
+def _check_odd_even_law(shared: _Shared) -> CheckResult:
+    def cosine_average(n: int) -> float:
+        _, traj = shared.boson(n, 0.0, _FREE_GRID)
+        return _maxabs(expectation_series(shared.family(n).cos_u, traj))
+
+    # even N first: the N=2 trajectory held for this check goes before N=5 propagates
+    min_even = min(cosine_average(n) for n in (2, 4))
+    worst_odd = max(cosine_average(n) for n in (3, 5))
     passed = worst_odd <= LAW_TOL and min_even >= 1e-3
     return CheckResult("odd-even-cosine-law", passed, worst_odd, LAW_TOL,
                        f"odd-N averages vanish; even-N floor {min_even:.3e}")
 
 
-def _check_squeezing_closed_form() -> CheckResult:
-    tau = _grid(steps=2001)
+def _check_squeezing_closed_form(shared: _Shared) -> CheckResult:
     worst = 0.0
     for ubar in UBAR_SET:
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
-        traj = eigen_propagate(h, np.array([0.0, 0.0, 1.0], dtype=complex), tau)
+        _, traj = shared.pair(ubar, grid=_SQUEEZING_GRID)
         _, second_moment = xi_fermion(traj)
-        closed = xi_fermion_closed_form(ubar, tau)
+        closed = xi_fermion_closed_form(ubar, traj.tau_grid)
         worst = max(worst, _maxabs(second_moment - closed))
     return CheckResult(
         "squeezing-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
@@ -470,26 +594,41 @@ def run_verification(n_max: int = 12, tol: float = 1e-12) -> VerificationReport:
         raise ConfigError(f"n_max must be in 2..{N_MAX_LIMIT}, got {n_max}")
     if not 0 < tol < math.inf:  # NaN fails too
         raise ConfigError(f"tol must be positive and finite, got {tol!r}")
+    shared = _Shared()
+    # the dynamics checks run first, so that the boson sweep can take the
+    # families they built; their trajectories are all gone by then
+    dynamics = (
+        _check_conservation(shared),
+        _check_fermion_closed_form(shared),
+        _check_boson_closed_form(shared),
+        _check_phase_linearity(shared, tol),
+        _check_interaction_free_laws(shared),
+        _check_odd_even_law(shared),
+        _check_squeezing_closed_form(shared),
+    )
+    boson = _boson_sweep(n_max, shared)
+    pairs = _pair_sweep()
     results = (
-        _check_boson_hermiticity(n_max, tol),
-        _check_fermion_hermiticity(tol),
-        _check_boson_unitarity(n_max, tol),
-        _check_corner_defect(n_max),
-        _check_number_phase_commutators(min(n_max, 10), tol),
-        _check_jacobi(min(n_max, 10), tol),
+        _worst_check("boson-phase-hermiticity", boson["hermiticity"], tol,
+                     f"N in 1..{n_max}, all cosine/sine flavors"),
+        _worst_check("fermion-phase-hermiticity", pairs["hermiticity"], tol,
+                     "all 6 mode pairs, raw and completed"),
+        _worst_check("boson-beta-unitarity", boson["unitarity"], tol,
+                     f"beta and beta-dagger products, N in 1..{n_max}"),
+        _worst_check("cn-corner-defect", boson["corner"], CORNER_TOL,
+                     "raw beta is a one-sided shift off the corner projectors"),
+        _worst_check("number-phase-commutators", boson["commutators"], tol,
+                     "[cos,W] and [sin,W] close onto the vacuum terms"),
+        _worst_check("jacobi-identity", boson["jacobi"] + pairs["jacobi"], tol,
+                     "cyclic double commutators, boson sweep + 3 fermion pairs"),
         _check_anticommutators(),
-        _check_betaf_isometry(tol),
+        _worst_check("betaf-isometry", pairs["isometry"], tol,
+                     "singular values on the half-filled subspace"),
         _check_double_sum_counterexample(),
         _check_mirror_symmetry(n_max),
         _check_variant_difference(),
         _check_interaction_free_spectra(tol),
-        _check_conservation(),
-        _check_fermion_closed_form(),
-        _check_boson_closed_form(),
-        _check_phase_linearity(tol),
-        _check_interaction_free_laws(),
-        _check_odd_even_law(),
-        _check_squeezing_closed_form(),
+        *dynamics,
         _check_config_round_trip(),
     )
     return VerificationReport(n_max=n_max, tol=tol, results=results)

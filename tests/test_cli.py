@@ -508,3 +508,60 @@ def test_run_ends_in_valid_csv_or_mapped_error(request):
         if code != 0:
             assert err.getvalue().startswith(("phasekit", "usage")), err.getvalue()
             assert _tree(root) == before
+
+
+# ---------------------------------------------------------------------------
+# property: every `verify` ends in its 20 check lines and the summary (exit 2,
+# by the designed squeezing failure) or a mapped error with no output (exit 1)
+
+_ODD_N_MAX = ("-3", "0", "1", "101", "100000000", "x", "", "2.5", "inf", "nan", "1e-300")
+_ODD_TOL = ("-1", "-0.0", "0", "inf", "-inf", "nan", "1e-300", "1e400", "x", "")
+
+
+def _parses_to(text, parse, valid):
+    try:
+        return valid(parse(text))
+    except ValueError:
+        return False
+
+
+@given(st.one_of(st.none(), st.integers(2, 12).map(str), st.sampled_from(_ODD_N_MAX)),
+       st.one_of(st.none(), st.floats(1e-15, 1.0).map(repr), st.sampled_from(_ODD_TOL)))
+@example("-3", None)
+@example("0", "0")
+@example("1", None)
+@example("101", None)
+@example("x", "x")
+@example("inf", "inf")
+@example("nan", "nan")
+@example("1e-300", "1e-300")
+@example("2", "-1")
+@settings(max_examples=40, deadline=None)
+def test_verify_ends_in_its_report_or_a_mapped_error(n_max, tol):
+    argv = ["verify"]
+    if n_max is not None:
+        argv += ["--n-max", n_max]
+    if tol is not None:
+        argv += ["--tol", tol]
+    accepted = (_parses_to("12" if n_max is None else n_max, int, lambda n: 2 <= n <= 100)
+                and _parses_to("1e-12" if tol is None else tol, float,
+                               lambda t: 0 < t < math.inf))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if accepted:
+        lines = out.getvalue().splitlines()
+        assert code == 2  # squeezing-closed-form fails by design
+        assert len(lines) == 21
+        assert all(line.startswith(("PASS  ", "FAIL  ")) for line in lines[:20])
+        assert "FAIL  squeezing-closed-form" in out.getvalue()
+        assert lines[20].split()[0].endswith("/20")
+    else:
+        assert code == 1
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("phasekit", "usage")), err.getvalue()

@@ -149,6 +149,29 @@ def test_degenerate_tau_grid_is_rejected_before_propagation(propagate, tau, mess
         propagate(h, _right_well(2), tau)
 
 
+@pytest.mark.parametrize("propagate", [eigen_propagate, rk4_propagate, _trajectory_of],
+                         ids=["eigen", "rk4", "trajectory"])
+@pytest.mark.parametrize("tau", [[0, 1j], [0, "a"], np.array([0, 1 + 1j]), [0.0, None]],
+                         ids=["complex-list", "string", "complex-array", "object"])
+def test_tau_grid_of_the_wrong_type_is_a_config_error(propagate, tau, monkeypatch):
+    # a complex grid is not cast to its real part, and no raw TypeError or
+    # ValueError escapes from the float conversion
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagation ran on a rejected grid")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr("phasekit.evolve._rk4_steps", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="tau grid must hold real numbers"):
+            propagate(np.eye(3), [1, 0, 0], tau)
+
+
+def test_ragged_tau_grid_is_a_config_error():
+    with pytest.raises(ConfigError, match="tau grid is not an array of numbers"):
+        eigen_propagate(np.eye(3), [1, 0, 0], [[0.0, 1.0], [2.0]])
+
+
 _GRID_EDITS = ("none", "empty", "2-D", "repeat", "late-start", "nan", "inf", "-inf")
 
 

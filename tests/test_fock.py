@@ -77,3 +77,11 @@ def test_fock_state_boson_wells():
     assert pair.amplitudes[1] == 1.0
     with pytest.raises(ConfigError):
         fock_state(fermion_sector(), 12)  # fermion states are pair amplitudes
+
+
+@pytest.mark.parametrize("amps", [1.0, [[1.0, 0.0, 0.0]]], ids=["scalar", "nested"])
+def test_state_vector_rejects_amplitudes_that_are_not_one_dimensional(amps):
+    # checked before any length is taken: a scalar has none, and a nested
+    # list would report the length of its outer list
+    with pytest.raises(ConfigError, match=r"1-D sequence, got shape \("):
+        StateVector(boson_basis(2), amps)
