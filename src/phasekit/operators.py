@@ -13,8 +13,7 @@ The vacuum coupling for a mode pair matches each one-occupied configuration
 with its partner: identical rest occupations when the pair's spins agree,
 well-mirrored rest occupations (the two rest modes swap) when they differ.
 That matching is what makes the combined operator an isometry on the
-half-filled subspace. The literal unmatched double sum is kept available as a
-named variant purely so its unitarity failure can be demonstrated.
+half-filled subspace.
 """
 
 from __future__ import annotations
@@ -197,50 +196,33 @@ def _rest_modes(m: int, mp: int) -> tuple[int, int]:
 
 
 def fermion_vacuum_coupling(space: FermionSector, m: Union[int, str],
-                            mp: Union[int, str],
-                            pairing: str = "matched") -> np.ndarray:
+                            mp: Union[int, str]) -> np.ndarray:
     """Raw vacuum-coupling matrix V = sum of |m occupied><mp occupied| terms.
 
-    pairing="matched": each configuration with only m occupied couples to the
-    single partner with only mp occupied whose rest is identical (same-spin
-    pair) or well-mirrored (different-spin pair). This is a perfect matching,
-    so cos/sin built from it complete the shift into an isometry on the
+    Each configuration with only m occupied couples to the single partner
+    with only mp occupied whose rest is identical (same-spin pair) or
+    well-mirrored (different-spin pair). This is a perfect matching, so
+    cos/sin built from it complete the shift into an isometry on the
     half-filled subspace.
-
-    pairing="double-sum": couples every such configuration to every partner
-    whose rest holds the same particle count. Kept only to demonstrate the
-    unitarity failure; never used by the scenario pipeline.
     """
     i, j = _check_pair(m, mp)
     _require_full_space(space)
-    if pairing not in ("matched", "double-sum"):
-        raise ConfigError(f"unknown vacuum pairing: {pairing!r}")
     r0, r1 = _rest_modes(i, j)
     same_spin = _MODE_TWICE_SZ[i] == _MODE_TWICE_SZ[j]
     v = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
-    rest_configs = [(a, b) for a in (0, 1) for b in (0, 1)]
-    for (a0, a1) in rest_configs:
+    for (a0, a1) in [(a, b) for a in (0, 1) for b in (0, 1)]:
         s10 = (a0 << r0) | (a1 << r1) | (1 << i)
-        if pairing == "matched":
-            b0, b1 = (a0, a1) if same_spin else (a1, a0)
-            s01 = (b0 << r0) | (b1 << r1) | (1 << j)
-            v[s10, s01] = 1.0
-        else:
-            for (b0, b1) in rest_configs:
-                if a0 + a1 != b0 + b1:
-                    continue
-                s01 = (b0 << r0) | (b1 << r1) | (1 << j)
-                v[s10, s01] = 1.0
+        b0, b1 = (a0, a1) if same_spin else (a1, a0)
+        s01 = (b0 << r0) | (b1 << r1) | (1 << j)
+        v[s10, s01] = 1.0
     return v
 
 
 def fermion_unitary_phase(space: FermionSector, m: Union[int, str],
-                          mp: Union[int, str],
-                          pairing: str = "matched") -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+                          mp: Union[int, str]) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Unitary-completed cosine/sine and betaF = cos + i sin for a mode pair."""
     i, j = _check_pair(m, mp)
-    beta = (_fermion_pair_shift(space, i, j)
-            + fermion_vacuum_coupling(space, i, j, pairing=pairing))
+    beta = _fermion_pair_shift(space, i, j) + fermion_vacuum_coupling(space, i, j)
     names = f"{space.mode_order[i]},{space.mode_order[j]}"
     return (*_cos_sin(beta, "u", names),
             OperatorMatrix(beta, label=f"betaF[{names}]", hermitian=False))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -132,12 +133,16 @@ class ScenarioConfig:
             raise ConfigError(f"ubar must be finite, got {self.ubar!r}")
         if not (math.isfinite(self.tau_max) and self.tau_max > 0):
             raise ConfigError(f"tau_max must be positive, got {self.tau_max!r}")
+        if not isinstance(self.steps, numbers.Integral):
+            raise ConfigError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ConfigError(f"steps must be at least 2, got {self.steps}")
 
         if self.system == "boson":
             if self.N is None:
                 raise ConfigError("boson scenarios need N")
+            if not isinstance(self.N, numbers.Integral):
+                raise ConfigError(f"N must be an integer, got {self.N!r}")
             if not 1 <= self.N <= MAX_N:
                 raise ConfigError(f"N must be in 1..{MAX_N}, got {self.N}")
             if self.variant is not None:

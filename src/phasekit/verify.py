@@ -1,23 +1,19 @@
 """Self-check battery: operator algebra, dynamics, and dataset plumbing.
 
-Each named check measures a residual against its contract tolerance. The
-operator and dynamics laws that tests also assert are public per-case
-residual functions (``corner_defect_residual(n)``, ...); their check is the
-worst residual over its case list, and the tests call them on their own cases.
+Each named check measures a residual against its contract tolerance. Each
+operator or dynamics law that tests also assert is one public function over a
+built family or trajectory, such as ``corner_defect_residual(boson_family(n))``
+or ``conservation_residual(h, eigen_propagate(h, psi0, tau))``; the law's
+check is its worst residual over the check's cases.
 
-Called on its own, a per-case function builds the operators and trajectory
-of its one case. ``run_verification`` instead builds each of them once per
-run and feeds every check that reads it:
-
-* one boson sweep over N: each N's family (CN, vacuum and unitary
-  cosine/sine, beta, and W where the commutators are checked) serves the
-  five boson operator checks and is dropped before the next N, so one large
-  family is alive at a time;
-* one family per fermion mode pair, for hermiticity, Jacobi and isometry;
-* one trajectory per (Hamiltonian, start, grid): a propagation that two
-  checks read is held only until the second takes it.
-
-Nothing is kept between runs.
+``run_verification`` builds each family and trajectory once per run, in the
+one check that reads it. What two checks read is built first as a local,
+passed to both and deleted after the second: the boson families at N = 2..5
+(which the boson sweep takes after the dynamics checks), the N=2 boson and
+single-occupancy pair trajectories at each ubar of ``UBAR_SET``, and the
+interaction-free N=2 trajectory. The boson sweep holds one N's family at a
+time; one family per fermion mode pair serves hermiticity, Jacobi and
+isometry. Nothing is kept between runs.
 
 The ``tol`` argument feeds the operator-algebra checks (hermiticity,
 unitarity, commutators, isometry); checks tied to analytic laws or solver
@@ -37,6 +33,7 @@ Two checks deserve a note:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -136,12 +133,10 @@ def _herm_residual(op) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator algebra: one residual per case, one check per case list. A run
-# builds each family once and computes every residual of its cases from it;
-# a public per-case function builds the family of its own case.
+# operator algebra: each law is one residual over a built family
 
 
-class _BosonFamily(NamedTuple):
+class BosonFamily(NamedTuple):
     """The raw (CN), vacuum and unitary cosine/sine and beta at N=n."""
 
     n: int
@@ -154,13 +149,14 @@ class _BosonFamily(NamedTuple):
     beta: OperatorMatrix
 
 
-def _boson_family(n: int) -> _BosonFamily:
+def boson_family(n: int) -> BosonFamily:
+    """Every boson phase operator at N=n, for the boson operator laws."""
     basis = boson_basis(n)
-    return _BosonFamily(n, *boson_cn_phase(basis), *boson_vacuum_phase(basis),
-                        *boson_unitary_phase(basis))
+    return BosonFamily(n, *boson_cn_phase(basis), *boson_vacuum_phase(basis),
+                       *boson_unitary_phase(basis))
 
 
-class _PairFamily(NamedTuple):
+class PairFamily(NamedTuple):
     """The raw and completed cosine/sine and betaF of the mode pair (m, mp)."""
 
     m: str
@@ -172,62 +168,44 @@ class _PairFamily(NamedTuple):
     beta: OperatorMatrix
 
 
-def _pair_family(m: str, mp: str) -> _PairFamily:
+def pair_family(m: str, mp: str) -> PairFamily:
+    """Every fermion phase operator of a mode pair, for the fermion operator laws."""
     space = fermion_sector()
-    return _PairFamily(m, mp, *fermion_cn_phase(space, m, mp),
-                       *fermion_unitary_phase(space, m, mp))
+    return PairFamily(m, mp, *fermion_cn_phase(space, m, mp),
+                      *fermion_unitary_phase(space, m, mp))
 
 
-def _boson_hermiticity(f: _BosonFamily) -> float:
+def boson_hermiticity_residual(f: BosonFamily) -> float:
+    """Largest |A - A^dag| over every boson cosine/sine flavor of a family."""
     return max(_herm_residual(op)
                for op in (f.cos_cn, f.sin_cn, f.cos0, f.sin0, f.cos_u, f.sin_u))
 
 
-def boson_hermiticity_residual(n: int) -> float:
-    """Largest |A - A^dag| over every boson cosine/sine flavor at N=n."""
-    return _boson_hermiticity(_boson_family(n))
-
-
-def _fermion_hermiticity(f: _PairFamily) -> float:
+def fermion_hermiticity_residual(f: PairFamily) -> float:
+    """Largest |A - A^dag| over the raw and completed cosine/sine of a pair."""
     return max(_herm_residual(op) for op in (f.cos_cn, f.sin_cn, f.cos_u, f.sin_u))
 
 
-def fermion_hermiticity_residual(m: str, mp: str) -> float:
-    """Largest |A - A^dag| over the raw and completed cosine/sine of a pair."""
-    return _fermion_hermiticity(_pair_family(m, mp))
-
-
-def _boson_unitarity(f: _BosonFamily) -> float:
+def boson_unitarity_residual(f: BosonFamily) -> float:
+    """Largest entry of beta beta^dag - I and beta^dag beta - I."""
     return max(unitarity_deficiency(f.beta))
 
 
-def boson_unitarity_residual(n: int) -> float:
-    """Largest entry of beta beta^dag - I and beta^dag beta - I at N=n."""
-    return _boson_unitarity(_boson_family(n))
-
-
-def _corner_defect(f: _BosonFamily) -> float:
+def corner_defect_residual(f: BosonFamily) -> float:
+    """Raw beta beta^dag against I minus the all-left projector, and
+    beta^dag beta against I minus the all-right projector."""
     beta_cn = f.cos_cn.entries + 1j * f.sin_cn.entries
     index = np.arange(f.n + 1)  # index N is all-left, 0 is all-right
     return max(_maxabs(beta_cn @ beta_cn.conj().T - np.diag(index < f.n)),
                _maxabs(beta_cn.conj().T @ beta_cn - np.diag(index > 0)))
 
 
-def corner_defect_residual(n: int) -> float:
-    """Raw beta beta^dag against I minus the all-left projector, and
-    beta^dag beta against I minus the all-right projector, at N=n."""
-    return _corner_defect(_boson_family(n))
-
-
-def _number_phase_commutators(f: _BosonFamily, w: OperatorMatrix) -> float:
+def number_phase_commutator_residual(f: BosonFamily, w: OperatorMatrix) -> float:
+    """[cos_U, W] = 2i(sin_U - (N+1) sin0) and [sin_U, W] = -2i(cos_U - (N+1) cos0),
+    with W the family's ``boson_number_diff``."""
     r1 = commutator(f.cos_u, w) - 2j * (f.sin_u.entries - (f.n + 1) * f.sin0.entries)
     r2 = commutator(f.sin_u, w) + 2j * (f.cos_u.entries - (f.n + 1) * f.cos0.entries)
     return max(_maxabs(r1), _maxabs(r2))
-
-
-def number_phase_commutator_residual(n: int) -> float:
-    """[cos_U, W] = 2i(sin_U - (N+1) sin0) and [sin_U, W] = -2i(cos_U - (N+1) cos0)."""
-    return _number_phase_commutators(_boson_family(n), boson_number_diff(boson_basis(n)))
 
 
 def _jacobi_residual(a, b, c) -> float:
@@ -236,23 +214,16 @@ def _jacobi_residual(a, b, c) -> float:
                    + commutator(commutator(c, a), b))
 
 
-def _boson_jacobi(f: _BosonFamily, w: OperatorMatrix) -> float:
+def boson_jacobi_residual(f: BosonFamily, w: OperatorMatrix) -> float:
+    """Cyclic double commutators of (cos_U, sin_U, W), W the family's
+    ``boson_number_diff``."""
     return _jacobi_residual(f.cos_u, f.sin_u, w)
 
 
-def boson_jacobi_residual(n: int) -> float:
-    """Cyclic double commutators of (cos_U, sin_U, W) at N=n."""
-    return _boson_jacobi(_boson_family(n), boson_number_diff(boson_basis(n)))
-
-
-def _fermion_jacobi(f: _PairFamily) -> float:
+def fermion_jacobi_residual(f: PairFamily) -> float:
+    """Cyclic double commutators of (cos_U, sin_U, N_m - N_mp) for a pair."""
     w = fermion_number_diff(fermion_sector(), f.m, f.mp)
     return _jacobi_residual(f.cos_u, f.sin_u, w)
-
-
-def fermion_jacobi_residual(m: str, mp: str) -> float:
-    """Cyclic double commutators of (cos_U, sin_U, N_m - N_mp) for a pair."""
-    return _fermion_jacobi(_pair_family(m, mp))
 
 
 def anticommutator_residual() -> float:
@@ -269,41 +240,51 @@ def anticommutator_residual() -> float:
     return worst
 
 
-def _betaf_isometry(f: _PairFamily) -> float:
+def betaf_isometry_residual(f: PairFamily) -> float:
+    """Largest |singular value - 1| of betaF on the half-filled subspace."""
     columns = list(half_filled_masks(f.m, f.mp))
     sing = np.linalg.svd(f.beta.entries[:, columns], compute_uv=False)
     return _maxabs(sing - 1.0)
 
 
-def betaf_isometry_residual(m: str, mp: str) -> float:
-    """Largest |singular value - 1| of betaF on the half-filled subspace."""
-    return _betaf_isometry(_pair_family(m, mp))
+def _double_sum_beta(space) -> np.ndarray:
+    """betaF of (l_up, r_up) completed by the unmatched double sum: every
+    configuration with only l_up occupied couples to every one with only r_up
+    occupied whose rest holds the same particle count, not to its one partner."""
+    i, j = MODE_NAMES.index("l_up"), MODE_NAMES.index("r_up")
+    r0, r1 = (k for k in range(len(MODE_NAMES)) if k not in (i, j))
+    # the raw shift a_i a_j^dag, zero wherever the coupling is set
+    beta = fermion_ladder(space, i).entries @ fermion_ladder(space, j).entries.conj().T
+    rest_configs = [(a, b) for a in (0, 1) for b in (0, 1)]
+    for a0, a1 in rest_configs:
+        for b0, b1 in rest_configs:
+            if a0 + a1 == b0 + b1:
+                beta[(a0 << r0) | (a1 << r1) | (1 << i), (b0 << r0) | (b1 << r1) | (1 << j)] = 1.0
+    return beta
 
 
 def double_sum_residual() -> float:
     """Half-filled unitarity deficiency of the unmatched double-sum betaF."""
     space = fermion_sector()
-    beta = fermion_unitary_phase(space, "l_up", "r_up", pairing="double-sum")[2]
     p = half_filled_projector(space, "l_up", "r_up")
-    return max(unitarity_deficiency(beta, subspace=p))
+    return max(unitarity_deficiency(_double_sum_beta(space), subspace=p))
 
 
-def _boson_sweep(n_max: int, shared: _Shared) -> dict[str, list[float]]:
+def _boson_sweep(n_max: int, families: dict[int, BosonFamily]) -> dict[str, list[float]]:
     """Per-N residuals of the five boson operator checks, N = 1..n_max, in
-    order. Each N's family is built once, or taken from ``shared`` where a
-    dynamics check built it, and dropped before the next N is built, so one
-    large family is alive at a time."""
+    order. Each N's family is popped from ``families`` or built, and dropped
+    before the next N's, so one large family is alive at a time."""
     cases: dict[str, list[float]] = {
         "hermiticity": [], "unitarity": [], "corner": [], "commutators": [], "jacobi": []}
     for n in range(1, n_max + 1):
-        family = shared.take_family(n)
-        cases["hermiticity"].append(_boson_hermiticity(family))
-        cases["unitarity"].append(_boson_unitarity(family))
-        cases["corner"].append(_corner_defect(family))
+        family = families.pop(n) if n in families else boson_family(n)
+        cases["hermiticity"].append(boson_hermiticity_residual(family))
+        cases["unitarity"].append(boson_unitarity_residual(family))
+        cases["corner"].append(corner_defect_residual(family))
         if n <= COMMUTATOR_N_MAX:
             w = boson_number_diff(boson_basis(n))
-            cases["commutators"].append(_number_phase_commutators(family, w))
-            cases["jacobi"].append(_boson_jacobi(family, w))
+            cases["commutators"].append(number_phase_commutator_residual(family, w))
+            cases["jacobi"].append(boson_jacobi_residual(family, w))
         del family  # before the next N's family is built
     return cases
 
@@ -315,12 +296,12 @@ def _pair_sweep() -> dict[str, list[float]]:
     cases: dict[str, list[float]] = {"hermiticity": [], "jacobi": [], "isometry": []}
     for i, m in enumerate(MODE_NAMES):
         for mp in MODE_NAMES[i + 1:]:
-            family = _pair_family(m, mp)
-            cases["hermiticity"].append(_fermion_hermiticity(family))
+            family = pair_family(m, mp)
+            cases["hermiticity"].append(fermion_hermiticity_residual(family))
             if (m, mp) in SECTION_PAIRS:
-                cases["jacobi"].append(_fermion_jacobi(family))
+                cases["jacobi"].append(fermion_jacobi_residual(family))
             if (m, mp) in ISOMETRY_PAIRS:
-                cases["isometry"].append(_betaf_isometry(family))
+                cases["isometry"].append(betaf_isometry_residual(family))
     return cases
 
 
@@ -328,12 +309,6 @@ def _worst_check(name: str, residuals: list[float], tol: float, detail: str) -> 
     """The check of a case list: it passes when its worst residual is within tol."""
     worst = max(residuals)
     return CheckResult(name, worst <= tol, worst, tol, detail)
-
-
-def _check_anticommutators() -> CheckResult:
-    worst = anticommutator_residual()
-    return CheckResult("fermion-anticommutators", worst == 0.0, worst, 0.0,
-                       "all 4x4 mode pairs, exact integer arithmetic")
 
 
 def _check_double_sum_counterexample() -> CheckResult:
@@ -383,97 +358,41 @@ def _check_interaction_free_spectra(tol: float) -> CheckResult:
 # ---------------------------------------------------------------------------
 # dynamics
 
-# (tau_max, steps) of the grids the dynamics checks propagate on
-_GRID = (40.0, 401)
-_FREE_GRID = (2.0 * math.pi, 2001)  # two periods of the interaction-free pair
-_SQUEEZING_GRID = (40.0, 2001)
+_TAU_MAX = 40.0  # the horizon of every dynamics check but the free-pair laws
 _BOTH_RIGHT = (0.0, 0.0, 1.0)  # pair amplitudes with both fermions in the right well
-
-
-def _grid(tau_max: float, steps: int) -> np.ndarray:
-    return np.linspace(0.0, tau_max, steps)
+_MIXED = (0.5, 0.5j, math.sqrt(0.5))
 
 
 def _boson_right_well(n: int, ubar: float,
                       tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
+    """H and the exact trajectory of the N=n dimer from the right well."""
     basis = boson_basis(n)
     h = boson_dimer_hamiltonian(basis, ubar)
     return h, eigen_propagate(h, fock_state(basis, "right-well"), tau)
 
 
-def _pair(ubar: float, variant: str, init,
-          tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
+def _pair(ubar: float, init: tuple[complex, ...], tau: np.ndarray,
+          variant: str = "single-occupancy") -> tuple[OperatorMatrix, Trajectory]:
+    """H and the exact trajectory of the fermion pair from ``init``."""
     h = fermion_pair_hamiltonian(ubar, variant)
-    return h, eigen_propagate(h, init, tau)
+    return h, eigen_propagate(h, np.array(init, dtype=complex), tau)
 
 
-class _Shared:
-    """What one verify run builds once and hands to every check that reads it.
-
-    A propagation that a later check reads again is asked for with
-    ``keep=True``; the table holds it, keyed by (system, size or variant,
-    ubar, start, grid), until that check takes it. Every other trajectory is
-    dropped by the check that read it. Boson families that the dynamics
-    checks ask for are held until the boson sweep takes them. A run makes one
-    and drops it on return, so nothing is kept between runs.
-    """
-
-    def __init__(self) -> None:
-        self._trajectories: dict[tuple, tuple[OperatorMatrix, Trajectory]] = {}
-        self._families: dict[int, _BosonFamily] = {}
-
-    def family(self, n: int) -> _BosonFamily:
-        if n not in self._families:
-            self._families[n] = _boson_family(n)
-        return self._families[n]
-
-    def take_family(self, n: int) -> _BosonFamily:
-        """The family at N=n, which the run no longer holds."""
-        return self._families.pop(n) if n in self._families else _boson_family(n)
-
-    def _trajectory(self, key: tuple, keep: bool, propagate) -> tuple[OperatorMatrix, Trajectory]:
-        if key in self._trajectories:  # its second and last reader
-            return self._trajectories.pop(key)
-        found = propagate()
-        if keep:
-            self._trajectories[key] = found
-        return found
-
-    def boson(self, n: int, ubar: float, grid: tuple[float, int] = _GRID,
-              keep: bool = False) -> tuple[OperatorMatrix, Trajectory]:
-        """H and the exact trajectory of the N=n dimer from the right well."""
-        return self._trajectory(("boson", n, ubar, grid), keep,
-                                lambda: _boson_right_well(n, ubar, _grid(*grid)))
-
-    def pair(self, ubar: float, variant: str = "single-occupancy",
-             init: tuple[complex, ...] = _BOTH_RIGHT, grid: tuple[float, int] = _GRID,
-             keep: bool = False) -> tuple[OperatorMatrix, Trajectory]:
-        """H and the exact trajectory of the fermion pair from ``init``."""
-        return self._trajectory(
-            ("pair", variant, ubar, init, grid), keep,
-            lambda: _pair(ubar, variant, np.array(init, dtype=complex), _grid(*grid)))
-
-
-def _conservation(h: OperatorMatrix, traj: Trajectory) -> tuple[float, float]:
+def conservation_residual(h: OperatorMatrix, traj: Trajectory) -> tuple[float, float]:
+    """(norm drift, energy drift) of a trajectory under h."""
     energy = expectation_series(h, traj)
     return traj.norm_drift, _maxabs(energy - energy[0])
 
 
-def conservation_residual(h, psi0, tau) -> tuple[float, float]:
-    """(norm drift, energy drift) of the exact propagation of psi0 under h."""
-    return _conservation(h, eigen_propagate(h, psi0, tau))
-
-
-def _fermion_closed_form(ubar: float, init, traj: Trajectory) -> float:
+def fermion_closed_form_residual(ubar: float, init, traj: Trajectory) -> float:
+    """Two-frequency pair solution against a single-occupancy trajectory from
+    ``init``, all amplitudes."""
     return _maxabs(traj.states - fermion_pair_closed_form(ubar, traj.tau_grid, init))
 
 
-def fermion_closed_form_residual(ubar: float, init, tau) -> float:
-    """Two-frequency pair solution against eigenpropagation, all amplitudes."""
-    return _fermion_closed_form(ubar, init, _pair(ubar, "single-occupancy", init, tau)[1])
-
-
-def _boson_closed_form(ubar: float, traj: Trajectory) -> float:
+def boson_closed_form_residual(ubar: float, traj: Trajectory) -> float:
+    """N=2 closed form against a right-well trajectory: the middle amplitude
+    at every ubar, the edges at ubar=0 (where they are exact)."""
     closed = boson_pair_closed_form(ubar, traj.tau_grid)  # its default is this start
     assert "c1" in closed.exact_components
     worst = _maxabs(traj.states[:, 1] - closed.c1)
@@ -483,17 +402,15 @@ def _boson_closed_form(ubar: float, traj: Trajectory) -> float:
     return worst
 
 
-def boson_closed_form_residual(ubar: float, tau) -> float:
-    """N=2 right-well closed form against eigenpropagation: the middle
-    amplitude at every ubar, the edges at ubar=0 (where they are exact)."""
-    return _boson_closed_form(ubar, _boson_right_well(2, ubar, tau)[1])
+_Runs = dict[float, tuple[OperatorMatrix, Trajectory]]  # (H, trajectory) by ubar
 
 
-def _check_conservation(shared: _Shared) -> CheckResult:
-    # the closed-form checks read N=2 and the single-occupancy pair again
-    drifts = [_conservation(*shared.boson(n, ubar, keep=n == 2))
-              for n in (2, 5, 10) for ubar in (0.05, 5.0)]
-    drifts += [_conservation(*shared.pair(ubar, variant, keep=variant == "single-occupancy"))
+def _check_conservation(bosons: _Runs, pairs: _Runs, tau: np.ndarray) -> CheckResult:
+    drifts = [conservation_residual(*bosons[ubar]) for ubar in (0.05, 5.0)]
+    drifts += [conservation_residual(*_boson_right_well(n, ubar, tau))
+               for n in (5, 10) for ubar in (0.05, 5.0)]
+    drifts += [conservation_residual(*pairs[ubar]) if variant == "single-occupancy"
+               else conservation_residual(*_pair(ubar, _BOTH_RIGHT, tau, variant))
                for variant in FERMION_VARIANTS for ubar in (0.05, 5.0)]
     worst_norm, worst_energy = map(max, zip(*drifts))
     passed = worst_norm <= NORM_TOL and worst_energy <= ENERGY_TOL
@@ -503,23 +420,22 @@ def _check_conservation(shared: _Shared) -> CheckResult:
                        f"energy drift {worst_energy:.2e}")
 
 
-def _check_fermion_closed_form(shared: _Shared) -> CheckResult:
-    inits = (_BOTH_RIGHT, (0.5, 0.5j, math.sqrt(0.5)))
-    worst = max(_fermion_closed_form(ubar, init, shared.pair(ubar, init=init)[1])
-                for ubar in UBAR_SET for init in inits)
+def _check_fermion_closed_form(pairs: _Runs, tau: np.ndarray) -> CheckResult:
+    worst = max(max(fermion_closed_form_residual(ubar, _BOTH_RIGHT, pairs[ubar][1]),
+                    fermion_closed_form_residual(ubar, _MIXED, _pair(ubar, _MIXED, tau)[1]))
+                for ubar in UBAR_SET)
     return CheckResult("fermion-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
                        "two-frequency solution vs eigenpropagation, all ubar")
 
 
-def _check_boson_closed_form(shared: _Shared) -> CheckResult:
-    worst = max(_boson_closed_form(ubar, shared.boson(2, ubar)[1]) for ubar in UBAR_SET)
+def _check_boson_closed_form(bosons: _Runs) -> CheckResult:
+    worst = max(boson_closed_form_residual(ubar, traj) for ubar, (_, traj) in bosons.items())
     return CheckResult("boson-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
                        "middle amplitude everywhere; edges checked at ubar=0")
 
 
-def _check_phase_linearity(shared: _Shared, tol: float) -> CheckResult:
-    _, traj = shared.boson(3, 5.0)
-    f = shared.family(3)
+def _check_phase_linearity(f: BosonFamily, tau: np.ndarray, tol: float) -> CheckResult:
+    _, traj = _boson_right_well(f.n, 5.0, tau)
     worst = max(
         _maxabs(expectation_series(f.cos_u, traj)
                 - expectation_series(f.cos_cn, traj) - expectation_series(f.cos0, traj)),
@@ -530,27 +446,25 @@ def _check_phase_linearity(shared: _Shared, tol: float) -> CheckResult:
                        "completed average = raw average + vacuum average")
 
 
-def _check_interaction_free_laws(shared: _Shared) -> CheckResult:
-    _, traj = shared.boson(2, 0.0, _FREE_GRID, keep=True)  # the odd-even law reads it too
-    tau = traj.tau_grid
-    f = shared.family(2)
+def _check_interaction_free_laws(f: BosonFamily, free: Trajectory) -> CheckResult:
+    tau = free.tau_grid
     worst = max(
-        _maxabs(expectation_series(f.cos_cn, traj)),
-        _maxabs(expectation_series(f.sin_cn, traj) - np.sin(2.0 * tau) / math.sqrt(2.0)),
-        _maxabs(expectation_series(f.cos_u, traj) - (np.cos(4.0 * tau) - 1.0) / 8.0),
+        _maxabs(expectation_series(f.cos_cn, free)),
+        _maxabs(expectation_series(f.sin_cn, free) - np.sin(2.0 * tau) / math.sqrt(2.0)),
+        _maxabs(expectation_series(f.cos_u, free) - (np.cos(4.0 * tau) - 1.0) / 8.0),
     )
-    sine_gap = _maxabs(expectation_series(f.sin_u, traj) - expectation_series(f.sin_cn, traj))
+    sine_gap = _maxabs(expectation_series(f.sin_u, free) - expectation_series(f.sin_cn, free))
     passed = worst <= LAW_TOL and sine_gap <= 1e-12
     return CheckResult("two-boson-free-laws", passed, max(worst, sine_gap), LAW_TOL,
                        "closed trig laws for the interaction-free pair")
 
 
-def _check_odd_even_law(shared: _Shared) -> CheckResult:
+def _check_odd_even_law(families: dict[int, BosonFamily], free: Trajectory) -> CheckResult:
+    """``free`` is the interaction-free N=2 trajectory; N = 3..5 run on its grid."""
     def cosine_average(n: int) -> float:
-        _, traj = shared.boson(n, 0.0, _FREE_GRID)
-        return _maxabs(expectation_series(shared.family(n).cos_u, traj))
+        traj = free if n == 2 else _boson_right_well(n, 0.0, free.tau_grid)[1]
+        return _maxabs(expectation_series(families[n].cos_u, traj))
 
-    # even N first: the N=2 trajectory held for this check goes before N=5 propagates
     min_even = min(cosine_average(n) for n in (2, 4))
     worst_odd = max(cosine_average(n) for n in (3, 5))
     passed = worst_odd <= LAW_TOL and min_even >= 1e-3
@@ -558,10 +472,11 @@ def _check_odd_even_law(shared: _Shared) -> CheckResult:
                        f"odd-N averages vanish; even-N floor {min_even:.3e}")
 
 
-def _check_squeezing_closed_form(shared: _Shared) -> CheckResult:
+def _check_squeezing_closed_form() -> CheckResult:
+    tau = np.linspace(0.0, _TAU_MAX, 2001)
     worst = 0.0
     for ubar in UBAR_SET:
-        _, traj = shared.pair(ubar, grid=_SQUEEZING_GRID)
+        _, traj = _pair(ubar, _BOTH_RIGHT, tau)
         _, second_moment = xi_fermion(traj)
         closed = xi_fermion_closed_form(ubar, traj.tau_grid)
         worst = max(worst, _maxabs(second_moment - closed))
@@ -589,24 +504,34 @@ def _check_config_round_trip() -> CheckResult:
                        "serialize(parse(serialize(cfg))) is a fixed point")
 
 
+def _dynamics_checks(families: dict[int, BosonFamily], tol: float) -> tuple[CheckResult, ...]:
+    """The seven dynamics checks, in order. What two of them read is built
+    here, passed to both and deleted after the second."""
+    tau = np.linspace(0.0, _TAU_MAX, 401)
+    boson_runs = {ubar: _boson_right_well(2, ubar, tau) for ubar in UBAR_SET}
+    pair_runs = {ubar: _pair(ubar, _BOTH_RIGHT, tau) for ubar in UBAR_SET}
+    checks = (_check_conservation(boson_runs, pair_runs, tau),
+              _check_fermion_closed_form(pair_runs, tau),
+              _check_boson_closed_form(boson_runs))
+    del boson_runs, pair_runs
+    # two periods of the interaction-free pair
+    _, free = _boson_right_well(2, 0.0, np.linspace(0.0, 2.0 * math.pi, 2001))
+    checks += (_check_phase_linearity(families[3], tau, tol),
+               _check_interaction_free_laws(families[2], free),
+               _check_odd_even_law(families, free))
+    del free
+    return checks + (_check_squeezing_closed_form(),)
+
+
 def run_verification(n_max: int = 12, tol: float = 1e-12) -> VerificationReport:
-    if not 2 <= n_max <= N_MAX_LIMIT:
-        raise ConfigError(f"n_max must be in 2..{N_MAX_LIMIT}, got {n_max}")
-    if not 0 < tol < math.inf:  # NaN fails too
+    if not (isinstance(n_max, numbers.Integral) and 2 <= n_max <= N_MAX_LIMIT):
+        raise ConfigError(f"n_max must be an integer in 2..{N_MAX_LIMIT}, got {n_max!r}")
+    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):  # NaN fails too
         raise ConfigError(f"tol must be positive and finite, got {tol!r}")
-    shared = _Shared()
-    # the dynamics checks run first, so that the boson sweep can take the
-    # families they built; their trajectories are all gone by then
-    dynamics = (
-        _check_conservation(shared),
-        _check_fermion_closed_form(shared),
-        _check_boson_closed_form(shared),
-        _check_phase_linearity(shared, tol),
-        _check_interaction_free_laws(shared),
-        _check_odd_even_law(shared),
-        _check_squeezing_closed_form(shared),
-    )
-    boson = _boson_sweep(n_max, shared)
+    # the boson sweep takes the families that the dynamics checks read
+    families = {n: boson_family(n) for n in (2, 3, 4, 5)}
+    dynamics = _dynamics_checks(families, tol)
+    boson = _boson_sweep(n_max, families)
     pairs = _pair_sweep()
     results = (
         _worst_check("boson-phase-hermiticity", boson["hermiticity"], tol,
@@ -621,7 +546,8 @@ def run_verification(n_max: int = 12, tol: float = 1e-12) -> VerificationReport:
                      "[cos,W] and [sin,W] close onto the vacuum terms"),
         _worst_check("jacobi-identity", boson["jacobi"] + pairs["jacobi"], tol,
                      "cyclic double commutators, boson sweep + 3 fermion pairs"),
-        _check_anticommutators(),
+        _worst_check("fermion-anticommutators", [anticommutator_residual()], 0.0,
+                     "all 4x4 mode pairs, exact integer arithmetic"),
         _worst_check("betaf-isometry", pairs["isometry"], tol,
                      "singular values on the half-filled subspace"),
         _check_double_sum_counterexample(),

@@ -4,8 +4,8 @@ The operator and dynamics laws are written once, as the named checks of
 ``phasekit.verify``. The tests for c01, c02, c03, c04 and c08 assert the
 checks of their criterion by name, and ``test_verify_check_passes_at_pinned_tol``
 asserts every other check that passes; each check's tolerance is pinned in
-one table, ``VERIFY_CHECKS``. c05 and c11 call the per-case residual
-functions those checks are built from, on their own cases: c05 compares the
+one table, ``VERIFY_CHECKS``. c05 and c11 apply the laws those checks are
+built from to trajectories of their own cases: c05 compares the
 closed forms on a 2001-point grid where ``fermion-closed-form`` and
 ``boson-closed-form`` use 401 points, and c11 covers the trajectories the
 criteria themselves propagate (interaction-free N=2..5 on [0, 2 pi], N=2, 5,
@@ -165,8 +165,10 @@ def test_c04_fermion_algebra(verify_checks):
 def test_c05_closed_forms_match_eigenpropagation():
     tau = np.linspace(0.0, 40.0, 2001)
     for ubar in UBAR_SET:
-        assert fermion_closed_form_residual(ubar, RIGHT_WELL_3, tau) <= 1e-9
-        assert boson_closed_form_residual(ubar, tau) <= 1e-9
+        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
+        pair = eigen_propagate(h, RIGHT_WELL_3, tau)
+        assert fermion_closed_form_residual(ubar, RIGHT_WELL_3, pair) <= 1e-9
+        assert boson_closed_form_residual(ubar, _boson_traj(2, ubar, tau)[1]) <= 1e-9
 
 
 def _rk4_stability_oracle(h, psi0, tau, dtau):
@@ -296,6 +298,6 @@ def test_c11_conservation_along_acceptance_trajectories():
         h = fermion_pair_hamiltonian(ubar, "single-occupancy")
         cases.append((h, RIGHT_WELL_3, tau_long))
     for h, psi0, tau in cases:
-        norm_drift, energy_drift = conservation_residual(h, psi0, tau)
+        norm_drift, energy_drift = conservation_residual(h, eigen_propagate(h, psi0, tau))
         assert norm_drift <= 1e-12
         assert energy_drift <= 1e-10

@@ -83,7 +83,7 @@ def test_eigen_propagation_against_direct_expm():
 def test_eigen_norm_and_energy_conservation():
     h = fermion_pair_hamiltonian(5.0, "single-occupancy")
     tau = np.linspace(0.0, 40.0, 801)
-    norm_drift, energy_drift = conservation_residual(h, RIGHT_WELL_3, tau)
+    norm_drift, energy_drift = conservation_residual(h, eigen_propagate(h, RIGHT_WELL_3, tau))
     assert norm_drift <= 1e-12
     assert energy_drift <= 1e-10
 
@@ -244,8 +244,10 @@ def test_fermion_closed_form_all_couplings():
     inits = (RIGHT_WELL_3,
              np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex))
     for ubar in (0.0, 0.05, 5.0):
+        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
         for init in inits:
-            assert fermion_closed_form_residual(ubar, init, tau) < 1e-12
+            traj = eigen_propagate(h, init, tau)
+            assert fermion_closed_form_residual(ubar, init, traj) < 1e-12
 
 
 def test_fermion_closed_form_right_well_structure():
@@ -278,7 +280,9 @@ def test_boson_closed_form_against_eigen():
     # edges at ubar=0
     tau = np.linspace(0.0, 40.0, 401)
     for ubar in (0.0, 0.05, 5.0):
-        assert boson_closed_form_residual(ubar, tau) < 1e-12
+        h = boson_dimer_hamiltonian(boson_basis(2), ubar)
+        traj = eigen_propagate(h, _right_well(2), tau)
+        assert boson_closed_form_residual(ubar, traj) < 1e-12
 
 
 def test_boson_closed_form_edges_break_at_strong_coupling():

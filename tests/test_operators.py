@@ -33,12 +33,14 @@ from phasekit.operators import OperatorMatrix
 from phasekit.verify import (
     anticommutator_residual,
     betaf_isometry_residual,
+    boson_family,
     boson_unitarity_residual,
     corner_defect_residual,
     double_sum_residual,
     fermion_hermiticity_residual,
     fermion_jacobi_residual,
     number_phase_commutator_residual,
+    pair_family,
 )
 
 
@@ -128,13 +130,13 @@ def test_fermion_number_operator_is_diagonal_occupancy():
 @given(st.integers(min_value=1, max_value=12))
 @settings(max_examples=12, deadline=None)
 def test_completed_boson_operator_is_unitary(n):
-    assert boson_unitarity_residual(n) <= 1e-12
+    assert boson_unitarity_residual(boson_family(n)) <= 1e-12
 
 
 @given(st.integers(min_value=1, max_value=12))
 @settings(max_examples=12, deadline=None)
 def test_raw_boson_operator_corner_defect_is_exact(n):
-    assert corner_defect_residual(n) <= 1e-15
+    assert corner_defect_residual(boson_family(n)) <= 1e-15
 
 
 def test_raw_boson_operator_full_space_residual_is_one():
@@ -169,7 +171,8 @@ def test_single_particle_special_case():
 @given(st.integers(min_value=1, max_value=10))
 @settings(max_examples=10, deadline=None)
 def test_number_phase_commutator_identities(n):
-    assert number_phase_commutator_residual(n) <= 1e-12
+    w = boson_number_diff(boson_basis(n))
+    assert number_phase_commutator_residual(boson_family(n), w) <= 1e-12
 
 
 def test_number_diff_diagonal():
@@ -239,13 +242,13 @@ def test_double_sum_variant_breaks_isometry():
 
 @pytest.mark.parametrize("pair", [("l_up", "r_up"), ("l_up", "r_down")])
 def test_completed_fermion_operator_is_half_filled_isometry(pair):
-    assert betaf_isometry_residual(*pair) <= 1e-12
+    assert betaf_isometry_residual(pair_family(*pair)) <= 1e-12
 
 
 @pytest.mark.parametrize("pair", [("l_up", "r_up"), ("l_up", "r_down"),
                                   ("l_down", "r_down")])
 def test_fermion_jacobi_identity(pair):
-    assert fermion_jacobi_residual(*pair) <= 1e-12
+    assert fermion_jacobi_residual(pair_family(*pair)) <= 1e-12
 
 
 def test_well_number_diff_counts_both_spins():
@@ -260,8 +263,6 @@ def test_pair_requires_distinct_modes():
     space = fermion_sector()
     with pytest.raises(ConfigError):
         fermion_cn_phase(space, "l_up", "l_up")
-    with pytest.raises(ConfigError):
-        fermion_vacuum_coupling(space, "l_up", "r_up", pairing="triple")
 
 
 def test_operator_matrix_validates_hermiticity_flag():
@@ -277,4 +278,4 @@ def test_operator_matrix_validates_hermiticity_flag():
 def test_hermiticity_all_pairs():
     for i, m in enumerate(MODE_NAMES):
         for mp in MODE_NAMES[i + 1:]:
-            assert fermion_hermiticity_residual(m, mp) <= 1e-12
+            assert fermion_hermiticity_residual(pair_family(m, mp)) <= 1e-12

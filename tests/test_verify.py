@@ -5,12 +5,21 @@ import numpy as np
 import pytest
 
 from phasekit import ConfigError, verify
+from phasekit.evolve import eigen_propagate
 from phasekit.fock import MODE_NAMES, boson_basis, fock_state
 from phasekit.hamiltonians import (
     FERMION_VARIANTS,
     boson_dimer_hamiltonian,
     fermion_pair_hamiltonian,
 )
+from phasekit.observe import expectation_series, xi_fermion, xi_fermion_closed_form
+from phasekit.operators import (
+    boson_cn_phase,
+    boson_number_diff,
+    boson_unitary_phase,
+    boson_vacuum_phase,
+)
+from phasekit.scenario import ScenarioConfig
 from phasekit.verify import run_verification
 
 
@@ -66,15 +75,18 @@ def test_a_run_builds_each_family_and_trajectory_once(monkeypatch):
                         ("boson_unitary_phase", 12), ("boson_number_diff", 10)):
         built = sorted(args[0].total_particles for args, _ in calls[name])
         assert built == list(range(1, sizes + 1)), name
-    # one per mode pair plus the double-sum counterexample (12 before)
-    pairs = [(args[1:], kwargs.get("pairing", "matched"))
-             for args, kwargs in calls["fermion_unitary_phase"]]
-    assert len(pairs) == len(set(pairs)) == 7
+    # one per mode pair (12 before)
+    pairs = [args[1:] for args, _ in calls["fermion_unitary_phase"]]
+    assert len(pairs) == len(set(pairs)) == 6
     # 28 before: five propagations are read by two checks each
     propagations = {tuple(np.asarray(getattr(a, "entries", getattr(a, "amplitudes", a))).tobytes()
                           for a in args)
                     for args, _ in calls["eigen_propagate"]}
     assert len(calls["eigen_propagate"]) == len(propagations) == 23
+
+
+def _maxabs(arr):
+    return float(np.max(np.abs(arr)))
 
 
 @pytest.mark.parametrize("n_max", [3, 6, 12])
@@ -84,35 +96,106 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
     small = range(1, min(n_max, verify.COMMUTATOR_N_MAX) + 1)
     pairs = [(m, mp) for i, m in enumerate(MODE_NAMES) for mp in MODE_NAMES[i + 1:]]
     tau = np.linspace(0.0, 40.0, 401)
+    free_tau = np.linspace(0.0, 2.0 * math.pi, 2001)
     both_right = np.array([0.0, 0.0, 1.0], dtype=complex)
-    cases = []
-    for n in (2, 5, 10):
+
+    def boson_run(n, ubar, grid=tau):
         basis = boson_basis(n)
-        cases += [(boson_dimer_hamiltonian(basis, ubar), fock_state(basis, "right-well"))
-                  for ubar in (0.05, 5.0)]
-    cases += [(fermion_pair_hamiltonian(ubar, variant), both_right)
-              for variant in FERMION_VARIANTS for ubar in (0.05, 5.0)]
+        h = boson_dimer_hamiltonian(basis, ubar)
+        return h, eigen_propagate(h, fock_state(basis, "right-well"), grid)
+
+    def pair_run(ubar, init, grid=tau, variant="single-occupancy"):
+        h = fermion_pair_hamiltonian(ubar, variant)
+        return h, eigen_propagate(h, init, grid)
+
+    def family(n):
+        return verify.boson_family(n)
+
+    def w(n):
+        return boson_number_diff(boson_basis(n))
+
+    runs = [boson_run(n, ubar) for n in (2, 5, 10) for ubar in (0.05, 5.0)]
+    runs += [pair_run(ubar, both_right, variant=variant)
+             for variant in FERMION_VARIANTS for ubar in (0.05, 5.0)]
     inits = (both_right, np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex))
+
+    # the four laws below are checks only, so they are restated here from the
+    # public builders, in the check's own arithmetic
+    basis = boson_basis(3)
+    cos_cn, sin_cn = boson_cn_phase(basis)
+    cos0, sin0 = boson_vacuum_phase(basis)
+    cos_u, sin_u, _ = boson_unitary_phase(basis)
+    _, traj = boson_run(3, 5.0)
+    linearity = max(
+        _maxabs(expectation_series(cos_u, traj) - expectation_series(cos_cn, traj)
+                - expectation_series(cos0, traj)),
+        _maxabs(expectation_series(sin_u, traj) - expectation_series(sin_cn, traj)
+                - expectation_series(sin0, traj)))
+
+    basis = boson_basis(2)
+    cos_cn, sin_cn = boson_cn_phase(basis)
+    cos_u, sin_u, _ = boson_unitary_phase(basis)
+    _, free = boson_run(2, 0.0, free_tau)
+    free_laws = max(
+        _maxabs(expectation_series(cos_cn, free)),
+        _maxabs(expectation_series(sin_cn, free) - np.sin(2.0 * free_tau) / math.sqrt(2.0)),
+        _maxabs(expectation_series(cos_u, free) - (np.cos(4.0 * free_tau) - 1.0) / 8.0),
+        _maxabs(expectation_series(sin_u, free) - expectation_series(sin_cn, free)))
+
+    odd_even = max(
+        _maxabs(expectation_series(boson_unitary_phase(boson_basis(n))[0],
+                                   boson_run(n, 0.0, free_tau)[1]))
+        for n in (3, 5))
+
+    squeezing_tau = np.linspace(0.0, 40.0, 2001)
+    squeezing = max(
+        _maxabs(xi_fermion(pair_run(ubar, both_right, squeezing_tau)[1])[1]
+                - xi_fermion_closed_form(ubar, squeezing_tau))
+        for ubar in verify.UBAR_SET)
+
     want = {
-        "boson-phase-hermiticity": max(verify.boson_hermiticity_residual(n) for n in sizes),
-        "fermion-phase-hermiticity": max(verify.fermion_hermiticity_residual(m, mp)
-                                         for m, mp in pairs),
-        "boson-beta-unitarity": max(verify.boson_unitarity_residual(n) for n in sizes),
-        "cn-corner-defect": max(verify.corner_defect_residual(n) for n in sizes),
-        "number-phase-commutators": max(verify.number_phase_commutator_residual(n)
+        "boson-phase-hermiticity": max(verify.boson_hermiticity_residual(family(n))
+                                       for n in sizes),
+        "fermion-phase-hermiticity": max(verify.fermion_hermiticity_residual(verify.pair_family(*p))
+                                         for p in pairs),
+        "boson-beta-unitarity": max(verify.boson_unitarity_residual(family(n)) for n in sizes),
+        "cn-corner-defect": max(verify.corner_defect_residual(family(n)) for n in sizes),
+        "number-phase-commutators": max(verify.number_phase_commutator_residual(family(n), w(n))
                                         for n in small),
-        "jacobi-identity": max([verify.boson_jacobi_residual(n) for n in small]
-                               + [verify.fermion_jacobi_residual(m, mp)
-                                  for m, mp in verify.SECTION_PAIRS]),
+        "jacobi-identity": max([verify.boson_jacobi_residual(family(n), w(n)) for n in small]
+                               + [verify.fermion_jacobi_residual(verify.pair_family(*p))
+                                  for p in verify.SECTION_PAIRS]),
         "fermion-anticommutators": verify.anticommutator_residual(),
-        "betaf-isometry": max(verify.betaf_isometry_residual(m, mp)
-                              for m, mp in verify.ISOMETRY_PAIRS),
+        "betaf-isometry": max(verify.betaf_isometry_residual(verify.pair_family(*p))
+                              for p in verify.ISOMETRY_PAIRS),
         "double-sum-counterexample": verify.double_sum_residual(),
-        "eigen-conservation": max(max(verify.conservation_residual(h, psi0, tau))
-                                  for h, psi0 in cases),
-        "fermion-closed-form": max(verify.fermion_closed_form_residual(ubar, init, tau)
+        "eigen-conservation": max(max(verify.conservation_residual(*run)) for run in runs),
+        "fermion-closed-form": max(verify.fermion_closed_form_residual(
+                                       ubar, init, pair_run(ubar, init)[1])
                                    for ubar in verify.UBAR_SET for init in inits),
-        "boson-closed-form": max(verify.boson_closed_form_residual(ubar, tau)
+        "boson-closed-form": max(verify.boson_closed_form_residual(ubar, boson_run(2, ubar)[1])
                                  for ubar in verify.UBAR_SET),
+        "phase-average-linearity": linearity,
+        "two-boson-free-laws": free_laws,
+        "odd-even-cosine-law": odd_even,
+        "squeezing-closed-form": squeezing,
     }
     assert {name: got[name] for name in want} == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: run_verification(n_max=2.5),
+    lambda: run_verification(n_max="3"),
+    lambda: run_verification(tol="1e-9"),
+    lambda: ScenarioConfig(system="boson", N=2.5, ubar=0.0, channels=("avgW",)),
+    lambda: ScenarioConfig(system="boson", N="2", ubar=0.0, channels=("avgW",)),
+    lambda: ScenarioConfig(system="boson", N=2, ubar=0.0, steps=10.5, channels=("avgW",)),
+], ids=["n_max-float", "n_max-str", "tol-str", "N-float", "N-str", "steps-float"])
+def test_non_integer_sizes_are_config_errors_before_any_work(monkeypatch, build):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    for name in ("boson_family", "eigen_propagate", "boson_basis"):
+        monkeypatch.setattr(verify, name, no_work)
+    with pytest.raises(ConfigError):
+        build()
