@@ -20,7 +20,7 @@ from phasekit.operators import (
     boson_vacuum_phase,
 )
 from phasekit.scenario import ScenarioConfig
-from phasekit.verify import run_verification
+from phasekit.verify import boson_family, pair_family, run_verification
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +108,6 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
         h = fermion_pair_hamiltonian(ubar, variant)
         return h, eigen_propagate(h, init, grid)
 
-    def family(n):
-        return verify.boson_family(n)
-
     def w(n):
         return boson_number_diff(boson_basis(n))
 
@@ -154,19 +151,20 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
         for ubar in verify.UBAR_SET)
 
     want = {
-        "boson-phase-hermiticity": max(verify.boson_hermiticity_residual(family(n))
+        "boson-phase-hermiticity": max(verify.boson_hermiticity_residual(boson_family(n))
                                        for n in sizes),
-        "fermion-phase-hermiticity": max(verify.fermion_hermiticity_residual(verify.pair_family(*p))
+        "fermion-phase-hermiticity": max(verify.fermion_hermiticity_residual(pair_family(*p))
                                          for p in pairs),
-        "boson-beta-unitarity": max(verify.boson_unitarity_residual(family(n)) for n in sizes),
-        "cn-corner-defect": max(verify.corner_defect_residual(family(n)) for n in sizes),
-        "number-phase-commutators": max(verify.number_phase_commutator_residual(family(n), w(n))
-                                        for n in small),
-        "jacobi-identity": max([verify.boson_jacobi_residual(family(n), w(n)) for n in small]
-                               + [verify.fermion_jacobi_residual(verify.pair_family(*p))
+        "boson-beta-unitarity": max(verify.boson_unitarity_residual(boson_family(n))
+                                    for n in sizes),
+        "cn-corner-defect": max(verify.corner_defect_residual(boson_family(n)) for n in sizes),
+        "number-phase-commutators": max(
+            verify.number_phase_commutator_residual(boson_family(n), w(n)) for n in small),
+        "jacobi-identity": max([verify.boson_jacobi_residual(boson_family(n), w(n)) for n in small]
+                               + [verify.fermion_jacobi_residual(pair_family(*p))
                                   for p in verify.SECTION_PAIRS]),
         "fermion-anticommutators": verify.anticommutator_residual(),
-        "betaf-isometry": max(verify.betaf_isometry_residual(verify.pair_family(*p))
+        "betaf-isometry": max(verify.betaf_isometry_residual(pair_family(*p))
                               for p in verify.ISOMETRY_PAIRS),
         "double-sum-counterexample": verify.double_sum_residual(),
         "eigen-conservation": max(max(verify.conservation_residual(*run)) for run in runs),
