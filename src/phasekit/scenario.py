@@ -106,6 +106,14 @@ MAX_N = 500
 MAX_GRID_AMPLITUDES = 2_000_000
 
 
+def _finite(value: numbers.Real) -> bool:
+    """math.isfinite, and False for an int beyond the range of a double."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One propagation scenario: system, interaction, grid, channels, output."""
@@ -123,26 +131,31 @@ class ScenarioConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # types first: math.isfinite raises TypeError on a string, and a bool
+        # is an Integral that serializes as "True", which parse_config rejects
+        for name, kind, what in (("ubar", numbers.Real, "a real number"),
+                                 ("tau_max", numbers.Real, "a real number"),
+                                 ("N", (numbers.Integral, type(None)), "an integer"),
+                                 ("steps", numbers.Integral, "an integer")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.system not in SYSTEMS:
             raise ConfigError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if self.integrator not in INTEGRATORS:
             raise ConfigError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
-        if not (math.isfinite(self.ubar)):
+        if not _finite(self.ubar):
             raise ConfigError(f"ubar must be finite, got {self.ubar!r}")
-        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
-            raise ConfigError(f"tau_max must be positive, got {self.tau_max!r}")
-        if not isinstance(self.steps, numbers.Integral):
-            raise ConfigError(f"steps must be an integer, got {self.steps!r}")
+        if not (_finite(self.tau_max) and self.tau_max > 0):
+            raise ConfigError(f"tau_max must be positive and finite, got {self.tau_max!r}")
         if self.steps < 2:
             raise ConfigError(f"steps must be at least 2, got {self.steps}")
 
         if self.system == "boson":
             if self.N is None:
                 raise ConfigError("boson scenarios need N")
-            if not isinstance(self.N, numbers.Integral):
-                raise ConfigError(f"N must be an integer, got {self.N!r}")
             if not 1 <= self.N <= MAX_N:
                 raise ConfigError(f"N must be in 1..{MAX_N}, got {self.N}")
             if self.variant is not None:
@@ -172,6 +185,9 @@ class ScenarioConfig:
             )
 
         known = BOSON_CHANNELS if self.system == "boson" else FERMION_CHANNELS
+        if isinstance(self.channels, str):  # else read as one-letter names
+            raise ConfigError(f"channels must be a sequence of channel names, "
+                              f"got the string {self.channels!r}")
         chans = tuple(self.channels)
         if not chans:
             raise ConfigError("channels must name at least one observable")
@@ -403,7 +419,8 @@ def _tau_cells(tau: np.ndarray) -> list[str]:
 def _block_templates(cells: list[str], width: int) -> list[str]:
     # a block's tau cells, each followed by one ",%.17g" per channel
     row = ",%.17g" * width
-    return ["\n".join(t + row for t in cells[start:start + _CSV_BLOCK_ROWS])
+    sep = row + "\n"
+    return [sep.join(cells[start:start + _CSV_BLOCK_ROWS]) + row
             for start in range(0, len(cells), _CSV_BLOCK_ROWS)]
 
 

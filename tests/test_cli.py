@@ -337,15 +337,32 @@ def test_public_names_resolve():
     assert set(namespace) - {"__builtins__"} == set(phasekit.__all__)
 
 
-def _run_module(cfg, timeout):
+def _child_env():
     # the child imports the same phasekit as this process
     src = str(Path(phasekit.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_module(cfg, timeout):
     return subprocess.run(
         [sys.executable, "-m", "phasekit", "run", "--config", str(cfg)],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=timeout, env=_child_env(),
     )
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # a diff of sys.modules, not a full list: site hooks may import packages
+    # of their own before the interpreter runs this code
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import phasekit, phasekit.cli\n"
+            "tops = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(*sorted(tops - set(sys.stdlib_module_names)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"numpy", "phasekit"}
 
 
 def test_module_invocation_subprocess(tmp_path):

@@ -4,8 +4,9 @@
 stability polynomial. ``_classical_rk4`` below is the textbook four-stage
 loop, one substep at a time; the two are the same integrator, so they must
 agree to roundoff. ``_per_point_rk4`` is the kernel's earlier form, which
-looked the power up per grid point by (n_sub, s); the kernel does the same
-arithmetic, so the two must agree bit for bit.
+looked the power up per grid point by (n_sub, s) and stepped with ``@``;
+the kernel does the same arithmetic through ``np.dot``, so the two must
+agree bit for bit.
 """
 
 import math
@@ -134,8 +135,11 @@ def test_rk4_rejects_substeps_beyond_stability_limit(tau):
     (boson_dimer_hamiltonian(boson_basis(3), 0.05).entries,
      np.array([0.0, 10.0, 20.0]), 1e-18),
     (fermion_pair_hamiltonian(0.05).entries, np.array([0.0]), 1e-3),
+    # the rk4 workload's fermion run: dimension 3, the smallest the CLI steps
+    (fermion_pair_hamiltonian(5.0).entries, np.linspace(0.0, 40.0, 2001), 1e-3),
+    (np.array([[0.7]]), np.linspace(0.0, 1.0, 6), 1e-2),
 ], ids=["boson-N10-default-grid", "boson-N10-stiff", "irregular-grid",
-        "1e19-substeps", "one-point"])
+        "1e19-substeps", "one-point", "fermion-ubar5-default-grid", "one-by-one"])
 def test_kernel_equals_per_point_loop_bit_for_bit(h, tau, dtau):
     rng = np.random.default_rng(14)
     dim = h.shape[0]

@@ -108,6 +108,30 @@ def test_field_validation():
                        variant="eq-printed")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("ubar", "1", "ubar must be a real number"),
+    ("tau_max", "2", "tau_max must be a real number"),
+    ("ubar", True, "ubar must be a real number"),
+    ("tau_max", 2j, "tau_max must be a real number"),
+    ("N", True, "N must be an integer"),
+    ("steps", True, "steps must be an integer"),
+    ("steps", 2001.0, "steps must be an integer"),
+    ("ubar", 10**400, "ubar must be finite"),
+    ("tau_max", 10**400, "tau_max must be positive and finite"),
+], ids=["ubar-str", "tau_max-str", "ubar-bool", "tau_max-complex", "N-bool",
+        "steps-bool", "steps-float", "ubar-int-beyond-double", "tau_max-int-beyond-double"])
+def test_numeric_fields_must_be_numbers(field, value, message):
+    kwargs = dict(system="boson", N=2, ubar=1.0, channels=("avgW",))
+    kwargs[field] = value
+    with pytest.raises(ConfigError, match=message):
+        ScenarioConfig(**kwargs)
+
+
+def test_channels_given_as_a_string_are_refused():
+    with pytest.raises(ConfigError, match="sequence of channel names.*'avgW'"):
+        ScenarioConfig(system="boson", N=2, ubar=1.0, channels="avgW")
+
+
 def test_work_limits_are_inclusive():
     ScenarioConfig(system="boson", N=MAX_N, ubar=1.0, channels=("xi",), steps=2)
     with pytest.raises(ConfigError, match="N must be"):
