@@ -19,7 +19,6 @@ from .evolve import (
 from .fock import (
     BosonDimerBasis,
     FermionSector,
-    StateVector,
     boson_basis,
     fermion_sector,
     fock_state,
@@ -79,7 +78,6 @@ __all__ = [
     "PhasekitError",
     "PRESET_NAMES",
     "ScenarioConfig",
-    "StateVector",
     "StepSizeError",
     "TimeSeries",
     "Trajectory",

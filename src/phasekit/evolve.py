@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, NumericalError, StepSizeError
-from .fock import StateVector, _check_unit_norm
+from .fock import _check_unit_norm
 from .operators import OperatorMatrix, _as_array
 
 DEFAULT_DTAU = 1e-3
@@ -84,23 +84,23 @@ class Trajectory:
 
 
 def _prepare(h: Union[OperatorMatrix, np.ndarray],
-             psi0: Union[StateVector, Sequence[complex]],
+             psi0: Sequence[complex],
              tau_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (isinstance(h, OperatorMatrix) and h.hermitian):  # else checked when built
         h = OperatorMatrix(_as_array(h), label="propagation matrix", hermitian=True)
     arr = h.entries
-    amps = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0, dtype=complex)
+    amps = np.asarray(psi0, dtype=complex)
     if amps.shape != (arr.shape[0],):
         raise ConfigError(
             f"state dimension {amps.shape} does not match operator dimension {arr.shape[0]}"
         )
     _check_unit_norm(amps)
     # the Trajectory checks the grid again, but only after the propagation ran
-    return arr, amps.astype(complex), _check_tau_grid(tau_grid)
+    return arr, amps, _check_tau_grid(tau_grid)
 
 
 def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
-                    psi0: Union[StateVector, Sequence[complex]],
+                    psi0: Sequence[complex],
                     tau_grid: Sequence[float]) -> Trajectory:
     """Exact propagation psi(tau) = sum_k e^{-i E_k tau} <k|psi0> |k>."""
     arr, amps, tau = _prepare(h, psi0, tau_grid)
@@ -169,7 +169,7 @@ def active_kernel():
 
 
 def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
-                  psi0: Union[StateVector, Sequence[complex]],
+                  psi0: Sequence[complex],
                   tau_grid: Sequence[float],
                   dtau: float = DEFAULT_DTAU) -> Trajectory:
     """Classical fixed-step RK4 for i dpsi/dtau = H psi, no renormalization.

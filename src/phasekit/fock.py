@@ -11,12 +11,16 @@ Two spaces are supported:
 A bitmask's canonical state is the ordered product of creation operators
 applied to the vacuum in mode order; this convention fixes every fermionic
 sign in :mod:`phasekit.operators`.
+
+A state is a plain complex amplitude array; ``_check_unit_norm`` is the one
+gate every amplitude vector passes (norm within 1e-9 of 1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,30 +37,16 @@ _MODE_TWICE_SZ = (1, -1, 1, -1)
 # well of each mode: 0 = left, 1 = right
 _MODE_WELL = (0, 0, 1, 1)
 
-_MODE_ALIASES = {
-    "l_up": 0, "l-up": 0, "lu": 0, "l↑": 0,
-    "l_down": 1, "l-down": 1, "ld": 1, "l↓": 1,
-    "r_up": 2, "r-up": 2, "ru": 2, "r↑": 2,
-    "r_down": 3, "r-down": 3, "rd": 3, "r↓": 3,
-}
-
 
 def mode_index(mode: Union[int, str]) -> int:
-    """Resolve a mode given as an index 0..3 or a name like ``"l_up"``."""
+    """Resolve a mode given as an index 0..3 or its name in ``MODE_NAMES``."""
     if isinstance(mode, (int, np.integer)):
         if not 0 <= int(mode) < N_MODES:
             raise ConfigError(f"mode index out of range: {mode}")
         return int(mode)
-    key = str(mode).strip().lower()
-    if key in _MODE_ALIASES:
-        return _MODE_ALIASES[key]
-    raise ConfigError(f"unknown mode name: {mode!r}")
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
+    if isinstance(mode, str) and mode in MODE_NAMES:
+        return MODE_NAMES.index(mode)
+    raise ConfigError(f"unknown mode {mode!r}: expected an index 0..3 or one of {MODE_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -66,11 +56,16 @@ class BosonDimerBasis:
     total_particles: int
 
     def __post_init__(self) -> None:
-        if self.total_particles < 1:
+        n = self.total_particles
+        # a bool is an Integral, and int() would floor 2.7 and parse "3"
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ConfigError(f"particle number must be an integer, got {n!r}")
+        if n < 1:
             raise ConfigError(
                 "degenerate basis: need at least one particle for "
                 "phase-difference dynamics"
             )
+        object.__setattr__(self, "total_particles", int(n))  # a numpy integer too
 
     @property
     def dimension(self) -> int:
@@ -79,7 +74,7 @@ class BosonDimerBasis:
 
 def boson_basis(total_particles: int) -> BosonDimerBasis:
     """Basis of dimension N+1; rejects N=0 (no relative phase to speak of)."""
-    return BosonDimerBasis(int(total_particles))
+    return BosonDimerBasis(total_particles)
 
 
 def particle_count(mask: int) -> int:
@@ -96,7 +91,6 @@ class FermionSector:
     """
 
     states: tuple[int, ...]
-    mode_order: tuple[str, ...] = field(default=MODE_NAMES)
 
     @property
     def dimension(self) -> int:
@@ -108,85 +102,28 @@ def fermion_sector() -> FermionSector:
     return FermionSector(states=tuple(range(FULL_DIM)))
 
 
-def amplitude_norm(amplitudes: Sequence[complex]) -> float:
-    """Euclidean norm of complex amplitudes: inf for an overflowing sum of
-    squares and nan for a nan amplitude, with no numpy warning."""
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
-    return math.hypot(*amps.real.tolist(), *amps.imag.tolist())
-
-
 def _check_unit_norm(amplitudes: Sequence[complex]) -> None:
-    """ConfigError unless the amplitudes have norm 1 within AMPLITUDE_NORM_TOL."""
-    norm = amplitude_norm(amplitudes)
+    """ConfigError unless the amplitudes have norm 1 within AMPLITUDE_NORM_TOL.
+
+    The norm is taken with math.hypot: inf for an overflowing sum of squares
+    and nan for a nan amplitude, with no numpy warning.
+    """
+    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    norm = math.hypot(*amps.real.tolist(), *amps.imag.tolist())
     if not abs(norm - 1.0) <= AMPLITUDE_NORM_TOL:  # NaN fails too
         raise ConfigError(f"initial amplitudes not normalized: |c| = {norm!r}")
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Unit-norm complex amplitude vector over a basis.
-
-    Norm must be 1 within 1e-12 at construction; use :meth:`normalized` to
-    rescale arbitrary amplitudes first.
-    """
-
-    basis: object
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise ConfigError(f"amplitudes must be a 1-D sequence, got shape {amps.shape}")
-        dim = getattr(self.basis, "dimension", len(amps))
-        if len(amps) != dim:
-            raise ConfigError(
-                f"amplitude count {len(amps)} does not match basis dimension {dim}"
-            )
-        norm = amplitude_norm(amps)
-        norm_sq = norm * norm  # inf, not OverflowError as norm ** 2 would be
-        if not abs(norm_sq - 1.0) <= 1e-12:  # NaN fails too
-            raise ConfigError(
-                f"state not normalized: sum of squared amplitudes is {norm_sq!r}"
-            )
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-    @classmethod
-    def normalized(cls, basis: object, amplitudes: Sequence[complex]) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = amplitude_norm(amps)
-        if not 0.0 < norm < math.inf:  # NaN fails too
-            raise ConfigError(f"cannot normalize amplitudes of norm {norm!r}")
-        return cls(basis, amps / norm)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.amplitudes)
-
-
-def fock_state(space: BosonDimerBasis, label: Union[int, str, tuple]) -> StateVector:
-    """Unit vector on the boson basis state identified by ``label``:
-    ``"right-well"`` (n_left = 0), ``"left-well"`` (n_left = N), an integer
-    n_left, or an ``(n_left, n_right)`` pair."""
+def fock_state(space: BosonDimerBasis, label: str) -> np.ndarray:
+    """Read-only unit amplitude vector of a named boson start, as configs
+    name it: ``"right-well"`` is basis index 0 (n_left = 0) and
+    ``"left-well"`` is index N (n_left = N)."""
     if not isinstance(space, BosonDimerBasis):
         raise ConfigError(f"unsupported space type: {type(space).__name__}")
-    n = space.total_particles
-    if isinstance(label, str):
-        key = label.strip().lower()
-        if key == "right-well":
-            idx = 0
-        elif key == "left-well":
-            idx = n
-        else:
-            raise ConfigError(f"unknown boson state label: {label!r}")
-    elif isinstance(label, tuple):
-        nl, nr = label
-        if nl + nr != n or not 0 <= nl <= n:
-            raise ConfigError(f"occupation pair {label} not in this basis")
-        idx = int(nl)
-    else:
-        idx = int(label)
-        if not 0 <= idx <= n:
-            raise ConfigError(f"occupation {label} not in this basis")
+    if not isinstance(label, str) or label not in ("right-well", "left-well"):
+        raise ConfigError(
+            f"unknown boson state label {label!r}: expected 'right-well' or 'left-well'")
     amps = np.zeros(space.dimension, dtype=complex)
-    amps[idx] = 1.0
-    return StateVector(space, amps)
+    amps[0 if label == "right-well" else space.total_particles] = 1.0
+    amps.setflags(write=False)
+    return amps

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .fock import (
     FULL_DIM,
+    MODE_NAMES,
     N_MODES,
     BosonDimerBasis,
     FermionSector,
@@ -153,7 +154,7 @@ def fermion_ladder(space: FermionSector, mode: Union[int, str]) -> OperatorMatri
         if (s >> m) & 1:
             sign = -1.0 if particle_count(s & below) % 2 else 1.0
             a[s ^ (1 << m), s] = sign
-    return OperatorMatrix(a, label=f"annihilate[{space.mode_order[m]}]")
+    return OperatorMatrix(a, label=f"annihilate[{MODE_NAMES[m]}]")
 
 
 def fermion_number_op(space: FermionSector, mode: Union[int, str]) -> OperatorMatrix:
@@ -161,7 +162,7 @@ def fermion_number_op(space: FermionSector, mode: Union[int, str]) -> OperatorMa
     m = mode_index(mode)
     diag = np.array([(s >> m) & 1 for s in range(FULL_DIM)], dtype=float)
     return OperatorMatrix(np.diag(diag).astype(complex),
-                          label=f"number[{space.mode_order[m]}]", hermitian=True)
+                          label=f"number[{MODE_NAMES[m]}]", hermitian=True)
 
 
 def _fermion_pair_shift(space: FermionSector, m: int, mp: int) -> np.ndarray:
@@ -188,7 +189,7 @@ def fermion_cn_phase(space: FermionSector, m: Union[int, str],
     """Non-unitary cosine/sine for a mode pair (no vacuum coupling)."""
     i, j = _check_pair(m, mp)
     u = _fermion_pair_shift(space, i, j)
-    return _cos_sin(u, "cn", f"{space.mode_order[i]},{space.mode_order[j]}")
+    return _cos_sin(u, "cn", f"{MODE_NAMES[i]},{MODE_NAMES[j]}")
 
 
 def _rest_modes(m: int, mp: int) -> tuple[int, int]:
@@ -223,7 +224,7 @@ def fermion_unitary_phase(space: FermionSector, m: Union[int, str],
     """Unitary-completed cosine/sine and betaF = cos + i sin for a mode pair."""
     i, j = _check_pair(m, mp)
     beta = _fermion_pair_shift(space, i, j) + fermion_vacuum_coupling(space, i, j)
-    names = f"{space.mode_order[i]},{space.mode_order[j]}"
+    names = f"{MODE_NAMES[i]},{MODE_NAMES[j]}"
     return (*_cos_sin(beta, "u", names),
             OperatorMatrix(beta, label=f"betaF[{names}]", hermitian=False))
 
@@ -234,7 +235,7 @@ def fermion_number_diff(space: FermionSector, m: Union[int, str],
     i, j = _check_pair(m, mp)
     n_m = fermion_number_op(space, i).entries
     n_mp = fermion_number_op(space, j).entries
-    names = f"{space.mode_order[i]},{space.mode_order[j]}"
+    names = f"{MODE_NAMES[i]},{MODE_NAMES[j]}"
     return OperatorMatrix(n_m - n_mp, label=f"number_diff[{names}]", hermitian=True)
 
 

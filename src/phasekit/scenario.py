@@ -22,6 +22,7 @@ import math
 import numbers
 import os
 import threading
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
-from .fock import _check_unit_norm, boson_basis, fermion_sector
+from .fock import _check_unit_norm, boson_basis, fermion_sector, fock_state
 from .hamiltonians import (
     DEFAULT_FERMION_VARIANT,
     FERMION_VARIANTS,
@@ -131,12 +132,15 @@ class ScenarioConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        # types first: math.isfinite raises TypeError on a string, and a bool
-        # is an Integral that serializes as "True", which parse_config rejects
+        # types first: math.isfinite raises TypeError on a string, a bool is
+        # an Integral that serializes as "True", which parse_config rejects,
+        # a list is no dict key, and out=5 would parse back as "5"
         for name, kind, what in (("ubar", numbers.Real, "a real number"),
                                  ("tau_max", numbers.Real, "a real number"),
                                  ("N", (numbers.Integral, type(None)), "an integer"),
-                                 ("steps", numbers.Integral, "an integer")):
+                                 ("steps", numbers.Integral, "an integer"),
+                                 ("mode_pair", (str, type(None)), "a string"),
+                                 ("out", (str, type(None)), "a string")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
@@ -185,9 +189,10 @@ class ScenarioConfig:
             )
 
         known = BOSON_CHANNELS if self.system == "boson" else FERMION_CHANNELS
-        if isinstance(self.channels, str):  # else read as one-letter names
+        # a string would read as one-letter names
+        if isinstance(self.channels, str) or not isinstance(self.channels, Iterable):
             raise ConfigError(f"channels must be a sequence of channel names, "
-                              f"got the string {self.channels!r}")
+                              f"got {self.channels!r}")
         chans = tuple(self.channels)
         if not chans:
             raise ConfigError("channels must name at least one observable")
@@ -207,7 +212,11 @@ class ScenarioConfig:
                     f"got {self.initial!r}"
                 )
         else:
-            amps = tuple(complex(a) for a in self.initial)
+            try:
+                amps = tuple(complex(a) for a in self.initial)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"initial must be right-well, left-well, or "
+                                  f"amplitudes; got {self.initial!r}") from exc
             if len(amps) != self.dimension:
                 raise ConfigError(f"initial amplitude list must have length "
                                   f"{self.dimension}, got {len(amps)}")
@@ -308,15 +317,12 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 
 
 def initial_amplitudes(cfg: ScenarioConfig) -> np.ndarray:
-    dim = cfg.dimension
     if isinstance(cfg.initial, str):
-        amps = np.zeros(dim, dtype=complex)
         if cfg.system == "boson":
-            # basis index = left-well occupation, so all-in-right-well is index 0
-            amps[0 if cfg.initial == "right-well" else dim - 1] = 1.0
-        else:
-            # dynamical basis (sym, both-left, both-right)
-            amps[2 if cfg.initial == "right-well" else 1] = 1.0
+            return fock_state(boson_basis(cfg.N), cfg.initial)
+        # dynamical basis (sym, both-left, both-right)
+        amps = np.zeros(3, dtype=complex)
+        amps[2 if cfg.initial == "right-well" else 1] = 1.0
         return amps
     amps = np.asarray(cfg.initial, dtype=complex)
     return amps / np.linalg.norm(amps)  # config gate is 1e-9; make it exact

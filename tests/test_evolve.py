@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from phasekit import (
     ConfigError,
     NumericalError,
-    StateVector,
+    ScenarioConfig,
     StepSizeError,
     Trajectory,
     boson_basis,
@@ -305,35 +305,33 @@ def test_closed_forms_reject_bad_inits():
         boson_pair_closed_form(1.0, [0.0, 1.0], (1.0, 0.0))
 
 
+# every entry point that takes amplitudes, each through the one unit-norm gate
+NORM_GATES = {
+    "eigen": lambda start: eigen_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
+                                           start, [0.0, 1.0]),
+    "rk4": lambda start: rk4_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
+                                       start, [0.0, 1.0]),
+    "fermion-closed-form": lambda start: fermion_pair_closed_form(1.0, [0.0, 1.0], start),
+    "boson-closed-form": lambda start: boson_pair_closed_form(1.0, [0.0, 1.0], start),
+    "scenario-config": lambda start: ScenarioConfig(system="fermion", ubar=1.0,
+                                                    channels=("avgW",), initial=start),
+}
+
+
 def test_nan_amplitudes_are_not_normalized():
-    # abs(nan - 1) > tol is False, so each norm gate is written to fail on nan
-    nan_start = (math.nan, 0.0, 0.0)
-    with pytest.raises(ConfigError):
-        StateVector(boson_basis(2), nan_start)
-    with pytest.raises(ConfigError):
-        fermion_pair_closed_form(1.0, [0.0, 1.0], nan_start)
-    with pytest.raises(ConfigError):
-        boson_pair_closed_form(1.0, [0.0, 1.0], nan_start)
-    h = fermion_pair_hamiltonian(1.0, "single-occupancy")
-    with pytest.raises(ConfigError):
-        eigen_propagate(h, nan_start, [0.0, 1.0])
+    # abs(nan - 1) > tol is False, so the norm gate is written to fail on nan
+    for gate in NORM_GATES.values():
+        with pytest.raises(ConfigError, match="initial amplitudes not normalized"):
+            gate((math.nan, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("gate", [
-    lambda start: StateVector(boson_basis(2), start),
-    lambda start: eigen_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
-                                  start, [0.0, 1.0]),
-    lambda start: rk4_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
-                                start, [0.0, 1.0]),
-    lambda start: fermion_pair_closed_form(1.0, [0.0, 1.0], start),
-    lambda start: boson_pair_closed_form(1.0, [0.0, 1.0], start),
-], ids=["state-vector", "eigen", "rk4", "fermion-closed-form", "boson-closed-form"])
+@pytest.mark.parametrize("gate", NORM_GATES.values(), ids=NORM_GATES.keys())
 def test_overflowing_amplitudes_fail_without_warning(gate):
-    # the squares of a 1e200 amplitude overflow; each gate must raise its
+    # the squares of a 1e200 amplitude overflow; the gate must raise its
     # own error, not a numpy RuntimeWarning first
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ConfigError, match="not normalized"):
+        with pytest.raises(ConfigError, match="initial amplitudes not normalized"):
             gate((1e200, 0.0, 0.0))
 
 
@@ -362,8 +360,11 @@ def test_eigen_propagate_phase_bound_is_inclusive():
 
 def test_propagators_reject_dimension_mismatch():
     h = boson_dimer_hamiltonian(boson_basis(2), 0.0)
-    with pytest.raises(ConfigError):
-        eigen_propagate(h, np.array([1.0, 0.0]), [0.0, 1.0])
+    # the whole shape is compared: a scalar has none and a nested list is 2-D
+    for start in (np.array([1.0, 0.0]), 1.0, [[1.0, 0.0, 0.0]]):
+        for propagate in (eigen_propagate, rk4_propagate):
+            with pytest.raises(ConfigError, match="state dimension"):
+                propagate(h, start, [0.0, 1.0])
     for not_square in (np.ones((2, 3)), np.ones(2)):
         for propagate in (eigen_propagate, rk4_propagate):
             with pytest.raises(ConfigError, match="not square"):

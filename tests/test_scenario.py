@@ -118,10 +118,21 @@ def test_field_validation():
     ("steps", 2001.0, "steps must be an integer"),
     ("ubar", 10**400, "ubar must be finite"),
     ("tau_max", 10**400, "tau_max must be positive and finite"),
+    ("initial", 5, "initial must be right-well, left-well, or amplitudes"),
+    ("initial", ("x", 0, 0), "initial must be right-well, left-well, or amplitudes"),
+    ("initial", ["right-well"], "initial must be right-well, left-well, or amplitudes"),
+    ("channels", 5, "channels must be a sequence of channel names"),
+    ("mode_pair", ["l-up/r-up"], "mode_pair must be a string"),
+    ("out", 5, "out must be a string"),
 ], ids=["ubar-str", "tau_max-str", "ubar-bool", "tau_max-complex", "N-bool",
-        "steps-bool", "steps-float", "ubar-int-beyond-double", "tau_max-int-beyond-double"])
+        "steps-bool", "steps-float", "ubar-int-beyond-double", "tau_max-int-beyond-double",
+        "initial-int", "initial-str-amplitude", "initial-label-in-list", "channels-int",
+        "mode_pair-list", "out-int"])
 def test_numeric_fields_must_be_numbers(field, value, message):
-    kwargs = dict(system="boson", N=2, ubar=1.0, channels=("avgW",))
+    if field == "mode_pair":  # a fermion field
+        kwargs = dict(system="fermion", ubar=1.0, channels=("avgW",))
+    else:
+        kwargs = dict(system="boson", N=2, ubar=1.0, channels=("avgW",))
     kwargs[field] = value
     with pytest.raises(ConfigError, match=message):
         ScenarioConfig(**kwargs)
