@@ -32,9 +32,6 @@ from .observe import (
     TimeSeries,
     embedded_fermion_states,
     expectation_series,
-    fluctuation_series,
-    xi_boson,
-    xi_fermion,
     xi_fermion_closed_form,
 )
 from .operators import (
@@ -104,7 +101,6 @@ __all__ = [
     "fermion_sector",
     "fermion_unitary_phase",
     "fermion_vacuum_coupling",
-    "fluctuation_series",
     "fock_state",
     "half_filled_projector",
     "parse_config",
@@ -118,8 +114,6 @@ __all__ = [
     "unitarity_deficiency",
     "well_number_diff",
     "write_csv",
-    "xi_boson",
-    "xi_fermion",
     "xi_fermion_closed_form",
     "__version__",
 ]

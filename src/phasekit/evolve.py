@@ -51,6 +51,16 @@ def _check_tau_grid(tau_grid: Sequence[float]) -> np.ndarray:
     return tau
 
 
+def _as_amplitudes(psi0: Sequence[complex]) -> np.ndarray:
+    """The start as a complex array; ConfigError for what numpy cannot
+    convert (strings, a ragged nesting), which it rejects with a bare
+    ValueError or TypeError."""
+    try:
+        return np.asarray(psi0, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"initial amplitudes are not an array of numbers: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """States on a strictly increasing tau grid starting at 0, each of norm 1
@@ -89,7 +99,7 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
     if not (isinstance(h, OperatorMatrix) and h.hermitian):  # else checked when built
         h = OperatorMatrix(_as_array(h), label="propagation matrix", hermitian=True)
     arr = h.entries
-    amps = np.asarray(psi0, dtype=complex)
+    amps = _as_amplitudes(psi0)
     if amps.shape != (arr.shape[0],):
         raise ConfigError(
             f"state dimension {amps.shape} does not match operator dimension {arr.shape[0]}"
@@ -246,7 +256,7 @@ def _two_frequency(ubar_half: float, tau: np.ndarray,
 
 
 def _check_init(init: Sequence[complex]) -> np.ndarray:
-    arr = np.asarray(init, dtype=complex)
+    arr = _as_amplitudes(init)
     if arr.shape != (3,):
         raise ConfigError(f"closed forms take 3 initial amplitudes, got {arr.shape}")
     _check_unit_norm(arr)

@@ -1,4 +1,4 @@
-"""Expectation and fluctuation series and squeezing parameters.
+"""Expectation series, fermion pair moments, and the printed squeezing form.
 
 All quantities are evaluated from trajectory states. Fermion-pair
 trajectories live in the three-state dynamical basis. A 16-dim Fock operator A
@@ -6,6 +6,8 @@ is evaluated on them through its projections E^dag A E and E^dag A^2 E
 (``pair_moments``), with E the embedding isometry; the second moment needs its
 own projection because A maps pair states outside the dynamical sector.
 ``embedded_fermion_states`` gives the full-space vectors for checking this.
+Fluctuations and the emitted squeezing forms are derived from these moments
+in one place, the channel table of ``scenario``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolve import Trajectory
-from .fock import BosonDimerBasis, fermion_sector
 from .hamiltonians import fermion_pair_embedding
-from .operators import OperatorMatrix, _as_array, boson_number_diff, well_number_diff
+from .operators import OperatorMatrix, _as_array
 
-IMAG_DISCARD_TOL = 1e-12
 IMAG_ERROR_TOL = 1e-10
-RADICAND_ERROR_TOL = -1e-10
 
 
 @dataclass(frozen=True)
@@ -59,52 +58,26 @@ def _states_matrix(states: Union[Trajectory, np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _real_expectation(op: np.ndarray, states: np.ndarray, what: str) -> np.ndarray:
-    if states.shape[1] != op.shape[0]:
-        raise ConfigError(
-            f"state dimension {states.shape[1]} does not match operator "
-            f"dimension {op.shape[0]}")
-    # one matmul, then a row-wise dot; a three-operand einsum would run
-    # numpy's unoptimised nditer loop
-    values = np.einsum("tj,tj->t", states.conj() @ op, states)
-    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if worst > IMAG_ERROR_TOL:
-        raise NumericalError(
-            f"{what} has imaginary residue {worst:.3e}; operator is not hermitian enough"
-        )
-    return values.real
-
-
 def expectation_series(op: Union[OperatorMatrix, np.ndarray],
                        states: Union[Trajectory, np.ndarray]) -> np.ndarray:
     """<psi|op|psi> per state (a 1-D state gives one value) for a hermitian
-    operator; the imaginary residue is checked against 1e-10 and discarded."""
-    return _real_expectation(_as_array(op), _states_matrix(states), "expectation")
-
-
-def _spread(mean: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """sqrt(second - mean^2) from the two moments of one observable."""
-    radicand = second - mean * mean
-    worst = float(np.min(radicand)) if radicand.size else 0.0
-    if worst < RADICAND_ERROR_TOL:
-        raise NumericalError(
-            f"fluctuation radicand {worst:.3e} below tolerance; inconsistent moments"
-        )
-    return np.sqrt(np.clip(radicand, 0.0, None))
-
-
-def fluctuation_series(op: Union[OperatorMatrix, np.ndarray],
-                       states: Union[Trajectory, np.ndarray],
-                       second_op: Union[OperatorMatrix, np.ndarray, None] = None,
-                       ) -> np.ndarray:
-    """sqrt(<op^2> - <op>^2) per state; ``second_op`` stands in for op @ op
-    where that product is not the second moment (see ``pair_moments``)."""
+    operator: NumericalError if an imaginary part exceeds IMAG_ERROR_TOL,
+    else the imaginary parts are dropped."""
     arr = _as_array(op)
     matrix = _states_matrix(states)
-    mean = _real_expectation(arr, matrix, "expectation")
-    second = _real_expectation(arr @ arr if second_op is None else _as_array(second_op),
-                               matrix, "second moment")
-    return _spread(mean, second)
+    if matrix.shape[1] != arr.shape[0]:
+        raise ConfigError(
+            f"state dimension {matrix.shape[1]} does not match operator "
+            f"dimension {arr.shape[0]}")
+    # one matmul, then a row-wise dot; a three-operand einsum would run
+    # numpy's unoptimised nditer loop
+    values = np.einsum("tj,tj->t", matrix.conj() @ arr, matrix)
+    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    if worst > IMAG_ERROR_TOL:
+        raise NumericalError(
+            f"expectation has imaginary residue {worst:.3e}; operator is not hermitian enough"
+        )
+    return values.real
 
 
 # ---------------------------------------------------------------------------
@@ -137,39 +110,7 @@ def pair_moments(op: Union[OperatorMatrix, np.ndarray]) -> tuple[np.ndarray, np.
 
 
 # ---------------------------------------------------------------------------
-# squeezing / entanglement parameters
-
-
-def xi_boson(trajectory: Union[Trajectory, np.ndarray],
-             basis: BosonDimerBasis) -> np.ndarray:
-    """Variance form (delta W)^2 / N along a boson trajectory."""
-    dw = fluctuation_series(boson_number_diff(basis), trajectory)
-    return _xi_boson_form(dw, basis.total_particles)
-
-
-def _xi_boson_form(dw: np.ndarray, n: int) -> np.ndarray:
-    return dw * dw / float(n)
-
-
-def xi_fermion(trajectory: Union[Trajectory, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Both squeezing forms for the fermion pair, W = well-level imbalance.
-
-    Returns (variance_form, second_moment_form) = ((delta W)^2 / N, <W^2>/N)
-    with N = 2. The two differ already at tau=0 (0 versus 2) for the
-    both-in-one-well start; both are emitted so the discrepancy is visible in
-    datasets rather than hidden by a choice.
-    """
-    states = _states_matrix(trajectory)
-    if states.shape[1] != 3:
-        raise ConfigError(f"expected 3-amplitude pair states, got {states.shape[1]}")
-    w, w2 = pair_moments(well_number_diff(fermion_sector()))
-    return _xi_fermion_forms(_real_expectation(w, states, "expectation"),
-                             _real_expectation(w2, states, "second moment"))
-
-
-def _xi_fermion_forms(mean: np.ndarray,
-                      second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (second - mean * mean) / 2.0, second / 2.0
+# the printed squeezing closed form
 
 
 def xi_fermion_closed_form(ubar: float, tau: Union[float, Sequence[float]]) -> np.ndarray:

@@ -38,15 +38,7 @@ from .hamiltonians import (
     boson_dimer_hamiltonian,
     fermion_pair_hamiltonian,
 )
-from .observe import (
-    TimeSeries,
-    _spread,
-    _xi_boson_form,
-    _xi_fermion_forms,
-    expectation_series,
-    pair_moments,
-    xi_fermion_closed_form,
-)
+from .observe import TimeSeries, expectation_series, pair_moments, xi_fermion_closed_form
 from .operators import (
     boson_cn_phase,
     boson_number_diff,
@@ -74,9 +66,11 @@ _OBSERVABLES = {
 }
 # channel -> (kind, operator). "mean" and "fluct" channels serve both systems
 # and name an observable of _OBSERVABLES; a "boson" or "fermion" channel is a
-# squeezing form of that system only, computed by operator(moment table).
-# xi, xi_variance and xi_second_moment are the forms of xi_boson and
-# xi_fermion, taken from the run's moments of W.
+# squeezing form of that system only, computed by operator(moment table). This
+# table is the one place a fluctuation or a squeezing form is computed: xi is
+# (delta W)^2 / N; the pair's xi_variance and xi_second_moment are
+# (delta W)^2 / N and <W^2> / N with N = 2, which differ already at tau = 0
+# (0 versus 2) for the both-in-one-well start, so both are emitted.
 _CHANNELS = {
     "avgC_CN": ("mean", "C_CN"),
     "avgS_CN": ("mean", "S_CN"),
@@ -86,10 +80,9 @@ _CHANNELS = {
     "fluctS": ("fluct", "S_U"),
     "avgW": ("mean", "W"),
     "fluctW": ("fluct", "W"),
-    "xi": ("boson", lambda table: _xi_boson_form(table.spread("W"), table.cfg.N)),
-    "xi_variance": ("fermion", lambda table: _xi_fermion_forms(*table.moments("W"))[0]),
-    "xi_second_moment": ("fermion",
-                         lambda table: _xi_fermion_forms(*table.moments("W"))[1]),
+    "xi": ("boson", lambda table: (dw := table.spread("W")) * dw / float(table.cfg.N)),
+    "xi_variance": ("fermion", lambda table: table.variance("W") / 2.0),
+    "xi_second_moment": ("fermion", lambda table: table.moment("W", 2) / 2.0),
     "xi_closed": ("fermion", lambda table: xi_fermion_closed_form(
         table.cfg.ubar, table.traj.tau_grid)),
 }
@@ -364,6 +357,9 @@ def _family_operators(cfg: ScenarioConfig,
     return [pair_moments(op) for op in ops]
 
 
+RADICAND_ERROR_TOL = -1e-10
+
+
 class _MomentTable:
     """One run's observable moments: an operator family is built when a
     channel first needs it, and each moment is evaluated at most once."""
@@ -385,12 +381,22 @@ class _MomentTable:
             self._moments[key] = expectation_series(operator, self.traj)
         return self._moments[key]
 
-    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        return self.moment(name, 1), self.moment(name, 2)
+    def variance(self, name: str) -> np.ndarray:
+        """<A^2> - <A>^2 per state for observable ``name``."""
+        mean = self.moment(name, 1)
+        return self.moment(name, 2) - mean * mean
 
     def spread(self, name: str) -> np.ndarray:
-        """The fluctuation of ``name``, as ``fluctuation_series`` computes it."""
-        return _spread(*self.moments(name))
+        """sqrt(<A^2> - <A>^2) per state for observable ``name``; a variance
+        below RADICAND_ERROR_TOL means inconsistent moments, and smaller
+        negative rounding is clipped to 0."""
+        radicand = self.variance(name)
+        worst = float(np.min(radicand)) if radicand.size else 0.0
+        if worst < RADICAND_ERROR_TOL:
+            raise NumericalError(
+                f"fluctuation radicand {worst:.3e} below tolerance; inconsistent moments"
+            )
+        return np.sqrt(np.clip(radicand, 0.0, None))
 
 
 def run_scenario(cfg: ScenarioConfig) -> TimeSeries:

@@ -26,8 +26,9 @@ Two checks deserve a note:
   of matching them one-to-one, breaks the half-filled isometry.
 * ``squeezing-closed-form`` fails for ubar != 0: the printed closed form's
   beat term disagrees with the trajectory-derived second moment (already
-  visible at tau=0, where the trajectory value is exactly 2). The check is
-  kept honest rather than loosened; see the README.
+  visible at tau=0, where the trajectory value is exactly 2). It reads both
+  as the ``xi_closed`` and ``xi_second_moment`` channels that ``run_scenario``
+  emits. The check is kept honest rather than loosened; see the README.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .hamiltonians import (
     boson_dimer_hamiltonian,
     fermion_pair_hamiltonian,
 )
-from .observe import expectation_series, xi_fermion, xi_fermion_closed_form
+from .observe import expectation_series
 from .operators import (
     OperatorMatrix,
     anticommutator,
@@ -69,7 +70,7 @@ from .operators import (
     half_filled_projector,
     unitarity_deficiency,
 )
-from .scenario import ScenarioConfig, parse_config, serialize_config
+from .scenario import ScenarioConfig, parse_config, run_scenario, serialize_config
 
 SECTION_PAIRS = (("l_up", "r_up"), ("l_up", "r_down"), ("l_down", "r_down"))
 ISOMETRY_PAIRS = (("l_up", "r_up"), ("l_up", "r_down"))
@@ -473,13 +474,14 @@ def _check_odd_even_law(families: dict[int, BosonFamily], free: Trajectory) -> C
 
 
 def _check_squeezing_closed_form() -> CheckResult:
-    tau = np.linspace(0.0, _TAU_MAX, 2001)
+    """The emitted channels of the default fermion scenario: both-right start,
+    2001 points on [0, 40]."""
     worst = 0.0
     for ubar in UBAR_SET:
-        _, traj = _pair(ubar, _BOTH_RIGHT, tau)
-        _, second_moment = xi_fermion(traj)
-        closed = xi_fermion_closed_form(ubar, traj.tau_grid)
-        worst = max(worst, _maxabs(second_moment - closed))
+        series = run_scenario(ScenarioConfig(
+            system="fermion", ubar=ubar, channels=("xi_second_moment", "xi_closed")))
+        worst = max(worst, _maxabs(series.channels["xi_second_moment"]
+                                   - series.channels["xi_closed"]))
     return CheckResult(
         "squeezing-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
         "printed form vs trajectory second moment; disagrees for ubar != 0 "

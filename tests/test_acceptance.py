@@ -11,7 +11,9 @@ closed forms on a 2001-point grid where ``fermion-closed-form`` and
 criteria themselves propagate (interaction-free N=2..5 on [0, 2 pi], N=2, 5,
 10 at ubar=5, the fermion pair at every ubar), which ``eigen-conservation``
 does not. Adding those cases to ``verify`` would slow the command for no new
-law.
+law. c07 and c10 read the squeezing and fluctuation channels that
+``run_scenario`` emits for the default fermion scenario, whose trajectories
+c11 propagates.
 
 Two criteria assert what the program provably does where the literal
 criterion cannot be met by any correct implementation:
@@ -41,6 +43,7 @@ import numpy as np
 import pytest
 
 from phasekit import (
+    ScenarioConfig,
     boson_basis,
     boson_cn_phase,
     boson_dimer_hamiltonian,
@@ -48,16 +51,11 @@ from phasekit import (
     eigen_propagate,
     expectation_series,
     fermion_pair_hamiltonian,
-    fermion_sector,
-    fermion_unitary_phase,
-    fluctuation_series,
+    run_scenario,
     run_verification,
-    xi_fermion,
     xi_fermion_closed_form,
 )
 from phasekit.evolve import active_kernel
-from phasekit.observe import embedded_fermion_states
-from phasekit.operators import well_number_diff
 from phasekit.verify import (
     boson_closed_form_residual,
     conservation_residual,
@@ -219,9 +217,11 @@ def test_c07_squeezing_forms_and_printed_closed_form():
     tau = np.linspace(0.0, 40.0, 2001)
     gaps = {}
     for ubar in UBAR_SET:
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
-        traj = eigen_propagate(h, RIGHT_WELL_3, tau)
-        variance_form, second_moment_form = xi_fermion(traj)
+        # the default fermion scenario: both-right start, 2001 points on [0, 40]
+        channels = run_scenario(ScenarioConfig(
+            system="fermion", ubar=ubar, channels=("xi_variance", "xi_second_moment"))).channels
+        variance_form = channels["xi_variance"]
+        second_moment_form = channels["xi_second_moment"]
         assert variance_form[0] == pytest.approx(0.0, abs=1e-12)
         assert second_moment_form[0] == pytest.approx(2.0, abs=1e-12)
         for form in (variance_form, second_moment_form):
@@ -270,15 +270,10 @@ def test_c09_unitary_raw_convergence_with_size():
 
 
 def test_c10_conjugate_pair_timing():
-    tau = np.linspace(0.0, 40.0, 2001)
-    h = fermion_pair_hamiltonian(0.05, "single-occupancy")
-    traj = eigen_propagate(h, RIGHT_WELL_3, tau)
-    states = embedded_fermion_states(traj)
-    space = fermion_sector()
-    w = well_number_diff(space)
-    sin_u = fermion_unitary_phase(space, "l_up", "r_down")[1]
-    dw = fluctuation_series(w, states)
-    ds = fluctuation_series(sin_u, states)
+    # l-up/r-down pair from both right, 2001 points on [0, 40]
+    channels = run_scenario(ScenarioConfig(system="fermion", ubar=0.05,
+                                           channels=("fluctW", "fluctS"))).channels
+    dw, ds = channels["fluctW"], channels["fluctS"]
     assert abs(int(np.argmin(dw)) - int(np.argmax(ds))) <= 1
 
 

@@ -335,6 +335,14 @@ def test_overflowing_amplitudes_fail_without_warning(gate):
             gate((1e200, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("start", [["a", "b", "c"], [1, [0], 0]], ids=["strings", "ragged"])
+@pytest.mark.parametrize("gate", ["eigen", "rk4", "fermion-closed-form", "boson-closed-form"])
+def test_unconvertible_starts_are_config_errors(gate, start):
+    # numpy refuses both conversions with a bare ValueError
+    with pytest.raises(ConfigError, match="initial amplitudes are not an array of numbers"):
+        NORM_GATES[gate](start)
+
+
 def test_trajectory_overflowing_state_fails_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

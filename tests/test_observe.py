@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from phasekit import (
     ConfigError,
     NumericalError,
+    ScenarioConfig,
     TimeSeries,
     boson_basis,
     boson_cn_phase,
@@ -18,14 +19,11 @@ from phasekit import (
     embedded_fermion_states,
     expectation_series,
     fermion_cn_phase,
-    fermion_pair_hamiltonian,
     fermion_sector,
     fermion_unitary_phase,
-    fluctuation_series,
-    xi_boson,
-    xi_fermion,
-    xi_fermion_closed_form,
+    run_scenario,
     well_number_diff,
+    xi_fermion_closed_form,
 )
 from phasekit.observe import pair_moments
 
@@ -60,23 +58,26 @@ amplitude_lists = st.lists(
 def test_fluctuation_is_nonnegative_and_bounded(amps):
     state = np.asarray(amps, dtype=complex)
     state = state / np.linalg.norm(state)
-    w = boson_number_diff(boson_basis(2))
-    (df,) = fluctuation_series(w, state)
-    assert df >= 0.0
-    # |W| <= 2 on three particles-in-two-wells... N=2: eigenvalues -2,0,2
-    assert df <= 2.0 + 1e-12
+    series = run_scenario(ScenarioConfig(system="boson", N=2, ubar=0.5, tau_max=1.0, steps=5,
+                                         initial=tuple(state), channels=("fluctW",)))
+    df = series.channels["fluctW"]
+    assert df.min() >= 0.0
+    # N=2: W has eigenvalues -2, 0, 2
+    assert df.max() <= 2.0 + 1e-12
 
 
 def test_fluctuation_of_eigenstate_is_zero():
-    w = boson_number_diff(boson_basis(2))
-    state = np.array([1.0, 0.0, 0.0], dtype=complex)
-    assert fluctuation_series(w, state)[0] == pytest.approx(0.0, abs=1e-12)
+    # the right-well start is the W eigenstate |n_left=0>
+    series = run_scenario(ScenarioConfig(system="boson", N=2, ubar=0.0, tau_max=1.0, steps=2,
+                                         channels=("fluctW", "fluctC")))
+    assert series.channels["fluctW"][0] == pytest.approx(0.0, abs=1e-12)
     # completed cosine picks up the corner coupling: fluctuation sqrt(1/2)
-    cos_u = boson_unitary_phase(boson_basis(2))[0]
-    assert fluctuation_series(cos_u, state)[0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    # the raw cosine misses it: fluctuation 1/2
-    cos_cn, _ = boson_cn_phase(boson_basis(2))
-    assert fluctuation_series(cos_cn, state)[0] == pytest.approx(0.5, abs=1e-12)
+    assert series.channels["fluctC"][0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    # the raw cosine misses it: fluctuation 1/2 (no channel carries it)
+    state = np.array([1.0, 0.0, 0.0], dtype=complex)
+    cos_cn = boson_cn_phase(boson_basis(2))[0].entries
+    mean, second = (expectation_series(op, state)[0] for op in (cos_cn, cos_cn @ cos_cn))
+    assert math.sqrt(second - mean * mean) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expectation_series_matches_pointwise_expectation():
@@ -113,21 +114,17 @@ def test_quadratic_forms_match_three_operand_einsum(dim):
     for _ in range(4):
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         op = (a + a.conj().T) / 2
-        mean = _quadratic_form_by_einsum(op, states)
-        radicand = _quadratic_form_by_einsum(op @ op, states) - mean * mean
-        assert np.max(np.abs(expectation_series(op, states) - mean)) <= 1e-13
-        assert np.max(np.abs(fluctuation_series(op, states)
-                             - np.sqrt(np.clip(radicand, 0.0, None)))) <= 1e-13
+        for form in (op, op @ op):
+            assert np.max(np.abs(expectation_series(form, states)
+                                 - _quadratic_form_by_einsum(form, states))) <= 1e-13
 
 
 def test_pair_moment_quadratic_forms_match_three_operand_einsum():
     states = _random_states(np.random.default_rng(3), 257, 3)
-    for op, second in _pair_operators():
-        mean = _quadratic_form_by_einsum(op, states)
-        radicand = _quadratic_form_by_einsum(second, states) - mean * mean
-        assert np.max(np.abs(expectation_series(op, states) - mean)) <= 1e-13
-        assert np.max(np.abs(fluctuation_series(op, states, second)
-                             - np.sqrt(np.clip(radicand, 0.0, None)))) <= 1e-13
+    for forms in _pair_operators():
+        for form in forms:
+            assert np.max(np.abs(expectation_series(form, states)
+                                 - _quadratic_form_by_einsum(form, states))) <= 1e-13
 
 
 def test_nonhermitian_sandwich_raises():
@@ -142,8 +139,6 @@ def test_mismatched_state_dimension_raises_config_error():
     for state in (np.array([1.0, 0.0], dtype=complex), np.eye(4, dtype=complex)):
         with pytest.raises(ConfigError, match="does not match"):
             expectation_series(w, state)
-        with pytest.raises(ConfigError, match="does not match"):
-            fluctuation_series(w, state)
 
 
 def test_time_series_length_validation():
@@ -166,9 +161,17 @@ def test_embedding_of_pair_states():
         embedded_fermion_states(np.zeros((1, 5), dtype=complex))
 
 
-def test_xi_boson_free_pair_values():
-    basis, tau, traj = _boson_traj(2, 0.0)
-    xi = xi_boson(traj, basis)
+def _pair_channels(ubar, tau_max, steps):
+    """The three squeezing channels of the both-right pair start."""
+    cfg = ScenarioConfig(system="fermion", ubar=ubar, tau_max=tau_max, steps=steps,
+                         channels=("xi_variance", "xi_second_moment", "xi_closed"))
+    return run_scenario(cfg).channels
+
+
+def test_xi_channel_of_the_free_pair():
+    tau = np.linspace(0.0, 2.0 * math.pi, 2001)
+    xi = run_scenario(ScenarioConfig(system="boson", N=2, ubar=0.0, tau_max=2.0 * math.pi,
+                                     steps=2001, channels=("xi",))).channels["xi"]
     # <W> = -2 cos 2tau and <W^2> = 4 cos^2(2tau) + 2 sin^2(2tau) for this
     # start, so xi = sin^2(2tau) * ... reduces to 1 at tau = pi/4
     quarter_idx = np.argmin(np.abs(tau - math.pi / 4.0))
@@ -178,21 +181,16 @@ def test_xi_boson_free_pair_values():
 
 
 def test_xi_fermion_forms_at_start():
-    h = fermion_pair_hamiltonian(5.0, "single-occupancy")
-    tau = np.linspace(0.0, 1.0, 5)
-    traj = eigen_propagate(h, RIGHT_WELL_3, tau)
-    variance_form, second_moment_form = xi_fermion(traj)
-    assert variance_form[0] == pytest.approx(0.0, abs=1e-12)
-    assert second_moment_form[0] == pytest.approx(2.0, abs=1e-12)
+    channels = _pair_channels(5.0, 1.0, 5)
+    assert channels["xi_variance"][0] == pytest.approx(0.0, abs=1e-12)
+    assert channels["xi_second_moment"][0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_xi_fermion_free_law():
     # at ubar=0 the printed closed form and the second moment agree:
     # both equal 2 - sin^2(2 tau) for the both-right start
-    h = fermion_pair_hamiltonian(0.0, "single-occupancy")
     tau = np.linspace(0.0, 10.0, 401)
-    traj = eigen_propagate(h, RIGHT_WELL_3, tau)
-    _, second_moment = xi_fermion(traj)
+    second_moment = _pair_channels(0.0, 10.0, 401)["xi_second_moment"]
     law = 2.0 - np.sin(2.0 * tau) ** 2
     assert np.max(np.abs(second_moment - law)) < 1e-12
     closed = xi_fermion_closed_form(0.0, tau)
@@ -202,12 +200,8 @@ def test_xi_fermion_free_law():
 def test_xi_fermion_closed_form_departs_from_trajectory_when_interacting():
     # the printed form's beat term contradicts the tau=0 second moment as soon
     # as ubar != 0; the gap is an order-one dataset fact, not a solver issue
-    ubar = 5.0
-    h = fermion_pair_hamiltonian(ubar, "single-occupancy")
-    tau = np.linspace(0.0, 40.0, 2001)
-    traj = eigen_propagate(h, RIGHT_WELL_3, tau)
-    _, second_moment = xi_fermion(traj)
-    closed = xi_fermion_closed_form(ubar, tau)
+    channels = _pair_channels(5.0, 40.0, 2001)
+    second_moment, closed = channels["xi_second_moment"], channels["xi_closed"]
     assert closed[0] != pytest.approx(2.0, abs=1e-3)
     assert np.max(np.abs(second_moment - closed)) > 1.0
     # and it exits the [0, 2] band the trajectory forms respect

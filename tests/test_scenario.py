@@ -20,15 +20,12 @@ from phasekit import (
     fermion_cn_phase,
     fermion_sector,
     fermion_unitary_phase,
-    fluctuation_series,
     parse_config,
     serialize_config,
     well_number_diff,
-    xi_boson,
-    xi_fermion,
     xi_fermion_closed_form,
 )
-from phasekit import observe
+from phasekit import scenario
 from phasekit.observe import pair_moments
 from phasekit.scenario import (
     BOSON_CHANNELS,
@@ -258,21 +255,27 @@ def _all_channels(system, integrator):
 @pytest.mark.parametrize("system", ["boson", "fermion"])
 def test_all_channel_run_evaluates_each_moment_once(system, integrator, monkeypatch):
     forms = []
-    real = observe._real_expectation
+    real = scenario.expectation_series
 
-    def counting(op, states, what):
-        forms.append(what)
-        return real(op, states, what)
+    def counting(op, states):
+        forms.append(op)
+        return real(op, states)
 
-    monkeypatch.setattr(observe, "_real_expectation", counting)
+    monkeypatch.setattr(scenario, "expectation_series", counting)
     run_scenario(_all_channels(system, integrator))
     # the means of C_CN, S_CN, C_U, S_U and W, and the second moments of
     # C_U, S_U and W (13 boson and 15 fermion forms when each channel had its own)
     assert len(forms) == 8
 
 
+def _spread(mean, second):
+    return np.sqrt(np.clip(second - mean * mean, 0.0, None))
+
+
 @pytest.mark.parametrize("system", ["boson", "fermion"])
 def test_channels_equal_the_public_series_functions(system):
+    # each channel, bit for bit, from expectation_series of an operator and
+    # its second-moment operator
     cfg = _all_channels(system, "rk4")
     series = run_scenario(cfg)
     traj = propagate_scenario(cfg)
@@ -280,22 +283,27 @@ def test_channels_equal_the_public_series_functions(system):
         basis = boson_basis(cfg.N)
         ops = (*boson_cn_phase(basis), *boson_unitary_phase(basis)[:2],
                boson_number_diff(basis))
-        pairs = [(op, None) for op in ops]
-        want = {"xi": xi_boson(traj, basis)}
+        pairs = [(op.entries, op.entries @ op.entries) for op in ops]
     else:
         space = fermion_sector()
         pair = MODE_PAIRS[cfg.mode_pair]
         ops = (*fermion_cn_phase(space, *pair), *fermion_unitary_phase(space, *pair)[:2],
                well_number_diff(space))
         pairs = [pair_moments(op) for op in ops]
-        want = dict(zip(("xi_variance", "xi_second_moment"), xi_fermion(traj)))
+    moments = [tuple(expectation_series(form, traj) for form in forms) for forms in pairs]
+    c_cn, s_cn, c_u, s_u, w = moments
+    want = dict(zip(("avgC_CN", "avgS_CN", "avgC_U", "avgS_U", "avgW"),
+                    (mean for mean, _ in (c_cn, s_cn, c_u, s_u, w))))
+    for name, (mean, second) in zip(("fluctC", "fluctS", "fluctW"), (c_u, s_u, w)):
+        want[name] = _spread(mean, second)
+    mean_w, second_w = w
+    if system == "boson":
+        dw = _spread(mean_w, second_w)
+        want["xi"] = dw * dw / float(cfg.N)
+    else:
+        want["xi_variance"] = (second_w - mean_w * mean_w) / 2.0
+        want["xi_second_moment"] = second_w / 2.0
         want["xi_closed"] = xi_fermion_closed_form(cfg.ubar, traj.tau_grid)
-    c_cn, s_cn, c_u, s_u, w = pairs
-    for name, (op, _) in zip(("avgC_CN", "avgS_CN", "avgC_U", "avgS_U", "avgW"),
-                             (c_cn, s_cn, c_u, s_u, w)):
-        want[name] = expectation_series(op, traj)
-    for name, (op, second) in zip(("fluctC", "fluctS", "fluctW"), (c_u, s_u, w)):
-        want[name] = fluctuation_series(op, traj, second)
     assert set(want) == set(cfg.channels)
     for name in cfg.channels:
         assert np.array_equal(series.channels[name], want[name]), name
@@ -307,13 +315,16 @@ def test_channels_equal_the_public_series_functions(system):
 ])
 def test_inconsistent_moments_raise_the_radicand_error(system, channel, monkeypatch):
     # every moment reads -1, so every radicand is -1 - (-1)^2 = -2
-    monkeypatch.setattr(observe, "_real_expectation",
-                        lambda op, states, what: -np.ones(states.shape[0]))
+    monkeypatch.setattr(scenario, "expectation_series",
+                        lambda op, states: -np.ones(len(states.tau_grid)))
     cfg = replace(_all_channels(system, "eigen"), channels=(channel,))
     with pytest.raises(NumericalError, match="fluctuation radicand -2.000e"):
         run_scenario(cfg)
-    with pytest.raises(NumericalError, match="fluctuation radicand -2.000e"):
-        fluctuation_series(np.eye(cfg.dimension), propagate_scenario(cfg))
+
+
+def _fock_space_spread(op, states):
+    return _spread(expectation_series(op, states),
+                   expectation_series(op.entries @ op.entries, states))
 
 
 def _fock_space_channels(cfg, traj):
@@ -331,10 +342,10 @@ def _fock_space_channels(cfg, traj):
         "avgS_CN": expectation_series(sin_cn, states),
         "avgC_U": expectation_series(cos_u, states),
         "avgS_U": expectation_series(sin_u, states),
-        "fluctC": fluctuation_series(cos_u, states),
-        "fluctS": fluctuation_series(sin_u, states),
+        "fluctC": _fock_space_spread(cos_u, states),
+        "fluctS": _fock_space_spread(sin_u, states),
         "avgW": mean_w,
-        "fluctW": fluctuation_series(w, states),
+        "fluctW": _spread(mean_w, second_w),
         "xi_variance": (second_w - mean_w * mean_w) / 2.0,
         "xi_second_moment": second_w / 2.0,
         "xi_closed": xi_fermion_closed_form(cfg.ubar, traj.tau_grid),

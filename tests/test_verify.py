@@ -4,22 +4,23 @@ import math
 import numpy as np
 import pytest
 
-from phasekit import ConfigError, verify
+from phasekit import ConfigError, scenario, verify
 from phasekit.evolve import eigen_propagate
-from phasekit.fock import MODE_NAMES, boson_basis, fock_state
+from phasekit.fock import MODE_NAMES, boson_basis, fermion_sector, fock_state
 from phasekit.hamiltonians import (
     FERMION_VARIANTS,
     boson_dimer_hamiltonian,
     fermion_pair_hamiltonian,
 )
-from phasekit.observe import expectation_series, xi_fermion, xi_fermion_closed_form
+from phasekit.observe import expectation_series, pair_moments, xi_fermion_closed_form
 from phasekit.operators import (
     boson_cn_phase,
     boson_number_diff,
     boson_unitary_phase,
     boson_vacuum_phase,
+    well_number_diff,
 )
-from phasekit.scenario import ScenarioConfig
+from phasekit.scenario import ScenarioConfig, run_scenario
 from phasekit.verify import boson_family, pair_family, run_verification
 
 
@@ -49,6 +50,23 @@ def test_squeezing_closed_form_check_fails_as_designed(report):
     assert check.residual > 0.1
 
 
+def test_squeezing_check_reads_the_emitted_channels(monkeypatch):
+    runs = []
+
+    def recording(cfg):
+        runs.append((cfg, run_scenario(cfg)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(verify, "run_scenario", recording)
+    check = next(r for r in run_verification(n_max=3).results
+                 if r.name == "squeezing-closed-form")
+    assert [cfg for cfg, _ in runs] == [
+        ScenarioConfig(system="fermion", ubar=ubar, channels=("xi_second_moment", "xi_closed"))
+        for ubar in verify.UBAR_SET]
+    assert check.residual == max(
+        _maxabs(s.channels["xi_second_moment"] - s.channels["xi_closed"]) for _, s in runs)
+
+
 def test_overall_report_shape(report):
     assert not report.ok  # exactly because of the squeezing check
     failed = [r for r in report.results if not r.passed]
@@ -68,6 +86,8 @@ def test_a_run_builds_each_family_and_trajectory_once(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counting)
+    # the squeezing check propagates through the scenario engine
+    monkeypatch.setattr(scenario, "eigen_propagate", verify.eigen_propagate)
     run_verification(n_max=12)
     # one family per boson N (50 unitary, 26 CN and 23 vacuum builds when each
     # check built its own), and W only where the commutators are checked
@@ -145,8 +165,9 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
         for n in (3, 5))
 
     squeezing_tau = np.linspace(0.0, 40.0, 2001)
+    second_w = pair_moments(well_number_diff(fermion_sector()))[1]
     squeezing = max(
-        _maxabs(xi_fermion(pair_run(ubar, both_right, squeezing_tau)[1])[1]
+        _maxabs(expectation_series(second_w, pair_run(ubar, both_right, squeezing_tau)[1]) / 2.0
                 - xi_fermion_closed_form(ubar, squeezing_tau))
         for ubar in verify.UBAR_SET)
 
