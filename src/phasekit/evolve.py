@@ -29,17 +29,23 @@ PHASE_SCALE_LIMIT = 1e15
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
+def _real_array(values: Sequence[float], what: str) -> np.ndarray:
+    """``values`` as a float array; ConfigError unless they are real numbers
+    (bool, integer or float dtype): a complex value would lose its imaginary
+    part, and strings or a ragged nesting are no numbers."""
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise ConfigError(f"{what} is not an array of numbers: {exc}") from exc
+    if raw.dtype.kind not in "biuf":
+        raise ConfigError(f"{what} must hold real numbers, got dtype {raw.dtype}")
+    return raw.astype(float, copy=False)
+
+
 def _check_tau_grid(tau_grid: Sequence[float]) -> np.ndarray:
     """The grid as a float array; ConfigError unless it holds real numbers
-    (bool, integer or float dtype) and is non-empty, 1-D, finite, starts at 0
-    and is strictly increasing."""
-    try:
-        raw = np.asarray(tau_grid)
-    except ValueError as exc:  # a ragged nesting
-        raise ConfigError(f"tau grid is not an array of numbers: {exc}") from exc
-    if raw.dtype.kind not in "biuf":  # a complex grid would lose its imaginary part
-        raise ConfigError(f"tau grid must hold real numbers, got dtype {raw.dtype}")
-    tau = raw.astype(float, copy=False)
+    and is non-empty, 1-D, finite, starts at 0 and is strictly increasing."""
+    tau = _real_array(tau_grid, "tau grid")
     if tau.ndim != 1 or tau.size == 0:
         raise ConfigError(f"tau grid must be a non-empty 1-D sequence, got shape {tau.shape}")
     if not np.isfinite(tau).all():  # before a NaN or inf difference

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolve import Trajectory
+from .evolve import Trajectory, _real_array
 from .hamiltonians import fermion_pair_embedding
 from .operators import OperatorMatrix, _as_array
 
@@ -34,10 +34,12 @@ class TimeSeries:
     channels: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        tau = np.asarray(self.tau_grid, dtype=float)
+        tau = _real_array(self.tau_grid, "tau grid")
+        if tau.ndim != 1:
+            raise ConfigError(f"tau grid must be 1-D, got shape {tau.shape}")
         chans: dict[str, np.ndarray] = {}
         for name, values in self.channels.items():
-            arr = np.asarray(values, dtype=float)
+            arr = _real_array(values, f"channel {name!r}")
             if arr.shape != tau.shape:
                 raise ConfigError(
                     f"channel {name!r} length {arr.shape} does not match grid {tau.shape}"

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ConfigError, NumericalError
-from .scenario import ScenarioConfig, _Templates, run_scenario, write_csv
+from .scenario import ScenarioConfig, run_scenario, write_csv
 
 _PAIR_TAGS = {"l-up/r-down": "lu-rd", "l-up/r-up": "lu-ru"}
 
@@ -104,10 +104,9 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     """Run one preset bundle sequentially, returning the written CSV paths.
 
     Entries whose configs differ only in their channels share one
-    propagation, and each entry's CSV is cut from that series. The files of
-    one call share one row-template table, so each tau grid is formatted
-    once. If an entry fails, the files this call created are removed before
-    the error propagates; files it replaced keep their new content.
+    propagation, and each entry's CSV is cut from that series and formatted
+    on its own. If an entry fails, the files this call created are removed
+    before the error propagates; files it replaced keep their new content.
     """
     entries = preset_entries(name)
     groups: dict[tuple, tuple[ScenarioConfig, list[str]]] = {}
@@ -118,7 +117,6 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     series = {key: run_scenario(replace(cfg, channels=tuple(channels)))
               for key, (cfg, channels) in groups.items()}
     out = Path(out_dir)
-    templates: _Templates = {}  # this call's row templates, shared by its files
     written: list[Path] = []
     created: list[Path] = []
     try:
@@ -126,8 +124,7 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
             target = out / entry.filename
             existed = os.path.lexists(target)
             written.append(write_csv(series[_without_channels(entry.config)],
-                                     entry.config.channels, target,
-                                     _templates=templates))
+                                     entry.config.channels, target))
             if not existed:
                 created.append(target)
     except (ConfigError, NumericalError):

@@ -7,12 +7,14 @@ formatting), which the test suite pins.
 CSV format: header ``tau,<channel names>``, one row per grid point, '.'
 decimal, ',' separator, LF line endings, no quoting, 17 significant digits —
 enough to round-trip doubles, so reruns are byte-identical on one platform.
-This module alone knows that format. Rows are formatted 256 at a time from a
-template of their tau cells. The files of one ``figure`` command share one
-template table, so each tau grid is formatted once per command and channel
-count, and nothing is kept between commands. A non-finite value fails before
-any text is built, and each file is written to a temporary name beside it and
-then renamed over the target, so a failed write leaves no partial file.
+This module alone knows that format. Each cell is the text ``"%.17g"`` gives,
+built in numpy from exact integer digits, 8192 cells at a time, with no
+Python object per value; a cell outside fixed notation is formatted by
+``"%.17g"`` itself. A non-finite value, or a header that would not parse
+back (no channel, a repeated name, a name holding ',' or a line break),
+fails before any text is built, and each file is written to a temporary name
+beside it and then renamed over the target, so a failed write leaves no
+partial file.
 """
 
 from __future__ import annotations
@@ -418,63 +420,191 @@ def run_scenario(cfg: ScenarioConfig) -> TimeSeries:
 # CSV
 
 
-_CSV_BLOCK_ROWS = 256
-# one command's row templates: (tau grid bytes, channel count) -> the
-# template of each 256-row block
-_Templates = dict[tuple[bytes, int], list[str]]
+# The exact text kernel. A double |v| = m * 2**q with X = floor(log10|v|) has
+# the 17 significant digits D = m * 5**k * 2**(q + k), k = 16 - X, rounded
+# half to even: a 128-bit product of uint64 halves shifted right by
+# s = -(q + k). "%.17g" writes fixed notation for X in -4..16, which is
+# laid out from D by one row permutation per exponent. Zeros have their own
+# layout, and any other cell (exponent notation, an estimate of X off by
+# one, a carry to 10**17, a shift outside 1..63) is formatted by "%.17g".
+# uint64 and int64 arrays are never mixed: numpy promotes the mix to float64.
+_CSV_BLOCK_CELLS = 8192  # cells laid out at once; bounds the planes held
+_CELL_BYTES = 25  # the longest "%.17g" text, "-1.2345678901234567e-308", + separator
+_TEXT_BYTES = _CELL_BYTES - 1
+_U64 = np.uint64
+# cell classes: 0..20 are the fixed-notation exponents -4..16, then these
+_ZERO_CLASS, _OTHER_CLASS = 21, 22
+# rows of the source plane: the 17 digits, then these
+_ZERO_ROW, _DOT_ROW, _SIGN_ROW, _NUL_ROW = 17, 18, 19, 20
+# the class of floor(log10|v|) clipped to -5..17, indexed from -5
+_CLASS_OF_EXPONENT = np.array([_OTHER_CLASS, *range(21), _OTHER_CLASS], dtype=np.int8)
+_K = np.array([*range(20, -1, -1), 0, 0], dtype=np.uint64)  # per class; 0 for the last two
+_POW5_HIGH = (_U64(5) ** _K) >> _U64(32)
+_POW5_LOW = (_U64(5) ** _K) & _U64(0xFFFFFFFF)
+_SHIFT_BASE = _U64(1075) - _K  # s = this minus the biased binary exponent
+_DIGIT_INDEX = np.arange(17, dtype=np.int8)[:, None]
 
 
-def _tau_cells(tau: np.ndarray) -> list[str]:
-    return ["%.17g" % t for t in tau.tolist()]
+def _cell_layouts() -> np.ndarray:
+    # per class, the source row of each text byte
+    layouts = np.full((_ZERO_CLASS + 1, _TEXT_BYTES), _NUL_ROW, dtype=np.intp)
+    for x in range(-4, 17):
+        if x >= 0:
+            rows = [_SIGN_ROW, *range(x + 1), _DOT_ROW, *range(x + 1, 17)]
+        else:
+            rows = [_SIGN_ROW, _ZERO_ROW, _DOT_ROW, *[_ZERO_ROW] * (-x - 1), *range(17)]
+        layouts[x + 4, :len(rows)] = rows
+    layouts[_ZERO_CLASS, :2] = (_SIGN_ROW, _ZERO_ROW)
+    return layouts
 
 
-def _block_templates(cells: list[str], width: int) -> list[str]:
-    # a block's tau cells, each followed by one ",%.17g" per channel
-    row = ",%.17g" * width
-    sep = row + "\n"
-    return [sep.join(cells[start:start + _CSV_BLOCK_ROWS]) + row
-            for start in range(0, len(cells), _CSV_BLOCK_ROWS)]
+_CELL_LAYOUTS = _cell_layouts()
 
 
-def format_csv(series: TimeSeries, channel_order: Sequence[str], *,
-               _templates: Optional[_Templates] = None) -> str:
-    """CSV text of ``series``; NumericalError if any emitted value is not finite."""
+def _exponent_class(values: np.ndarray) -> np.ndarray:
+    """Per value, X + 4 for the fixed-notation exponents X = -4..16 by a
+    log10 estimate, else _ZERO_CLASS or _OTHER_CLASS."""
+    magnitude = np.abs(values)
+    with np.errstate(divide="ignore"):  # log10(0) is -inf, clipped below
+        exponent = np.log10(magnitude)
+    np.floor(exponent, out=exponent)
+    np.clip(exponent, -5, 17, out=exponent)
+    exponent += 5
+    cls = _CLASS_OF_EXPONENT[exponent.astype(np.intp)]
+    cls[magnitude == 0] = _ZERO_CLASS
+    return cls
+
+
+def _digits17(values: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D, the 17 significant digits of each value of class ``cls`` as one
+    integer, and where D is exact; elsewhere D is meaningless."""
+    bits = np.abs(values).view(np.uint64)
+    shift = _SHIFT_BASE[cls] - (bits >> _U64(52))  # wraps below 0
+    exact = (shift - _U64(1) < _U64(63)) & (cls < _ZERO_CLASS)
+    shift[~exact] = 1
+    bits &= _U64((1 << 52) - 1)
+    bits |= _U64(1 << 52)  # the mantissa
+    m_high, m_low = bits >> _U64(32), bits & _U64(0xFFFFFFFF)
+    p_high, p_low = _POW5_HIGH[cls], _POW5_LOW[cls]
+    # mantissa * 5**k = high * 2**64 + low
+    low = m_low * p_low
+    middle = m_high * p_low + m_low * p_high  # < 2**54
+    high = m_high * p_high + (middle >> _U64(32))
+    middle <<= _U64(32)
+    middle += low
+    high += middle < low  # the carry
+    low = middle
+    # X is off by at most one, so the quotient is below 10**18 < 2**64
+    digits = (high << (_U64(64) - shift)) | (low >> shift)
+    exact &= digits >= _U64(10 ** 16)  # X was not too large
+    low &= (_U64(1) << shift) - _U64(1)  # the remainder
+    low += digits & _U64(1)  # a tie rounds up to even from an odd quotient
+    digits += low > (_U64(1) << (shift - _U64(1)))
+    exact &= digits < _U64(10 ** 17)  # X was not too small, and no carry
+    return digits, exact
+
+
+def _source_rows(digits: np.ndarray, cls: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(_NUL_ROW + 1, len(values)) uint8: the ASCII digits of D, NUL past the
+    fraction's last nonzero digit, then the rows '0', '.' (NUL when the
+    fraction is empty), the sign (NUL when positive) and NUL."""
+    count = values.size
+    source = np.empty((_NUL_ROW + 1, count), dtype=np.uint8)
+    # the digits as 9 + 8: the lower 8 times 10 are 9 digits, and their last
+    # one, 0, lands in _ZERO_ROW
+    upper = digits // _U64(10 ** 8)
+    work = np.empty((2, count), dtype=np.uint32)
+    work[0] = upper
+    work[1] = (digits - upper * _U64(10 ** 8)) * _U64(10)
+    digit_rows = source[:18].reshape(2, 9, count)
+    for j in range(8, -1, -1):
+        rest = work // np.uint32(10)
+        np.subtract(work, rest * np.uint32(10), out=digit_rows[:, j], casting="unsafe")
+        work = rest
+    # keep the integer digits and the fraction up to its last nonzero digit
+    x = cls - np.int8(4)
+    last = ((source[:17] != 0) * _DIGIT_INDEX).max(axis=0)
+    kept = np.maximum(last, x) + np.int8(1)
+    source[:17] += ord("0")
+    source[:17] *= _DIGIT_INDEX < kept
+    source[_ZERO_ROW] = ord("0")
+    source[_DOT_ROW] = np.where(kept > x + np.int8(1), ord("."), 0)
+    source[_SIGN_ROW] = np.where(np.signbit(values), ord("-"), 0)
+    source[_NUL_ROW] = 0
+    return source
+
+
+def _cell_text(values: np.ndarray) -> np.ndarray:
+    """(len(values), _CELL_BYTES) uint8: the "%.17g" text of each finite
+    value, NUL-padded, with its last byte left for the separator."""
+    cls = _exponent_class(values)
+    # cells sorted by class, so each class's layout is one block of columns
+    order = np.argsort(cls, kind="stable")
+    sizes = np.bincount(cls, minlength=_OTHER_CLASS + 1).tolist()
+    cls = cls[order]
+    values = values[order]
+    digits, exact = _digits17(values, cls)
+    source = _source_rows(digits, cls, values)
+    plane = np.empty((_TEXT_BYTES, values.size), dtype=np.uint8)
+    start = 0
+    for c, size in enumerate(sizes[:_OTHER_CLASS]):
+        plane[:, start:start + size] = source[_CELL_LAYOUTS[c], start:start + size]
+        start += size
+    exact |= cls == _ZERO_CLASS
+    other = np.flatnonzero(~exact)
+    if other.size:
+        texts = np.array(["%.17g" % v for v in values[other].tolist()], dtype=f"S{_TEXT_BYTES}")
+        plane[:, other] = texts.view(np.uint8).reshape(-1, _TEXT_BYTES).T
+    cells = np.empty((values.size, _CELL_BYTES), dtype=np.uint8)
+    cells[order, :_TEXT_BYTES] = plane.T
+    return cells
+
+
+def format_csv(series: TimeSeries, channel_order: Sequence[str]) -> str:
+    """CSV text of ``series``; ConfigError if its header would not parse back,
+    NumericalError if any emitted value is not finite."""
     names = list(channel_order)
+    if not names:
+        raise ConfigError("a CSV needs at least one channel")
     for name in names:
+        if not isinstance(name, str) or any(c in name for c in ",\r\n"):
+            raise ConfigError(f"channel name {name!r} is not a CSV header cell")
         if name not in series.channels:
             raise ConfigError(f"series has no channel {name!r}")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"channel names repeat: {names}")
     tau = series.tau_grid
     for name, column in [("tau", tau)] + [(n, series.channels[n]) for n in names]:
         bad = np.flatnonzero(~np.isfinite(column))
         if bad.size:
             raise NumericalError(f"channel {name!r} is {float(column[bad[0]])!r} "
                                  f"at tau={float(tau[bad[0]])!r}")
-    table = np.empty((len(tau), len(names)))
-    for j, name in enumerate(names):
+    width = len(names) + 1
+    table = np.empty((len(tau), width))
+    table[:, 0] = tau
+    for j, name in enumerate(names, start=1):
         table[:, j] = series.channels[name]
-    # the files of one figure command share a table; any other call has its own
-    templates = {} if _templates is None else _templates
-    key = (tau.tobytes(), len(names))
-    if key not in templates:
-        templates[key] = _block_templates(_tau_cells(tau), len(names))
-    lines = ["tau," + ",".join(names)]
-    # one % per block of rows; "%.17g" on a Python float is the same text as
-    # f"{v:.17g}". Blocks bound the list of Python floats held at once.
-    for start, template in zip(range(0, len(tau), _CSV_BLOCK_ROWS), templates[key]):
-        lines.append(template % tuple(table[start:start + _CSV_BLOCK_ROWS].ravel().tolist()))
-    return "\n".join(lines) + "\n"
+    parts = ["tau," + ",".join(names) + "\n"]
+    rows = max(1, _CSV_BLOCK_CELLS // width)
+    for start in range(0, len(tau), rows):
+        cells = _cell_text(table[start:start + rows].ravel())
+        cells[:, -1] = ord(",")
+        cells[width - 1::width, -1] = ord("\n")
+        parts.append(cells[cells != 0].tobytes().decode("ascii"))  # drop the NUL bytes
+    return "".join(parts)
 
 
 def write_csv(series: TimeSeries, channel_order: Sequence[str],
-              path: Union[str, Path], *,
-              _templates: Optional[_Templates] = None) -> Path:
+              path: Union[str, Path]) -> Path:
     """Write the CSV of ``series`` to ``path`` atomically and return ``path``.
 
-    The text goes to a temporary file beside the target, which then replaces
-    it, so an interrupted or failed write leaves any old target whole.
+    The text is one ``format_csv`` call's, tau column included, so nothing is
+    shared between files or kept between calls. It goes to a temporary file
+    beside the target, which then replaces it, so an interrupted or failed
+    write leaves any old target whole.
     """
     target = Path(path)
-    text = format_csv(series, channel_order, _templates=_templates)
+    text = format_csv(series, channel_order)
     # a fixed-length name, so it fits wherever the target's name fits
     temp = target.parent / f".phasekit-{os.getpid()}-{threading.get_ident()}.tmp"
     try:

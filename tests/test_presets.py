@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasekit import ConfigError, run_figure, scenario
+from phasekit import ConfigError, run_figure
 from phasekit.presets import PRESET_NAMES, PRESETS, preset_entries
 
 # sha256 and every 200th row (plus the last) of each preset CSV, written by
@@ -78,18 +78,6 @@ def test_run_figure_writes_and_is_idempotent(tmp_path):
     for name, blob in first.items():
         assert blob.startswith(b"tau,")
         assert blob.count(b"\n") == 2002  # header + 2001 rows
-
-
-def test_figure_formats_each_tau_grid_once_per_call(tmp_path, monkeypatch):
-    # fig1 cuts six files from three series on one grid
-    formatted = []
-    tau_cells = scenario._tau_cells
-    monkeypatch.setattr(scenario, "_tau_cells",
-                        lambda tau: formatted.append(len(tau)) or tau_cells(tau))
-    run_figure("fig1", tmp_path / "first")
-    assert formatted == [2001]
-    run_figure("fig1", tmp_path / "second")
-    assert formatted == [2001, 2001]  # no template outlives its call
 
 
 def _golden_mismatch(data: bytes, ref: dict):
