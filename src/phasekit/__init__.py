@@ -9,8 +9,8 @@ fluctuations, and number-squeezing measures.
 
 from .errors import ConfigError, NumericalError, PhasekitError, StepSizeError
 from .evolve import (
-    BosonPairClosedForm,
     Trajectory,
+    boson_free_amplitudes,
     boson_pair_closed_form,
     eigen_propagate,
     fermion_pair_closed_form,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BosonDimerBasis",
-    "BosonPairClosedForm",
     "ConfigError",
     "FermionSector",
     "NumericalError",
@@ -83,6 +82,7 @@ __all__ = [
     "boson_basis",
     "boson_cn_phase",
     "boson_dimer_hamiltonian",
+    "boson_free_amplitudes",
     "boson_number_diff",
     "boson_pair_closed_form",
     "boson_unitary_phase",

@@ -4,8 +4,8 @@ Ground truth for all dynamics is the eigendecomposition propagator; the
 fixed-step RK4 integrator is an independent cross-check (it shares no code
 path with the eigensolver: no eigh, no expm). The closed forms are kept as
 printed-style two-frequency expressions so they can serve as analytic oracles
-where they are exact; `boson_pair_closed_form` reports exactly which of its
-components carry that guarantee for the given inputs.
+where they are exact; `boson_free_amplitudes` is the interaction-free boson
+solution at every N.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, NumericalError, StepSizeError
-from .fock import _check_unit_norm
+from .fock import BosonDimerBasis, _check_unit_norm
 from .operators import OperatorMatrix, _as_array
 
 DEFAULT_DTAU = 1e-3
@@ -57,14 +57,19 @@ def _check_tau_grid(tau_grid: Sequence[float]) -> np.ndarray:
     return tau
 
 
-def _as_amplitudes(psi0: Sequence[complex]) -> np.ndarray:
-    """The start as a complex array; ConfigError for what numpy cannot
-    convert (strings, a ragged nesting), which it rejects with a bare
-    ValueError or TypeError."""
+def _as_start(psi0: Sequence[complex], dim: int) -> np.ndarray:
+    """The start as a complex vector of length ``dim`` and unit norm, for the
+    propagators and the closed forms alike; ConfigError otherwise, also for
+    what numpy cannot convert (strings, a ragged nesting), which it rejects
+    with a bare ValueError or TypeError."""
     try:
-        return np.asarray(psi0, dtype=complex)
+        amps = np.asarray(psi0, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"initial amplitudes are not an array of numbers: {exc}") from exc
+    if amps.shape != (dim,):
+        raise ConfigError(f"state dimension {amps.shape} does not match operator dimension {dim}")
+    _check_unit_norm(amps)
+    return amps
 
 
 @dataclass(frozen=True)
@@ -105,12 +110,7 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
     if not (isinstance(h, OperatorMatrix) and h.hermitian):  # else checked when built
         h = OperatorMatrix(_as_array(h), label="propagation matrix", hermitian=True)
     arr = h.entries
-    amps = _as_amplitudes(psi0)
-    if amps.shape != (arr.shape[0],):
-        raise ConfigError(
-            f"state dimension {amps.shape} does not match operator dimension {arr.shape[0]}"
-        )
-    _check_unit_norm(amps)
+    amps = _as_start(psi0, arr.shape[0])
     # the Trajectory checks the grid again, but only after the propagation ran
     return arr, amps, _check_tau_grid(tau_grid)
 
@@ -237,21 +237,42 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
 # closed forms
 
 
-def _two_frequency(ubar_half: float, tau: np.ndarray,
+def _closed_form_tau(tau: Union[float, Sequence[float]]) -> np.ndarray:
+    """``tau`` as a finite 1-D float array (a number gives one point)."""
+    arr = np.atleast_1d(_real_array(tau, "tau"))
+    if arr.ndim != 1 or not np.isfinite(arr).all():
+        raise ConfigError(f"tau must be a finite number or 1-D sequence, got shape {arr.shape}")
+    return arr
+
+
+def _two_frequency_roots(shift: float, tau: np.ndarray) -> tuple[float, float, float]:
+    """(Omega, w-, w+) = (sqrt(4 + shift^2), shift -+ Omega) for the splitting
+    ``shift`` on the middle amplitude (ubar/2 boson, ubar/4 fermion). As
+    w- w+ = -4, the root of larger magnitude is formed directly and the other
+    as -4 over it: shift - Omega cancels to nothing once |shift| passes ~1e8."""
+    if not math.isfinite(shift):
+        raise ConfigError(f"ubar must be finite, got {shift!r}")
+    omega = math.hypot(2.0, shift)
+    big = shift + math.copysign(omega, shift)
+    scale = abs(big) * float(np.max(np.abs(tau), initial=0.0))
+    if scale > PHASE_SCALE_LIMIT:  # as in eigen_propagate
+        raise NumericalError(f"max|w|*max|tau| = {scale:.3e} exceeds {PHASE_SCALE_LIMIT:g}")
+    w_minus, w_plus = sorted((big, -4.0 / big))
+    return omega, w_minus, w_plus
+
+
+def _two_frequency(shift: float, tau: np.ndarray,
                    init: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared closed-form engine for the two-site pair problem.
 
-    ``ubar_half`` is the half-splitting on the middle amplitude (ubar/2 boson,
-    ubar/4 fermion). Returns (middle, edge_a, edge_b) where "middle" is the
-    singly-occupied amplitude and the edges follow the printed integral form.
+    Returns (middle, edge_a, edge_b) where "middle" is the singly-occupied
+    amplitude and the edges follow the printed integral form.
     init = (middle(0), edge_a(0), edge_b(0)).
     """
-    omega = math.sqrt(4.0 + ubar_half * ubar_half)
-    w_minus = ubar_half - omega  # strictly negative, no zero division
-    w_plus = ubar_half + omega
+    omega, w_minus, w_plus = _two_frequency_roots(shift, tau)
     c1_0, ca_0, cb_0 = init
-    a = ((omega - ubar_half) * c1_0 + math.sqrt(2.0) * (ca_0 + cb_0)) / (2.0 * omega)
-    b = ((omega + ubar_half) * c1_0 - math.sqrt(2.0) * (ca_0 + cb_0)) / (2.0 * omega)
+    a = (-w_minus * c1_0 + math.sqrt(2.0) * (ca_0 + cb_0)) / (2.0 * omega)
+    b = (w_plus * c1_0 - math.sqrt(2.0) * (ca_0 + cb_0)) / (2.0 * omega)
     e_minus = np.exp(-1j * w_minus * tau)
     e_plus = np.exp(-1j * w_plus * tau)
     middle = a * e_minus + b * e_plus
@@ -261,52 +282,34 @@ def _two_frequency(ubar_half: float, tau: np.ndarray,
     return middle, ca_0 + edge, cb_0 + edge
 
 
-def _check_init(init: Sequence[complex]) -> np.ndarray:
-    arr = _as_amplitudes(init)
-    if arr.shape != (3,):
-        raise ConfigError(f"closed forms take 3 initial amplitudes, got {arr.shape}")
-    _check_unit_norm(arr)
-    return arr
-
-
-@dataclass(frozen=True)
-class BosonPairClosedForm:
-    """N=2 boson amplitudes (c0, c1, c2) plus the validity report."""
-
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    exact_components: tuple[str, ...]
-    note: str
+def boson_free_amplitudes(basis: BosonDimerBasis,
+                          tau: Union[float, Sequence[float]]) -> np.ndarray:
+    """Interaction-free boson amplitudes from the right-well start, shape
+    (len(tau), N+1). At ubar=0 the dimer Hamiltonian is -2 J_x, so
+    c_l(tau) = sqrt(C(N, l)) (i sin tau)^l (cos tau)^(N-l). ConfigError past
+    N of about 2050, where sqrt(C(N, N/2)) leaves the double range."""
+    tau = _closed_form_tau(tau)
+    n = basis.total_particles
+    l = np.arange(n + 1)
+    with np.errstate(over="ignore"):
+        root_binom = np.cumprod(np.sqrt(np.concatenate(([1.0], (n - l[:-1]) / l[1:]))))
+    if not np.isfinite(root_binom).all():
+        raise ConfigError(f"sqrt(C({n}, l)) exceeds the double range")
+    sin, cos = np.sin(tau)[:, None], np.cos(tau)[:, None]
+    return root_binom * np.array([1, 1j, -1, -1j])[l % 4] * sin ** l * cos ** (n - l)
 
 
 def boson_pair_closed_form(ubar: float, tau: Union[float, Sequence[float]],
-                           init: Sequence[complex] = (1.0, 0.0, 0.0)) -> BosonPairClosedForm:
-    """Printed-style N=2 boson solution; init = (c0, c1, c2) at tau=0.
-
-    The c1 component reproduces the true dynamics whenever c1(0) = 0 (the
-    right-well and left-well starts both qualify) and always at ubar = 0; the
-    c0/c2 components drop the diagonal interaction and are exact only at
-    ubar = 0. ``exact_components`` lists which of the three carry the
-    eigen-propagation guarantee for these inputs.
-    """
-    arr = _check_init(init)
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+                           init: Sequence[complex] = (1.0, 0.0, 0.0)) -> np.ndarray:
+    """Printed-style N=2 boson middle amplitude c1, shape (len(tau),); init =
+    (c0, c1, c2) at tau=0. Exact at ubar = 0 or when c1(0) = 0 (the right-
+    and left-well starts); elsewhere it assumes the interaction-free edge
+    equations and raises ConfigError."""
+    arr = _as_start(init, 3)
+    if ubar != 0.0 and arr[1] != 0.0:
+        raise ConfigError(f"c1 is exact only at ubar=0 or c1(0)=0, got ubar={ubar!r}")
     # dynamical ordering: middle amplitude is c1, edges are (c2, c0)
-    c1, c2, c0 = _two_frequency(0.5 * ubar, tau_arr, (arr[1], arr[2], arr[0]))
-    if ubar == 0.0:
-        exact = ("c0", "c1", "c2")
-        note = "interaction-free: all components follow the true dynamics"
-    elif abs(arr[1]) == 0.0:
-        exact = ("c1",)
-        note = ("c1 follows the true dynamics (middle amplitude starts empty); "
-                "c0/c2 ignore the interaction diagonal and hold only at ubar=0")
-    else:
-        exact = ()
-        note = ("no component is guaranteed: c1's printed coefficients assume "
-                "the interaction-free edge equations when c1(0) != 0")
-    return BosonPairClosedForm(c0=c0, c1=c1, c2=c2,
-                               exact_components=exact, note=note)
+    return _two_frequency(0.5 * ubar, _closed_form_tau(tau), (arr[1], arr[2], arr[0]))[0]
 
 
 def fermion_pair_closed_form(ubar: float, tau: Union[float, Sequence[float]],
@@ -316,7 +319,6 @@ def fermion_pair_closed_form(ubar: float, tau: Union[float, Sequence[float]],
     Exact for the single-occupancy Hamiltonian at every ubar and any initial
     amplitudes; returns an array of shape (len(tau), 3).
     """
-    arr = _check_init(init)
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    c1, c2, c3 = _two_frequency(0.25 * ubar, tau_arr, arr)
+    arr = _as_start(init, 3)
+    c1, c2, c3 = _two_frequency(0.25 * ubar, _closed_form_tau(tau), arr)
     return np.stack([c1, c2, c3], axis=1)

@@ -12,14 +12,13 @@ in one place, the channel table of ``scenario``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolve import Trajectory, _real_array
+from .evolve import Trajectory, _closed_form_tau, _real_array, _two_frequency_roots
 from .hamiltonians import fermion_pair_embedding
 from .operators import OperatorMatrix, _as_array
 
@@ -137,11 +136,9 @@ def xi_fermion_closed_form(ubar: float, tau: Union[float, Sequence[float]]) -> n
     abstract and cannot settle whether the sign was misprinted in the paper
     or in its transcription, so the expression is kept as printed.
     """
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    omega = math.sqrt(4.0 + (ubar / 4.0) ** 2)
-    om_minus = omega - ubar / 4.0
-    om_plus = omega + ubar / 4.0
+    tau_arr = _closed_form_tau(tau)
+    omega, w_minus, om_plus = _two_frequency_roots(ubar / 4.0, tau_arr)
+    om_minus = -w_minus
     beat = om_minus * np.cos(om_plus * tau_arr) - om_plus * np.cos(om_minus * tau_arr)
-    values = 2.0 * (1.0 - (2.0 / omega ** 2) * np.sin(omega * tau_arr) ** 2
-                    - beat ** 2 / (4.0 * omega ** 2))
-    return values
+    return 2.0 * (1.0 - 2.0 * (np.sin(omega * tau_arr) / omega) ** 2
+                  - (beat / (2.0 * omega)) ** 2)

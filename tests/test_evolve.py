@@ -3,7 +3,8 @@
 The eigendecomposition propagator is the dynamics oracle; RK4 must approach
 it as the step shrinks, and the printed two-frequency forms must match it
 exactly where their derivation is valid (everywhere for the fermion pair,
-middle amplitude only for the interacting boson pair).
+middle amplitude only for the interacting boson pair), as must the
+interaction-free boson amplitudes at every N.
 """
 
 import math
@@ -21,12 +22,18 @@ from phasekit import (
     StepSizeError,
     Trajectory,
     boson_basis,
+    boson_cn_phase,
     boson_dimer_hamiltonian,
+    boson_free_amplitudes,
+    boson_number_diff,
     boson_pair_closed_form,
+    boson_unitary_phase,
     eigen_propagate,
+    expectation_series,
     fermion_pair_closed_form,
     fermion_pair_hamiltonian,
     rk4_propagate,
+    xi_fermion_closed_form,
 )
 from phasekit.verify import (
     boson_closed_form_residual,
@@ -149,10 +156,13 @@ def test_degenerate_tau_grid_is_rejected_before_propagation(propagate, tau, mess
         propagate(h, _right_well(2), tau)
 
 
+WRONG_TYPE_TAUS = {"complex-list": [0, 1j], "string": [0, "a"],
+                   "complex-array": np.array([0, 1 + 1j]), "object": [0.0, None]}
+
+
 @pytest.mark.parametrize("propagate", [eigen_propagate, rk4_propagate, _trajectory_of],
                          ids=["eigen", "rk4", "trajectory"])
-@pytest.mark.parametrize("tau", [[0, 1j], [0, "a"], np.array([0, 1 + 1j]), [0.0, None]],
-                         ids=["complex-list", "string", "complex-array", "object"])
+@pytest.mark.parametrize("tau", WRONG_TYPE_TAUS.values(), ids=WRONG_TYPE_TAUS.keys())
 def test_tau_grid_of_the_wrong_type_is_a_config_error(propagate, tau, monkeypatch):
     # a complex grid is not cast to its real part, and no raw TypeError or
     # ValueError escapes from the float conversion
@@ -264,15 +274,20 @@ def test_fermion_closed_form_right_well_structure():
     assert np.max(np.abs(closed[:, 0] - c1_expected)) < 1e-14
 
 
-def test_boson_closed_form_validity_reporting():
+def test_boson_closed_form_refuses_the_start_it_cannot_guarantee():
+    # c1(0) != 0 at ubar != 0 is the one case where the printed c1 is not exact
     tau = np.linspace(0.0, 10.0, 101)
-    free = boson_pair_closed_form(0.0, tau, (1.0, 0.0, 0.0))
-    assert free.exact_components == ("c0", "c1", "c2")
-    guarded = boson_pair_closed_form(5.0, tau, (1.0, 0.0, 0.0))
-    assert guarded.exact_components == ("c1",)
-    none_valid = boson_pair_closed_form(5.0, tau, (0.0, 1.0, 0.0))
-    assert none_valid.exact_components == ()
-    assert "c1" in none_valid.note
+    with pytest.raises(ConfigError, match="c1 is exact only"):
+        boson_pair_closed_form(5.0, tau, (0.0, 1.0, 0.0))
+    h = boson_dimer_hamiltonian(boson_basis(2), 0.0)
+    start = np.array([0.6, 0.8j, 0.0])
+    c1 = boson_pair_closed_form(0.0, tau, start)
+    assert c1.shape == tau.shape
+    assert np.max(np.abs(eigen_propagate(h, start, tau).states[:, 1] - c1)) < 1e-12
+    for ubar, start in ((5.0, (1.0, 0.0, 0.0)), (-5.0, (0.0, 0.0, 1.0))):
+        h = boson_dimer_hamiltonian(boson_basis(2), ubar)
+        c1 = boson_pair_closed_form(ubar, tau, start)
+        assert np.max(np.abs(eigen_propagate(h, start, tau).states[:, 1] - c1)) < 1e-12
 
 
 def test_boson_closed_form_against_eigen():
@@ -285,17 +300,84 @@ def test_boson_closed_form_against_eigen():
         assert boson_closed_form_residual(ubar, traj) < 1e-12
 
 
-def test_boson_closed_form_edges_break_at_strong_coupling():
-    # the printed edge integrals drop the interaction diagonal; at ubar=5 the
-    # discrepancy is order one, which is why only c1 is reported exact
+@pytest.mark.parametrize("ubar", [1e9, 4e9, -3e9, 1e12, -1e12])
+def test_closed_forms_keep_both_roots_at_huge_coupling(ubar):
+    # ubar/4 - Omega once cancelled to 0 here, giving NaN and a numpy warning
+    tau = np.linspace(0.0, 1.0, 11)
+    h = fermion_pair_hamiltonian(ubar)
+    pair = eigen_propagate(h, RIGHT_WELL_3, tau)
+    assert fermion_closed_form_residual(ubar, RIGHT_WELL_3, pair) < 1e-12
+    h = boson_dimer_hamiltonian(boson_basis(2), ubar)
+    boson = eigen_propagate(h, _right_well(2), tau)
+    assert boson_closed_form_residual(ubar, boson) < 1e-12
+
+
+def test_closed_forms_refuse_unrepresentable_phases():
+    # as eigen_propagate: max|w|*max|tau| past 1e15 leaves no digit of the phase
+    with pytest.raises(NumericalError, match="exceeds"):
+        fermion_pair_closed_form(1e300, [0.0, 1.0])
+    with pytest.raises(NumericalError, match="exceeds"):
+        boson_pair_closed_form(-1e16, [0.0, 1.0])
+    with pytest.raises(NumericalError, match="exceeds"):
+        xi_fermion_closed_form(5.0, [0.0, 1e15])
+    assert np.isfinite(xi_fermion_closed_form(1e300, 0.0)).all()
+
+
+# ---------------------------------------------------------------------------
+# the interaction-free oracle
+
+
+def test_free_amplitudes_match_eigen_at_every_n():
     tau = np.linspace(0.0, 40.0, 401)
-    basis = boson_basis(2)
-    h = boson_dimer_hamiltonian(basis, 5.0)
-    init = np.array([1.0, 0.0, 0.0], dtype=complex)
-    traj = eigen_propagate(h, init, tau)
-    closed = boson_pair_closed_form(5.0, tau, init)
-    gap = np.max(np.abs(traj.states[:, 0] - closed.c0))
-    assert gap > 0.1
+    for n in [*range(1, 41), 100]:
+        basis = boson_basis(n)
+        free = boson_free_amplitudes(basis, tau)
+        assert free.shape == (tau.size, n + 1)
+        traj = eigen_propagate(boson_dimer_hamiltonian(basis, 0.0), _right_well(n), tau)
+        assert np.max(np.abs(traj.states - free)) < 1e-12, n
+        assert np.max(np.abs(np.linalg.norm(free, axis=1) - 1.0)) < 1e-12, n
+        w = expectation_series(boson_number_diff(basis), free)
+        assert np.max(np.abs(w + n * np.cos(2.0 * tau))) < 1e-13 * n, n  # W is O(N)
+
+
+def test_free_amplitudes_match_rk4_at_the_default_step():
+    basis = boson_basis(10)
+    tau = np.linspace(0.0, 40.0, 2001)
+    traj = rk4_propagate(boson_dimer_hamiltonian(basis, 0.0), _right_well(10), tau)
+    assert np.max(np.abs(traj.states - boson_free_amplitudes(basis, tau))) < 1e-8
+
+
+def test_free_amplitudes_give_the_odd_even_and_gap_laws():
+    # <C_CN> vanishes, so <C_U> - <C_CN> = Re((-i)^N) (sin 2tau / 2)^N: zero at
+    # odd N and at most 2^-N at even N
+    tau = np.linspace(0.0, 2.0 * math.pi, 401)
+    for n in range(1, 41):
+        basis = boson_basis(n)
+        free = boson_free_amplitudes(basis, tau)
+        cos_u = expectation_series(boson_unitary_phase(basis)[0], free)
+        cos_cn = expectation_series(boson_cn_phase(basis)[0], free)
+        law = ((-1j) ** n).real * (np.sin(2.0 * tau) / 2.0) ** n
+        assert np.max(np.abs(cos_u - cos_cn - law)) < 1e-13, n
+        assert np.max(np.abs(cos_cn)) < 1e-13, n
+        if n % 2:
+            assert np.max(np.abs(cos_u)) < 1e-13, n
+        else:
+            assert np.max(np.abs(cos_u)) == pytest.approx(2.0 ** -n, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [1100, 2100, 5000])
+def test_free_amplitudes_at_huge_n_are_unit_rows_or_config_errors(n):
+    # float(comb(1100, 550)) overflows; sqrt(C(N, l)) stays finite to N ~ 2050
+    tau = np.linspace(0.0, 2.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            free = boson_free_amplitudes(boson_basis(n), tau)
+        except ConfigError:
+            assert n > 2000
+            return
+    assert np.isfinite(free).all()
+    assert np.max(np.abs(np.linalg.norm(free, axis=1) - 1.0)) < 1e-12
 
 
 def test_closed_forms_reject_bad_inits():
@@ -315,6 +397,14 @@ NORM_GATES = {
     "boson-closed-form": lambda start: boson_pair_closed_form(1.0, [0.0, 1.0], start),
     "scenario-config": lambda start: ScenarioConfig(system="fermion", ubar=1.0,
                                                     channels=("avgW",), initial=start),
+}
+
+# every closed form, called with (ubar, tau); the oracle has no ubar
+CLOSED_FORMS = {
+    "fermion-closed-form": fermion_pair_closed_form,
+    "boson-closed-form": boson_pair_closed_form,
+    "xi-closed-form": xi_fermion_closed_form,
+    "free-amplitudes": lambda ubar, tau: boson_free_amplitudes(boson_basis(2), tau),
 }
 
 
@@ -341,6 +431,24 @@ def test_unconvertible_starts_are_config_errors(gate, start):
     # numpy refuses both conversions with a bare ValueError
     with pytest.raises(ConfigError, match="initial amplitudes are not an array of numbers"):
         NORM_GATES[gate](start)
+
+
+@pytest.mark.parametrize("ubar, tau", [
+    *((1.0, tau) for tau in WRONG_TYPE_TAUS.values()),
+    (1.0, [0.0, [1.0]]), (1.0, [0.0, math.nan]), (1.0, [0.0, math.inf]),
+    (math.nan, [0.0, 1.0]), (math.inf, [0.0, 1.0]), (-math.inf, [0.0, 1.0]),
+], ids=[*WRONG_TYPE_TAUS, "ragged-tau", "nan-tau", "inf-tau", "nan-ubar", "inf-ubar",
+        "-inf-ubar"])
+@pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
+def test_closed_forms_take_only_what_a_propagator_takes(form, ubar, tau):
+    # a raw ValueError or TypeError, a NaN result or a numpy warning before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if form is CLOSED_FORMS["free-amplitudes"] and not math.isfinite(ubar):
+            assert np.isfinite(form(ubar, tau)).all()
+            return
+        with pytest.raises(ConfigError):
+            form(ubar, tau)
 
 
 def test_trajectory_overflowing_state_fails_without_warning():
