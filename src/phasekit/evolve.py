@@ -316,8 +316,8 @@ def fermion_pair_closed_form(ubar: float, tau: Union[float, Sequence[float]],
                              init: Sequence[complex] = (0.0, 0.0, 1.0)) -> np.ndarray:
     """Closed-form pair amplitudes (c1, c2, c3); init given at tau=0.
 
-    Exact for the single-occupancy Hamiltonian at every ubar and any initial
-    amplitudes; returns an array of shape (len(tau), 3).
+    Exact for the pair Hamiltonian at every ubar and any initial amplitudes;
+    returns an array of shape (len(tau), 3).
     """
     arr = _as_start(init, 3)
     c1, c2, c3 = _two_frequency(0.25 * ubar, _closed_form_tau(tau), arr)

@@ -6,16 +6,9 @@ interaction diagonal (ubar/2)(l^2 + (N-l)^2 - N).
 
 The fermion pair Hamiltonian acts on the three dynamically coupled states of
 two opposite-spin fermions: (sym, |ud,0>, |0,ud>) where
-sym = (|u,d> + |d,u>)/sqrt(2). Two interaction placements are selectable:
-
-* ``single-occupancy`` (default): diag(ubar/2, 0, 0) — the interaction energy
-  sits on the one-fermion-per-well amplitude. This variant is the one whose
-  dynamics the bundled closed-form solution reproduces exactly.
-* ``uniform-shift``: diag(ubar/2, ubar/2, ubar/2) — the same energy on every
-  amplitude, so the interaction degenerates to a global phase.
-
-Both share the off-diagonal -sqrt(2) coupling between sym and each
-doubly-occupied state, and they differ exactly by (ubar/2)*diag(0, 1, 1).
+sym = (|u,d> + |d,u>)/sqrt(2). It couples sym to each doubly-occupied state
+by -sqrt(2), and its interaction diag(ubar/2, 0, 0) sits on the
+one-fermion-per-well amplitude.
 """
 
 from __future__ import annotations
@@ -27,9 +20,6 @@ import numpy as np
 from .errors import ConfigError
 from .fock import BosonDimerBasis
 from .operators import OperatorMatrix
-
-FERMION_VARIANTS = ("single-occupancy", "uniform-shift")
-DEFAULT_FERMION_VARIANT = "single-occupancy"
 
 # Fock-space bitmasks of the dynamical basis (mode order l_up,l_down,r_up,r_down):
 # sym spreads over |u,d> = mask 9 and |d,u> = mask 6 with + signs.
@@ -54,24 +44,15 @@ def boson_dimer_hamiltonian(basis: BosonDimerBasis, ubar: float) -> OperatorMatr
     return OperatorMatrix(h, label=f"boson_dimer[N={n},ubar={ubar:g}]", hermitian=True)
 
 
-def fermion_pair_hamiltonian(ubar: float,
-                             variant: str = DEFAULT_FERMION_VARIANT) -> OperatorMatrix:
+def fermion_pair_hamiltonian(ubar: float) -> OperatorMatrix:
     if not math.isfinite(ubar):
         raise ConfigError(f"ubar must be finite, got {ubar}")
-    if variant not in FERMION_VARIANTS:
-        raise ConfigError(
-            f"unknown fermion variant {variant!r}; expected one of {FERMION_VARIANTS}"
-        )
     h = np.zeros((3, 3), dtype=complex)
     s2 = math.sqrt(2.0)
     h[0, 1] = h[1, 0] = -s2
     h[0, 2] = h[2, 0] = -s2
     h[0, 0] = 0.5 * ubar
-    if variant == "uniform-shift":
-        h[1, 1] = 0.5 * ubar
-        h[2, 2] = 0.5 * ubar
-    return OperatorMatrix(h, label=f"fermion_pair[{variant},ubar={ubar:g}]",
-                          hermitian=True)
+    return OperatorMatrix(h, label=f"fermion_pair[ubar={ubar:g}]", hermitian=True)
 
 
 def fermion_pair_embedding() -> np.ndarray:

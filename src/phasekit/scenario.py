@@ -11,7 +11,8 @@ This module alone knows that format. Each cell is the text ``"%.17g"`` gives,
 built in numpy from exact integer digits, 8192 cells at a time, with no
 Python object per value; a cell outside fixed notation is formatted by
 ``"%.17g"`` itself. A non-finite value, or a header that would not parse
-back (no channel, a repeated name, a name holding ',' or a line break),
+back (no channel, a repeated name, a channel named tau, a name holding ','
+or a line break),
 fails before any text is built, and each file is written to a temporary name
 beside it and then renamed over the target, so a failed write leaves no
 partial file.
@@ -25,7 +26,7 @@ import numbers
 import os
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -34,12 +35,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
 from .fock import _check_unit_norm, boson_basis, fermion_sector, fock_state
-from .hamiltonians import (
-    DEFAULT_FERMION_VARIANT,
-    FERMION_VARIANTS,
-    boson_dimer_hamiltonian,
-    fermion_pair_hamiltonian,
-)
+from .hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from .observe import TimeSeries, expectation_series, pair_moments, xi_fermion_closed_form
 from .operators import (
     boson_cn_phase,
@@ -91,9 +87,6 @@ _CHANNELS = {
 BOSON_CHANNELS = tuple(n for n, (kind, _) in _CHANNELS.items() if kind != "fermion")
 FERMION_CHANNELS = tuple(n for n, (kind, _) in _CHANNELS.items() if kind != "boson")
 
-_CONFIG_KEYS = ("system", "N", "ubar", "variant", "mode_pair", "tau_max",
-                "steps", "initial", "integrator", "channels", "out")
-
 # Work limits, checked before any array is built. Presets, tests and the
 # benchmark use N <= 10 and at most 40 001 x 3 grid amplitudes. Operators are
 # dense (N+1)^2. On 2 cores with one BLAS thread, a boson run with every
@@ -117,7 +110,6 @@ class ScenarioConfig:
     system: str
     ubar: float
     N: Optional[int] = None
-    variant: Optional[str] = None
     mode_pair: Optional[str] = None
     tau_max: float = 40.0
     steps: int = 2001
@@ -151,25 +143,22 @@ class ScenarioConfig:
             raise ConfigError(f"tau_max must be positive and finite, got {self.tau_max!r}")
         if self.steps < 2:
             raise ConfigError(f"steps must be at least 2, got {self.steps}")
+        # parse_config cuts a value at '#' or a line break and strips it
+        if self.out is not None and ("#" in self.out or self.out != self.out.strip()
+                                     or len(self.out.splitlines()) > 1):
+            raise ConfigError(f"out must hold no '#' or line break and no leading or "
+                              f"trailing whitespace, got {self.out!r}")
 
         if self.system == "boson":
             if self.N is None:
                 raise ConfigError("boson scenarios need N")
             if not 1 <= self.N <= MAX_N:
                 raise ConfigError(f"N must be in 1..{MAX_N}, got {self.N}")
-            if self.variant is not None:
-                raise ConfigError("variant applies to fermion scenarios only")
             if self.mode_pair is not None:
                 raise ConfigError("mode_pair applies to fermion scenarios only")
         else:
             if self.N is not None:
                 raise ConfigError("N applies to boson scenarios only")
-            if self.variant is None:
-                object.__setattr__(self, "variant", DEFAULT_FERMION_VARIANT)
-            if self.variant not in FERMION_VARIANTS:
-                raise ConfigError(
-                    f"unknown variant {self.variant!r}; expected one of {FERMION_VARIANTS}"
-                )
             if self.mode_pair is None:
                 object.__setattr__(self, "mode_pair", DEFAULT_MODE_PAIR)
             if self.mode_pair not in MODE_PAIRS:
@@ -223,6 +212,9 @@ class ScenarioConfig:
         return (self.N + 1) if self.system == "boson" else 3
 
 
+_CONFIG_KEYS = frozenset(field.name for field in fields(ScenarioConfig))
+
+
 # ---------------------------------------------------------------------------
 # config text format
 
@@ -267,7 +259,7 @@ def parse_config(text: str) -> ScenarioConfig:
             kwargs["steps"] = int(pairs["steps"])
     except ValueError as exc:
         raise ConfigError(f"malformed numeric value: {exc}") from exc
-    for key in ("variant", "mode_pair", "integrator", "out"):
+    for key in ("mode_pair", "integrator", "out"):
         if key in pairs:
             kwargs[key] = pairs[key]
     if "initial" in pairs:
@@ -290,8 +282,6 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     if cfg.N is not None:
         lines.append(f"N={cfg.N}")
     lines.append(f"ubar={float(cfg.ubar)!r}")
-    if cfg.variant is not None:
-        lines.append(f"variant={cfg.variant}")
     if cfg.mode_pair is not None:
         lines.append(f"mode_pair={cfg.mode_pair}")
     lines.append(f"tau_max={float(cfg.tau_max)!r}")
@@ -330,7 +320,7 @@ def propagate_scenario(cfg: ScenarioConfig) -> Trajectory:
     if cfg.system == "boson":
         h = boson_dimer_hamiltonian(boson_basis(cfg.N), cfg.ubar)
     else:
-        h = fermion_pair_hamiltonian(cfg.ubar, cfg.variant)
+        h = fermion_pair_hamiltonian(cfg.ubar)
     psi0 = initial_amplitudes(cfg)
     if cfg.integrator == "eigen":
         return eigen_propagate(h, psi0, tau_grid)
@@ -571,8 +561,8 @@ def format_csv(series: TimeSeries, channel_order: Sequence[str]) -> str:
             raise ConfigError(f"channel name {name!r} is not a CSV header cell")
         if name not in series.channels:
             raise ConfigError(f"series has no channel {name!r}")
-    if len(set(names)) != len(names):
-        raise ConfigError(f"channel names repeat: {names}")
+    if len({"tau", *names}) != len(names) + 1:
+        raise ConfigError(f"channel names repeat: {['tau', *names]}")
     tau = series.tau_grid
     for name, column in [("tau", tau)] + [(n, series.channels[n]) for n in names]:
         bad = np.flatnonzero(~np.isfinite(column))

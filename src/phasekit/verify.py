@@ -10,10 +10,10 @@ check is its worst residual over the check's cases.
 one check that reads it. What two checks read is built first as a local,
 passed to both and deleted after the second: the boson families at N = 2..5
 (which the boson sweep takes after the dynamics checks), the N=2 boson and
-single-occupancy pair trajectories at each ubar of ``UBAR_SET``, and the
-interaction-free N=2 trajectory. The boson sweep holds one N's family at a
-time; one family per fermion mode pair serves hermiticity, Jacobi and
-isometry. Nothing is kept between runs.
+pair trajectories at each ubar of ``UBAR_SET``, and the interaction-free N=2
+trajectory. The boson sweep holds one N's family at a time; one family per
+fermion mode pair serves hermiticity, Jacobi and isometry. Nothing is kept
+between runs.
 
 The ``tol`` argument feeds the operator-algebra checks (hermiticity,
 unitarity, commutators, isometry); checks tied to analytic laws or solver
@@ -49,11 +49,7 @@ from .evolve import (
     fermion_pair_closed_form,
 )
 from .fock import FULL_DIM, MODE_NAMES, boson_basis, fermion_sector, fock_state
-from .hamiltonians import (
-    FERMION_VARIANTS,
-    boson_dimer_hamiltonian,
-    fermion_pair_hamiltonian,
-)
+from .hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from .observe import expectation_series
 from .operators import (
     OperatorMatrix,
@@ -334,25 +330,20 @@ def _check_mirror_symmetry(n_max: int) -> CheckResult:
                        "left/right well exchange leaves the matrix invariant")
 
 
-def _check_variant_difference() -> CheckResult:
-    worst = 0.0
-    for ubar in UBAR_SET:
-        single = fermion_pair_hamiltonian(ubar, "single-occupancy").entries
-        uniform = fermion_pair_hamiltonian(ubar, "uniform-shift").entries
-        target = np.diag([0.0, ubar / 2.0, ubar / 2.0]).astype(complex)
-        worst = max(worst, _maxabs(uniform - single - target))
-    return CheckResult("fermion-variant-difference", worst == 0.0, worst, 0.0,
-                       "variants differ by the doubly-occupied diagonal only")
+def _check_interaction_placement() -> CheckResult:
+    free = fermion_pair_hamiltonian(0.0).entries
+    worst = max(_maxabs(fermion_pair_hamiltonian(ubar).entries - free
+                        - np.diag([ubar / 2.0, 0.0, 0.0]))
+                for ubar in UBAR_SET)
+    return CheckResult("fermion-interaction-placement", worst == 0.0, worst, 0.0,
+                       "the interaction sits on the single-occupancy diagonal only")
 
 
 def _check_interaction_free_spectra(tol: float) -> CheckResult:
     target = np.array([-2.0, 0.0, 2.0])
-    worst = 0.0
-    h = boson_dimer_hamiltonian(boson_basis(2), 0.0).entries
-    worst = max(worst, _maxabs(np.linalg.eigvalsh(h) - target))
-    for variant in FERMION_VARIANTS:
-        h = fermion_pair_hamiltonian(0.0, variant).entries
-        worst = max(worst, _maxabs(np.linalg.eigvalsh(h) - target))
+    worst = max(_maxabs(np.linalg.eigvalsh(h.entries) - target)
+                for h in (boson_dimer_hamiltonian(boson_basis(2), 0.0),
+                          fermion_pair_hamiltonian(0.0)))
     return CheckResult("interaction-free-spectra", worst <= tol, worst, tol,
                        "both systems reduce to the same tunneling triplet")
 
@@ -373,10 +364,10 @@ def _boson_right_well(n: int, ubar: float,
     return h, eigen_propagate(h, fock_state(basis, "right-well"), tau)
 
 
-def _pair(ubar: float, init: tuple[complex, ...], tau: np.ndarray,
-          variant: str = "single-occupancy") -> tuple[OperatorMatrix, Trajectory]:
+def _pair(ubar: float, init: tuple[complex, ...],
+          tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
     """H and the exact trajectory of the fermion pair from ``init``."""
-    h = fermion_pair_hamiltonian(ubar, variant)
+    h = fermion_pair_hamiltonian(ubar)
     return h, eigen_propagate(h, np.array(init, dtype=complex), tau)
 
 
@@ -387,8 +378,8 @@ def conservation_residual(h: OperatorMatrix, traj: Trajectory) -> tuple[float, f
 
 
 def fermion_closed_form_residual(ubar: float, init, traj: Trajectory) -> float:
-    """Two-frequency pair solution against a single-occupancy trajectory from
-    ``init``, all amplitudes."""
+    """Two-frequency pair solution against a pair trajectory from ``init``,
+    all amplitudes."""
     return _maxabs(traj.states - fermion_pair_closed_form(ubar, traj.tau_grid, init))
 
 
@@ -409,9 +400,7 @@ def _check_conservation(bosons: _Runs, pairs: _Runs, tau: np.ndarray) -> CheckRe
     drifts = [conservation_residual(*bosons[ubar]) for ubar in (0.05, 5.0)]
     drifts += [conservation_residual(*_boson_right_well(n, ubar, tau))
                for n in (5, 10) for ubar in (0.05, 5.0)]
-    drifts += [conservation_residual(*pairs[ubar]) if variant == "single-occupancy"
-               else conservation_residual(*_pair(ubar, _BOTH_RIGHT, tau, variant))
-               for variant in FERMION_VARIANTS for ubar in (0.05, 5.0)]
+    drifts += [conservation_residual(*pairs[ubar]) for ubar in (0.05, 5.0)]
     worst_norm, worst_energy = map(max, zip(*drifts))
     passed = worst_norm <= NORM_TOL and worst_energy <= ENERGY_TOL
     return CheckResult("eigen-conservation", passed,
@@ -553,7 +542,7 @@ def run_verification(n_max: int = 12, tol: float = 1e-12) -> VerificationReport:
                      "singular values on the half-filled subspace"),
         _check_double_sum_counterexample(),
         _check_mirror_symmetry(n_max),
-        _check_variant_difference(),
+        _check_interaction_placement(),
         _check_interaction_free_spectra(tol),
         *dynamics,
         _check_config_round_trip(),

@@ -93,7 +93,7 @@ VERIFY_CHECKS = (
     ("c04", "betaf-isometry", 1e-12),
     ("c04", "double-sum-counterexample", 0.5),
     (None, "hamiltonian-mirror-symmetry", 0.0),
-    (None, "fermion-variant-difference", 0.0),
+    (None, "fermion-interaction-placement", 0.0),
     (None, "interaction-free-spectra", 1e-12),
     (None, "eigen-conservation", 1e-10),
     (None, "fermion-closed-form", 1e-9),
@@ -163,7 +163,7 @@ def test_c04_fermion_algebra(verify_checks):
 def test_c05_closed_forms_match_eigenpropagation():
     tau = np.linspace(0.0, 40.0, 2001)
     for ubar in UBAR_SET:
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
+        h = fermion_pair_hamiltonian(ubar)
         pair = eigen_propagate(h, RIGHT_WELL_3, tau)
         assert fermion_closed_form_residual(ubar, RIGHT_WELL_3, pair) <= 1e-9
         assert boson_closed_form_residual(ubar, _boson_traj(2, ubar, tau)[1]) <= 1e-9
@@ -290,7 +290,7 @@ def test_c11_conservation_along_acceptance_trajectories():
         h = boson_dimer_hamiltonian(boson_basis(n), ubar)
         cases.append((h, _right_well(n), tau))
     for ubar in (0.0, 0.05, 5.0):
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
+        h = fermion_pair_hamiltonian(ubar)
         cases.append((h, RIGHT_WELL_3, tau_long))
     for h, psi0, tau in cases:
         norm_drift, energy_drift = conservation_residual(h, eigen_propagate(h, psi0, tau))

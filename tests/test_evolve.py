@@ -88,7 +88,7 @@ def test_eigen_propagation_against_direct_expm():
 
 
 def test_eigen_norm_and_energy_conservation():
-    h = fermion_pair_hamiltonian(5.0, "single-occupancy")
+    h = fermion_pair_hamiltonian(5.0)
     tau = np.linspace(0.0, 40.0, 801)
     norm_drift, energy_drift = conservation_residual(h, eigen_propagate(h, RIGHT_WELL_3, tau))
     assert norm_drift <= 1e-12
@@ -254,7 +254,7 @@ def test_fermion_closed_form_all_couplings():
     inits = (RIGHT_WELL_3,
              np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex))
     for ubar in (0.0, 0.05, 5.0):
-        h = fermion_pair_hamiltonian(ubar, "single-occupancy")
+        h = fermion_pair_hamiltonian(ubar)
         for init in inits:
             traj = eigen_propagate(h, init, tau)
             assert fermion_closed_form_residual(ubar, init, traj) < 1e-12

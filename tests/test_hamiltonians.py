@@ -12,7 +12,6 @@ from phasekit import (
     fermion_pair_embedding,
     fermion_pair_hamiltonian,
 )
-from phasekit.hamiltonians import DEFAULT_FERMION_VARIANT
 
 
 def _oracle_boson_hamiltonian(n, ubar):
@@ -54,32 +53,33 @@ def test_boson_hamiltonian_mirror_symmetry():
         assert np.array_equal(h, h[::-1, ::-1])
 
 
-def test_fermion_hamiltonian_variants():
-    ubar = 5.0
-    s = fermion_pair_hamiltonian(ubar, "single-occupancy").entries
+def test_fermion_hamiltonian_entries():
     root2 = math.sqrt(2.0)
     expected = np.array([[2.5, -root2, -root2],
                          [-root2, 0.0, 0.0],
                          [-root2, 0.0, 0.0]], dtype=complex)
-    assert np.array_equal(s, expected)
-    u = fermion_pair_hamiltonian(ubar, "uniform-shift").entries
-    assert np.array_equal(u - s, np.diag([0.0, 2.5, 2.5]).astype(complex))
-    assert DEFAULT_FERMION_VARIANT == "single-occupancy"
+    assert np.array_equal(fermion_pair_hamiltonian(5.0).entries, expected)
 
 
-def test_fermion_hamiltonian_default_variant():
-    ubar = 1.3
-    assert np.array_equal(fermion_pair_hamiltonian(ubar).entries,
-                          fermion_pair_hamiltonian(ubar, "single-occupancy").entries)
+@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+@settings(max_examples=30, deadline=None)
+def test_fermion_hamiltonian_interaction_placement(ubar):
+    # the interaction sits on the single-occupancy amplitude only, exactly
+    placed = fermion_pair_hamiltonian(ubar).entries - fermion_pair_hamiltonian(0.0).entries
+    assert np.array_equal(placed, np.diag([ubar / 2.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("ubar", [math.nan, math.inf, -math.inf])
+def test_fermion_hamiltonian_refuses_a_non_finite_interaction(ubar):
     with pytest.raises(ConfigError):
-        fermion_pair_hamiltonian(ubar, "other")
+        fermion_pair_hamiltonian(ubar)
 
 
 def test_fermion_sym_sector_eigenvalues():
     # the antisymmetric double-occupancy combination decouples at eigenvalue 0;
     # the rest is a 2x2 block with eigenvalues ubar/4 +- sqrt(4 + (ubar/4)^2)
     ubar = 5.0
-    h = fermion_pair_hamiltonian(ubar, "single-occupancy").entries
+    h = fermion_pair_hamiltonian(ubar).entries
     vals = np.sort(np.linalg.eigvalsh(h))
     quarter = ubar / 4.0
     omega = math.sqrt(4.0 + quarter * quarter)

@@ -42,6 +42,7 @@ from phasekit.scenario import (
     run_scenario,
     write_csv,
 )
+from phasekit.cli import main
 from phasekit.presets import PRESETS, run_figure
 
 
@@ -66,7 +67,6 @@ channels = avgW , fluctW
     cfg = parse_config(text)
     assert cfg.system == "fermion"
     assert cfg.channels == ("avgW", "fluctW")
-    assert cfg.variant == "single-occupancy"
     assert cfg.mode_pair == "l-up/r-down"
 
 
@@ -101,9 +101,6 @@ def test_field_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(system="boson", N=2, ubar=1.0, channels=("xi",),
                        mode_pair="l-up/r-down")
-    with pytest.raises(ConfigError):
-        ScenarioConfig(system="fermion", ubar=1.0, channels=("avgW",),
-                       variant="eq-printed")
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -173,24 +170,31 @@ def test_initial_placement():
     assert initial_amplitudes(fermion)[2] == 1.0
 
 
+# any text but '#' and line breaks, with no whitespace at either end
+out_strategy = st.one_of(st.none(), st.text(
+    st.characters(blacklist_characters="#", blacklist_categories=("Cs",)), max_size=12,
+).filter(lambda out: out == out.strip() and len(out.splitlines()) <= 1))
+
 config_strategy = st.one_of(
     st.builds(
-        lambda n, ubar, steps, chans, integrator: ScenarioConfig(
+        lambda n, ubar, steps, chans, integrator, out: ScenarioConfig(
             system="boson", N=n, ubar=ubar, steps=steps,
-            channels=tuple(sorted(set(chans))), integrator=integrator),
+            channels=tuple(sorted(set(chans))), integrator=integrator, out=out),
         st.integers(min_value=1, max_value=8),
         st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
         st.integers(min_value=2, max_value=50),
         st.lists(st.sampled_from(BOSON_CHANNELS), min_size=1, max_size=4),
         st.sampled_from(("eigen", "rk4")),
+        out_strategy,
     ),
     st.builds(
-        lambda ubar, chans, pair: ScenarioConfig(
+        lambda ubar, chans, pair, out: ScenarioConfig(
             system="fermion", ubar=ubar, channels=tuple(sorted(set(chans))),
-            mode_pair=pair),
+            mode_pair=pair, out=out),
         st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
         st.lists(st.sampled_from(FERMION_CHANNELS), min_size=1, max_size=4),
         st.sampled_from(("l-up/r-down", "l-up/r-up")),
+        out_strategy,
     ),
 )
 
@@ -202,6 +206,27 @@ def test_config_round_trip_is_fixed_point(cfg):
     parsed = parse_config(text)
     assert parsed == cfg
     assert serialize_config(parsed) == text
+
+
+@pytest.mark.parametrize("out", ["a#b.csv", " a.csv", "a.csv ", "a.csv\nN=3", "a\rb.csv",
+                                 "a\x85b.csv", "\n"],
+                         ids=["hash", "leading-space", "trailing-space", "lf", "cr",
+                              "next-line", "line-break-only"])
+def test_out_that_would_not_parse_back_is_refused(out):
+    # parse_config would cut it at '#' or a line break, or strip it
+    with pytest.raises(ConfigError, match="out must hold"):
+        ScenarioConfig(system="boson", N=2, ubar=1.0, channels=("avgW",), out=out)
+
+
+def test_variant_is_an_unknown_key(tmp_path, capsys):
+    text = "system=fermion\nubar=5.0\nvariant=single-occupancy\nchannels=avgW\n"
+    with pytest.raises(ConfigError, match="unknown key 'variant'"):
+        parse_config(text)
+    config = tmp_path / "pair.cfg"
+    config.write_text(f"{text}out={tmp_path / 'pair.csv'}\n", encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 1
+    assert "unknown key 'variant'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pair.cfg"]
 
 
 def test_round_trip_with_amplitudes():
@@ -356,14 +381,12 @@ def _fock_space_channels(cfg, traj):
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=6, max_size=6)
        .filter(lambda xs: sum(x * x for x in xs) > 1e-3),
        st.floats(min_value=0.0, max_value=10.0),
-       st.sampled_from(tuple(MODE_PAIRS)),
-       st.sampled_from(("single-occupancy", "uniform-shift")))
+       st.sampled_from(tuple(MODE_PAIRS)))
 @settings(max_examples=40, deadline=None)
-def test_fermion_channels_match_fock_space_evaluation(parts, ubar, pair, variant):
+def test_fermion_channels_match_fock_space_evaluation(parts, ubar, pair):
     amps = np.array(parts[:3]) + 1j * np.array(parts[3:])
-    cfg = ScenarioConfig(system="fermion", ubar=ubar, variant=variant,
-                         mode_pair=pair, steps=41, tau_max=8.0,
-                         initial=tuple(amps / np.linalg.norm(amps)),
+    cfg = ScenarioConfig(system="fermion", ubar=ubar, mode_pair=pair,
+                         steps=41, tau_max=8.0, initial=tuple(amps / np.linalg.norm(amps)),
                          channels=FERMION_CHANNELS)
     series = run_scenario(cfg)
     oracle = _fock_space_channels(cfg, propagate_scenario(cfg))
@@ -500,8 +523,8 @@ def test_time_series_refuses_what_a_csv_cannot_hold(tau, channels):
         TimeSeries(tau, channels)
 
 
-@pytest.mark.parametrize("names", [[], ["avgW", "avgW"], ["a,b"], ["a\rb"], ["a\nb"]],
-                         ids=["none", "repeated", "comma", "cr", "lf"])
+@pytest.mark.parametrize("names", [[], ["avgW", "avgW"], ["a,b"], ["a\rb"], ["a\nb"], ["tau"]],
+                         ids=["none", "repeated", "comma", "cr", "lf", "tau"])
 def test_format_csv_refuses_a_malformed_header(tmp_path, names):
     series = TimeSeries(np.zeros(2), {name: np.zeros(2) for name in [*names, "avgW"]})
     with pytest.raises(ConfigError):

@@ -7,11 +7,7 @@ import pytest
 from phasekit import ConfigError, scenario, verify
 from phasekit.evolve import eigen_propagate
 from phasekit.fock import MODE_NAMES, boson_basis, fermion_sector, fock_state
-from phasekit.hamiltonians import (
-    FERMION_VARIANTS,
-    boson_dimer_hamiltonian,
-    fermion_pair_hamiltonian,
-)
+from phasekit.hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from phasekit.observe import expectation_series, pair_moments, xi_fermion_closed_form
 from phasekit.operators import (
     boson_cn_phase,
@@ -98,11 +94,11 @@ def test_a_run_builds_each_family_and_trajectory_once(monkeypatch):
     # one per mode pair (12 before)
     pairs = [args[1:] for args, _ in calls["fermion_unitary_phase"]]
     assert len(pairs) == len(set(pairs)) == 6
-    # 28 before: five propagations are read by two checks each
+    # five propagations are read by two checks each
     propagations = {tuple(np.asarray(getattr(a, "entries", getattr(a, "amplitudes", a))).tobytes()
                           for a in args)
                     for args, _ in calls["eigen_propagate"]}
-    assert len(calls["eigen_propagate"]) == len(propagations) == 23
+    assert len(calls["eigen_propagate"]) == len(propagations) == 21
 
 
 def _maxabs(arr):
@@ -124,16 +120,15 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
         h = boson_dimer_hamiltonian(basis, ubar)
         return h, eigen_propagate(h, fock_state(basis, "right-well"), grid)
 
-    def pair_run(ubar, init, grid=tau, variant="single-occupancy"):
-        h = fermion_pair_hamiltonian(ubar, variant)
+    def pair_run(ubar, init, grid=tau):
+        h = fermion_pair_hamiltonian(ubar)
         return h, eigen_propagate(h, init, grid)
 
     def w(n):
         return boson_number_diff(boson_basis(n))
 
     runs = [boson_run(n, ubar) for n in (2, 5, 10) for ubar in (0.05, 5.0)]
-    runs += [pair_run(ubar, both_right, variant=variant)
-             for variant in FERMION_VARIANTS for ubar in (0.05, 5.0)]
+    runs += [pair_run(ubar, both_right) for ubar in (0.05, 5.0)]
     inits = (both_right, np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex))
 
     # the four laws below are checks only, so they are restated here from the
