@@ -14,6 +14,7 @@ one-fermion-per-well amplitude.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -29,9 +30,25 @@ _MASK_BOTH_LEFT = 3
 _MASK_BOTH_RIGHT = 12
 
 
+def _finite(value: numbers.Real) -> bool:
+    """math.isfinite, and False for an int beyond the range of a double."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_ubar(ubar: float) -> None:
+    """ConfigError unless ``ubar`` is a finite real number, as a scenario
+    config requires: a bool, a string, None or a complex is refused."""
+    if isinstance(ubar, bool) or not isinstance(ubar, numbers.Real):
+        raise ConfigError(f"ubar must be a real number, got {ubar!r}")
+    if not _finite(ubar):
+        raise ConfigError(f"ubar must be finite, got {ubar!r}")
+
+
 def boson_dimer_hamiltonian(basis: BosonDimerBasis, ubar: float) -> OperatorMatrix:
-    if not math.isfinite(ubar):
-        raise ConfigError(f"ubar must be finite, got {ubar}")
+    _check_ubar(ubar)
     n = basis.total_particles
     dim = basis.dimension
     h = np.zeros((dim, dim), dtype=complex)
@@ -45,8 +62,7 @@ def boson_dimer_hamiltonian(basis: BosonDimerBasis, ubar: float) -> OperatorMatr
 
 
 def fermion_pair_hamiltonian(ubar: float) -> OperatorMatrix:
-    if not math.isfinite(ubar):
-        raise ConfigError(f"ubar must be finite, got {ubar}")
+    _check_ubar(ubar)
     h = np.zeros((3, 3), dtype=complex)
     s2 = math.sqrt(2.0)
     h[0, 1] = h[1, 0] = -s2

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ConfigError, NumericalError
-from .scenario import ScenarioConfig, run_scenario, write_csv
+from .scenario import ScenarioConfig, _CsvBundle, run_scenario, write_csv
 
 _PAIR_TAGS = {"l-up/r-down": "lu-rd", "l-up/r-up": "lu-ru"}
 
@@ -104,8 +104,10 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     """Run one preset bundle sequentially, returning the written CSV paths.
 
     Entries whose configs differ only in their channels share one
-    propagation, and each entry's CSV is cut from that series and formatted
-    on its own. If an entry fails, the files this call created are removed
+    propagation. The texts of all entries are formatted together when the
+    first file is written, each distinct column (tau once) laid out once, so
+    a header or non-finite value any entry would fail on leaves every file
+    as it was. If a write fails, the files this call created are removed
     before the error propagates; files it replaced keep their new content.
     """
     entries = preset_entries(name)
@@ -116,15 +118,16 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
         channels.extend(c for c in entry.config.channels if c not in channels)
     series = {key: run_scenario(replace(cfg, channels=tuple(channels)))
               for key, (cfg, channels) in groups.items()}
+    files = [(series[_without_channels(e.config)], e.config.channels) for e in entries]
+    bundle = _CsvBundle(files)
     out = Path(out_dir)
     written: list[Path] = []
     created: list[Path] = []
     try:
-        for entry in entries:
+        for entry, (entry_series, channels) in zip(entries, files):
             target = out / entry.filename
             existed = os.path.lexists(target)
-            written.append(write_csv(series[_without_channels(entry.config)],
-                                     entry.config.channels, target))
+            written.append(write_csv(entry_series, channels, target, _bundle=bundle))
             if not existed:
                 created.append(target)
     except (ConfigError, NumericalError):

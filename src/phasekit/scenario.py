@@ -10,18 +10,18 @@ enough to round-trip doubles, so reruns are byte-identical on one platform.
 This module alone knows that format. Each cell is the text ``"%.17g"`` gives,
 built in numpy from exact integer digits, 8192 cells at a time, with no
 Python object per value; a cell outside fixed notation is formatted by
-``"%.17g"`` itself. A non-finite value, or a header that would not parse
-back (no channel, a repeated name, a channel named tau, a name holding ','
-or a line break),
-fails before any text is built, and each file is written to a temporary name
-beside it and then renamed over the target, so a failed write leaves no
-partial file.
+``"%.17g"`` itself. The files of one ``figure`` command are formatted
+together, so each distinct column, its tau grid included, is laid out once.
+A non-finite value, or a header that would not parse back (no channel, a
+repeated name, a channel named tau, a name holding ',' or a line break), in
+any of them fails before any text is built, and each file is written to a
+temporary name beside it and then renamed over the target, so a failed write
+leaves no partial file.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import numbers
 import os
 import threading
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
 from .fock import _check_unit_norm, boson_basis, fermion_sector, fock_state
-from .hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
+from .hamiltonians import _finite, boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from .observe import TimeSeries, expectation_series, pair_moments, xi_fermion_closed_form
 from .operators import (
     boson_cn_phase,
@@ -93,14 +93,6 @@ FERMION_CHANNELS = tuple(n for n, (kind, _) in _CHANNELS.items() if kind != "bos
 # channel at the grid limit takes about 6 s and 0.6 GB, most of it CSV text.
 MAX_N = 500
 MAX_GRID_AMPLITUDES = 2_000_000
-
-
-def _finite(value: numbers.Real) -> bool:
-    """math.isfinite, and False for an int beyond the range of a double."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -550,10 +542,9 @@ def _cell_text(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-def format_csv(series: TimeSeries, channel_order: Sequence[str]) -> str:
-    """CSV text of ``series``; ConfigError if its header would not parse back,
-    NumericalError if any emitted value is not finite."""
-    names = list(channel_order)
+def _check_csv(series: TimeSeries, names: list[str]) -> None:
+    """ConfigError if the header of ``names`` would not parse back,
+    NumericalError if any of their values or tau is not finite."""
     if not names:
         raise ConfigError("a CSV needs at least one channel")
     for name in names:
@@ -569,32 +560,86 @@ def format_csv(series: TimeSeries, channel_order: Sequence[str]) -> str:
         if bad.size:
             raise NumericalError(f"channel {name!r} is {float(column[bad[0]])!r} "
                                  f"at tau={float(tau[bad[0]])!r}")
-    width = len(names) + 1
-    table = np.empty((len(tau), width))
-    table[:, 0] = tau
-    for j, name in enumerate(names, start=1):
-        table[:, j] = series.channels[name]
-    parts = ["tau," + ",".join(names) + "\n"]
+
+
+def _format_files(files: list[tuple[TimeSeries, list[str]]]) -> dict[tuple, str]:
+    """The CSV text of each (series, names) of ``files``, all of one row
+    count, keyed by (id(series), tuple(names)), after every file is checked.
+    Each distinct column, keyed by its bytes, goes through ``_cell_text``
+    once, a block of rows at a time, and each file's rows are cut from that
+    block."""
+    for series, names in files:
+        _check_csv(series, names)
+    index: dict[bytes, int] = {}
+    columns: list[np.ndarray] = []
+    picks: list[list[int]] = []
+    for series, names in files:
+        file_picks = []
+        for column in (series.tau_grid, *(series.channels[n] for n in names)):
+            j = index.setdefault(column.tobytes(), len(columns))
+            if j == len(columns):
+                columns.append(column)
+            file_picks.append(j)
+        picks.append(file_picks)
+    del index  # a copy of every column; freed before the pass
+    table = np.stack(columns, axis=1)
+    width = len(columns)
+    every = list(range(width))
+    parts = [["tau," + ",".join(names) + "\n"] for _, names in files]
     rows = max(1, _CSV_BLOCK_CELLS // width)
-    for start in range(0, len(tau), rows):
-        cells = _cell_text(table[start:start + rows].ravel())
-        cells[:, -1] = ord(",")
-        cells[width - 1::width, -1] = ord("\n")
-        parts.append(cells[cells != 0].tobytes().decode("ascii"))  # drop the NUL bytes
-    return "".join(parts)
+    for start in range(0, len(table), rows):
+        cells = _cell_text(table[start:start + rows].ravel()).reshape(-1, width, _CELL_BYTES)
+        for file_picks, part in zip(picks, parts):
+            # each file sets every separator of its cells, so it may take the
+            # shared cells as they are
+            block = cells if file_picks == every else cells.take(file_picks, axis=1)
+            block[:, :, -1] = ord(",")
+            block[:, -1, -1] = ord("\n")
+            part.append(block[block != 0].tobytes().decode("ascii"))  # drop the NUL bytes
+    return {(id(series), tuple(names)): "".join(part)
+            for (series, names), part in zip(files, parts)}
+
+
+class _CsvBundle:
+    """The CSV texts of several (series, channel_order) files, formatted
+    together by ``_format_files`` on first use, so a column two files hold (a
+    figure command's tau grid) is laid out once."""
+
+    def __init__(self, files: Iterable[tuple[TimeSeries, Sequence[str]]]) -> None:
+        self._files = [(series, list(names)) for series, names in files]
+        self._texts: Optional[dict[tuple, str]] = None
+
+    def text(self, series: TimeSeries, names: list[str]) -> str:
+        if self._texts is None:
+            self._texts = _format_files(self._files)
+        return self._texts[id(series), tuple(names)]
+
+
+def format_csv(series: TimeSeries, channel_order: Sequence[str], *,
+               _bundle: Optional[_CsvBundle] = None) -> str:
+    """CSV text of ``series``; ConfigError if its header would not parse back,
+    NumericalError if any emitted value is not finite.
+
+    Given ``_bundle``, a figure command's bundle holding this file, it
+    returns the text that bundle formatted with every file of the command, or
+    raises the first error of any of them; without it, the call formats a
+    one-file bundle.
+    """
+    names = list(channel_order)
+    bundle = _bundle if _bundle is not None else _CsvBundle([(series, names)])
+    return bundle.text(series, names)
 
 
 def write_csv(series: TimeSeries, channel_order: Sequence[str],
-              path: Union[str, Path]) -> Path:
+              path: Union[str, Path], *, _bundle: Optional[_CsvBundle] = None) -> Path:
     """Write the CSV of ``series`` to ``path`` atomically and return ``path``.
 
-    The text is one ``format_csv`` call's, tau column included, so nothing is
-    shared between files or kept between calls. It goes to a temporary file
-    beside the target, which then replaces it, so an interrupted or failed
-    write leaves any old target whole.
+    The text is one ``format_csv`` call's, passed ``_bundle``. It goes to a
+    temporary file beside the target, which then replaces it, so an
+    interrupted or failed write leaves any old target whole.
     """
     target = Path(path)
-    text = format_csv(series, channel_order)
+    text = format_csv(series, channel_order, _bundle=_bundle)
     # a fixed-length name, so it fits wherever the target's name fits
     temp = target.parent / f".phasekit-{os.getpid()}-{threading.get_ident()}.tmp"
     try:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phasekit
-from phasekit import TimeSeries, cli, scenario
+from phasekit import TimeSeries, cli, presets, scenario
 from phasekit.cli import build_parser, main
 from phasekit.presets import preset_entries, run_figure
 
@@ -249,6 +249,34 @@ def test_failed_figure_rerun_keeps_earlier_files(tmp_path, capsys, monkeypatch):
     assert got == {"notes.txt": b"kept\n",
                    **{n: fresh[n] for n in names[:2]},
                    **{n: b"old " + n.encode() + b"\n" for n in names[2:]}}
+
+
+def test_non_finite_figure_rerun_keeps_every_old_file(tmp_path, capsys, monkeypatch):
+    # every text is formatted before the first write, so a NaN in the last
+    # entry's series leaves the whole old bundle as it was
+    names = [e.filename for e in preset_entries("fig1")]
+    out = tmp_path / "bundle"
+    out.mkdir()
+    for name in names:
+        (out / name).write_bytes(b"old " + name.encode() + b"\n")
+    real_run = presets.run_scenario
+
+    def poisoned(cfg):
+        series = real_run(cfg)
+        if cfg.N != 10:
+            return series
+        channels = dict(series.channels)
+        channels["avgC_U"] = channels["avgC_U"].copy()
+        channels["avgC_U"][7] = math.nan
+        return TimeSeries(series.tau_grid, channels)
+
+    monkeypatch.setattr(presets, "run_scenario", poisoned)
+    assert main(["figure", "fig1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "channel 'avgC_U' is nan" in err and "Traceback" not in err
+    assert names[-1] == "fig1_boson_N10_U0.05_avgC_U.csv"
+    got = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert got == {n: b"old " + n.encode() + b"\n" for n in names}
 
 
 def test_run_without_out_exits_one(tmp_path, capsys):

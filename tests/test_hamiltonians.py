@@ -97,3 +97,14 @@ def test_embedding_is_isometric_and_places_amplitudes():
     assert sym[6] == pytest.approx(1.0 / math.sqrt(2.0))
     assert q[3, 1] == 1.0   # both-left
     assert q[12, 2] == 1.0  # both-right
+
+
+@pytest.mark.parametrize("build", [
+    lambda ubar: boson_dimer_hamiltonian(boson_basis(2), ubar),
+    fermion_pair_hamiltonian,
+], ids=["boson", "fermion"])
+@pytest.mark.parametrize("ubar", ["5", None, 1 + 0j, True, 10**400, math.nan],
+                         ids=["str", "None", "complex", "bool", "huge-int", "nan"])
+def test_hamiltonians_refuse_what_a_config_refuses(build, ubar):
+    with pytest.raises(ConfigError, match="ubar must be"):
+        build(ubar)

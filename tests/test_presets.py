@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasekit import ConfigError, run_figure
+from phasekit import ConfigError, run_figure, scenario
 from phasekit.presets import PRESET_NAMES, PRESETS, preset_entries
 
 # sha256 and every 200th row (plus the last) of each preset CSV, written by
@@ -78,6 +78,25 @@ def test_run_figure_writes_and_is_idempotent(tmp_path):
     for name, blob in first.items():
         assert blob.startswith(b"tau,")
         assert blob.count(b"\n") == 2002  # header + 2001 rows
+
+
+def test_figure_lays_out_each_distinct_column_once(tmp_path, monkeypatch):
+    # a figure's files share one tau grid; it and each channel are laid out once
+    cells = []
+    real_cell_text = scenario._cell_text
+
+    def counting(values):
+        cells.append(values.size)
+        return real_cell_text(values)
+
+    monkeypatch.setattr(scenario, "_cell_text", counting)
+    per_figure = {}
+    for name in PRESET_NAMES:
+        cells.clear()
+        run_figure(name, tmp_path / name)
+        per_figure[name] = sum(cells)
+    assert per_figure["fig1"] == 7 * 2001  # tau and six channels
+    assert sum(per_figure.values()) == (11 + 56) * 2001
 
 
 def _golden_mismatch(data: bytes, ref: dict):

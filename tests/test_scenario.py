@@ -513,6 +513,20 @@ def test_format_csv_boundaries_match_per_value_formatter():
         "tau,c0,c1\n1.0000076293945312,1.0000228881835938,0\n")
 
 
+def test_bundle_texts_match_per_value_formatter():
+    # columns are shared by their bytes: across files, a channel equal to
+    # tau, and -0.0 beside 0.0, which print differently
+    rng = np.random.default_rng(3)
+    tau, a, b = np.linspace(0.0, 1.0, 3001), *rng.normal(size=(2, 3001))
+    first = TimeSeries(tau, {"a": a, "same": tau, "zero": np.zeros(3001)})
+    second = TimeSeries(tau.copy(), {"b": b, "negzero": -np.zeros(3001), "a": a})
+    files = [(first, ["a", "same"]), (second, ["negzero", "b"]),
+             (first, ["zero", "a"]), (second, ["a"])]
+    bundle = scenario._CsvBundle(files)
+    for series, names in files:
+        assert format_csv(series, names, _bundle=bundle) == _format_csv_by_row(series, names)
+
+
 @pytest.mark.parametrize("tau, channels", [
     (np.float64(0.5), {"avgW": np.float64(0.5)}),
     (np.zeros((2, 2)), {"avgW": np.zeros((2, 2))}),
