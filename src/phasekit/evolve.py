@@ -10,6 +10,7 @@ solution at every N.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, StepSizeError
 from .fock import BosonDimerBasis, _check_unit_norm
+from .hamiltonians import _check_ubar
 from .operators import OperatorMatrix, _as_array
 
 DEFAULT_DTAU = 1e-3
@@ -135,46 +137,70 @@ def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
     return Trajectory(tau, states, norm_tol=1e-12)
 
 
+def _grid_spans(tau: np.ndarray) -> np.ndarray:
+    """The interval lengths of a checked grid. A grid that is exactly
+    ``np.linspace(0, tau[-1], n)`` gets n-1 intervals of tau[-1]/(n-1), the
+    spacing linspace used: its np.diff differs from that by ulps, which would
+    split one step length into several (13 on a 2001-point grid). Any other
+    grid gets np.diff."""
+    n = tau.shape[0]
+    if n > 1:
+        # linspace's last product can overflow near the largest double
+        with np.errstate(over="ignore"):
+            uniform = np.array_equal(tau, np.linspace(0.0, tau[-1], n))
+        if uniform:
+            return np.full(n - 1, tau[-1] / (n - 1))
+    return np.diff(tau)
+
+
 def _rk4_steps(h: np.ndarray, psi0: np.ndarray, tau_grid: np.ndarray,
                dtau: float) -> np.ndarray:
     """Integrate i dpsi/dtau = H psi over tau_grid, dense output per point.
 
-    Each grid interval is cut into round(span/dtau) equal substeps so the grid
-    points are hit exactly. H does not depend on tau, so one classical RK4
-    substep of length s is exactly psi <- R(-i s H) psi, with R(z) = 1 + z +
-    z^2/2 + z^3/6 + z^4/24 the method's stability polynomial. R^n_sub is built
-    by repeated squaring once per distinct interval length (equal lengths give
-    equal n_sub and s) and applied with one matvec per grid point, written in
-    place. The substep count stays a Python int, so an interval of more than
-    2^63 substeps still costs only log2(n_sub) squarings. No renormalization:
-    norm drift stays visible as a diagnostic for the caller.
+    Each grid interval (``_grid_spans``) is cut into round(span/dtau) equal
+    substeps so the grid points are hit exactly. H does not depend on tau,
+    so one classical RK4 substep of length s is exactly psi <- R(-i s H) psi,
+    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the method's stability
+    polynomial, and an interval is P = R^n_sub, built by repeated squaring
+    once per distinct interval length. The substep count stays a Python int,
+    so an interval of more than 2^63 substeps still costs only log2(n_sub)
+    squarings. No renormalization: norm drift stays visible as a diagnostic
+    for the caller.
 
-    The steps run over a list of the per-point powers and over the rows of
-    the output, each split into its own view once, with ``np.dot(power,
-    prev, out=row)``. On these small C-contiguous operands the dispatch costs
-    more than the arithmetic: ``np.dot`` goes straight to BLAS ``zgemv``,
-    where the ``matmul`` ufunc and indexing ``out[g]`` per point cost several
-    times the matvec. Both reach the same ``zgemv``, so the states are bit
-    for bit those of the per-point ``matmul`` loop.
+    The grid is walked in runs of equal intervals. In a run of L intervals
+    from row g, rows g..g+k-1 times (P^k)^T fill rows g+k..g+2k-1 for k = 1,
+    2, 4, ..., the last block cut short, with P squared between blocks: a
+    run costs ceil(log2(L+1)) row-block products, so a linspace grid of 2001
+    points takes one matrix power, 11 products and 10 squarings where a
+    matvec per point took 2000. The first block is one row, so it is the
+    matvec ``np.dot(P, psi)``: where no two consecutive intervals are equal
+    the states are bit for bit those of a matvec per point, and longer runs
+    agree with them to roundoff.
     """
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
-    spans = np.diff(tau_grid).tolist()
+    half, sixth = eye / 2.0, eye / 6.0
     powers: dict[float, np.ndarray] = {}
-    for span in spans:
-        if span not in powers:
+    out = np.empty((tau_grid.shape[0], dim), dtype=complex)
+    out[0] = psi0
+    g = 0
+    for span, run in itertools.groupby(_grid_spans(tau_grid).tolist()):
+        length = len(list(run))
+        power = powers.get(span)
+        if power is None:
             n_sub = max(1, int(span / dtau + 0.5))
             step = span / n_sub
             z = -1j * step * h
-            r = eye + z @ (eye + z @ (eye / 2.0 + z @ (eye / 6.0 + z / 24.0)))
-            powers[span] = np.linalg.matrix_power(r, n_sub)
-    out = np.empty((tau_grid.shape[0], dim), dtype=complex)
-    out[0] = psi0
-    mats = [powers[span] for span in spans]
-    rows = list(out)
-    dot = np.dot
-    for power, prev, row in zip(mats, rows, rows[1:]):
-        dot(power, prev, out=row)
+            r = eye + z @ (eye + z @ (half + z @ (sixth + z / 24.0)))
+            power = powers[span] = np.linalg.matrix_power(r, n_sub)
+        np.dot(power, out[g], out=out[g + 1])
+        block, k = power, 2
+        while k <= length:
+            block = block @ block
+            m = min(k, length + 1 - k)
+            np.matmul(out[g:g + m], block.T, out=out[g + k:g + k + m])
+            k *= 2
+        g += length
     return out
 
 
@@ -198,7 +224,7 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
     arr, amps, tau = _prepare(h, psi0, tau_grid)
     if not dtau > 0:
         raise ConfigError(f"dtau must be positive, got {dtau}")
-    spans = np.diff(tau)
+    spans = _grid_spans(tau)
     spacing = float(np.min(spans, initial=math.inf))
     if dtau > spacing * (1 + 1e-12):
         raise ConfigError(
@@ -247,11 +273,10 @@ def _closed_form_tau(tau: Union[float, Sequence[float]]) -> np.ndarray:
 
 def _two_frequency_roots(shift: float, tau: np.ndarray) -> tuple[float, float, float]:
     """(Omega, w-, w+) = (sqrt(4 + shift^2), shift -+ Omega) for the splitting
-    ``shift`` on the middle amplitude (ubar/2 boson, ubar/4 fermion). As
-    w- w+ = -4, the root of larger magnitude is formed directly and the other
-    as -4 over it: shift - Omega cancels to nothing once |shift| passes ~1e8."""
-    if not math.isfinite(shift):
-        raise ConfigError(f"ubar must be finite, got {shift!r}")
+    ``shift`` on the middle amplitude (ubar/2 boson, ubar/4 fermion) of a
+    checked ubar. As w- w+ = -4, the root of larger magnitude is formed
+    directly and the other as -4 over it: shift - Omega cancels to nothing
+    once |shift| passes ~1e8."""
     omega = math.hypot(2.0, shift)
     big = shift + math.copysign(omega, shift)
     scale = abs(big) * float(np.max(np.abs(tau), initial=0.0))
@@ -305,6 +330,7 @@ def boson_pair_closed_form(ubar: float, tau: Union[float, Sequence[float]],
     (c0, c1, c2) at tau=0. Exact at ubar = 0 or when c1(0) = 0 (the right-
     and left-well starts); elsewhere it assumes the interaction-free edge
     equations and raises ConfigError."""
+    _check_ubar(ubar)
     arr = _as_start(init, 3)
     if ubar != 0.0 and arr[1] != 0.0:
         raise ConfigError(f"c1 is exact only at ubar=0 or c1(0)=0, got ubar={ubar!r}")
@@ -319,6 +345,7 @@ def fermion_pair_closed_form(ubar: float, tau: Union[float, Sequence[float]],
     Exact for the pair Hamiltonian at every ubar and any initial amplitudes;
     returns an array of shape (len(tau), 3).
     """
+    _check_ubar(ubar)
     arr = _as_start(init, 3)
     c1, c2, c3 = _two_frequency(0.25 * ubar, _closed_form_tau(tau), arr)
     return np.stack([c1, c2, c3], axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolve import Trajectory, _closed_form_tau, _real_array, _two_frequency_roots
-from .hamiltonians import fermion_pair_embedding
+from .hamiltonians import _check_ubar, fermion_pair_embedding
 from .operators import OperatorMatrix, _as_array
 
 IMAG_ERROR_TOL = 1e-10
@@ -136,6 +136,7 @@ def xi_fermion_closed_form(ubar: float, tau: Union[float, Sequence[float]]) -> n
     abstract and cannot settle whether the sign was misprinted in the paper
     or in its transcription, so the expression is kept as printed.
     """
+    _check_ubar(ubar)
     tau_arr = _closed_form_tau(tau)
     omega, w_minus, om_plus = _two_frequency_roots(ubar / 4.0, tau_arr)
     om_minus = -w_minus

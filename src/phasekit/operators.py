@@ -14,6 +14,18 @@ with its partner: identical rest occupations when the pair's spins agree,
 well-mirrored rest occupations (the two rest modes swap) when they differ.
 That matching is what makes the combined operator an isometry on the
 half-filled subspace.
+
+Sign convention: every matched entry of the vacuum coupling is +1, not the
+Jordan-Wigner sign string that the shift's entry carries for the modes
+between m and mp (order l_up, l_down, r_up, r_down). Both choices give the
+isometry; the abstract cannot settle which the paper means. Only the unitary
+cosine/sine read the coupling, so the CN pair, the number difference and
+the squeezing forms do not depend on it. For l-up/r-up, with l_down between
+the pair, it shows: the U channels of a left-well run are neither equal to
+nor the negation of the right-well run's (the nearer law misses by 6.2e-3
+to 1.0 at ubar 0.05 and 5), while CN, W and xi obey exact mirror laws, so
+all files of fig7 and fig8 depend on it. For l-up/r-down every channel obeys
+a mirror law.
 """
 
 from __future__ import annotations

@@ -437,14 +437,17 @@ def test_unconvertible_starts_are_config_errors(gate, start):
     *((1.0, tau) for tau in WRONG_TYPE_TAUS.values()),
     (1.0, [0.0, [1.0]]), (1.0, [0.0, math.nan]), (1.0, [0.0, math.inf]),
     (math.nan, [0.0, 1.0]), (math.inf, [0.0, 1.0]), (-math.inf, [0.0, 1.0]),
+    # what a Hamiltonian builder refuses: True would compute as ubar=1
+    ("5", [0.0, 1.0]), (None, [0.0, 1.0]), (True, [0.0, 1.0]), (1 + 0j, [0.0, 1.0]),
 ], ids=[*WRONG_TYPE_TAUS, "ragged-tau", "nan-tau", "inf-tau", "nan-ubar", "inf-ubar",
-        "-inf-ubar"])
+        "-inf-ubar", "str-ubar", "none-ubar", "bool-ubar", "complex-ubar"])
 @pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
 def test_closed_forms_take_only_what_a_propagator_takes(form, ubar, tau):
     # a raw ValueError or TypeError, a NaN result or a numpy warning before
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if form is CLOSED_FORMS["free-amplitudes"] and not math.isfinite(ubar):
+        bad_ubar = not (isinstance(ubar, float) and math.isfinite(ubar))
+        if form is CLOSED_FORMS["free-amplitudes"] and bad_ubar:  # it takes no ubar
             assert np.isfinite(form(ubar, tau)).all()
             return
         with pytest.raises(ConfigError):

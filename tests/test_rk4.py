@@ -1,18 +1,22 @@
 """The RK4 stepping function against a classical step loop.
 
 ``evolve.active_kernel()`` applies each grid interval as a power of RK4's
-stability polynomial. ``_classical_rk4`` below is the textbook four-stage
-loop, one substep at a time; the two are the same integrator, so they must
-agree to roundoff. ``_per_point_rk4`` is the kernel's earlier form, which
-looked the power up per grid point by (n_sub, s) and stepped with ``@``;
-the kernel does the same arithmetic through ``np.dot``, so the two must
-agree bit for bit.
+stability polynomial and fills runs of equal intervals by doubling row
+blocks. ``_classical_rk4`` below is the textbook four-stage loop, one
+substep at a time; the two are the same integrator, so they must agree to
+roundoff. ``_per_point_rk4`` is the kernel's earlier form, which looked the
+power up per grid point by (n_sub, s) and stepped with one matvec per point.
+Where no two consecutive intervals are equal the kernel makes the same
+products and must agree with it bit for bit; on a linspace grid the doubling
+reorders the products and the two agree to roundoff.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phasekit import (
     StepSizeError,
@@ -124,26 +128,98 @@ def test_rk4_rejects_substeps_beyond_stability_limit(tau):
         rk4_propagate(h * (1.0 + 1e-12), psi0, tau, dtau=0.1)
 
 
+def _random_start(dim, seed=14):
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi0 / np.linalg.norm(psi0)
+
+
+def _random_irregular_grid(points):
+    rng = np.random.default_rng(26)
+    return np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 0.03, points - 1))))
+
+
+@pytest.mark.parametrize("h, tau, dtau", [
+    (fermion_pair_hamiltonian(5.0).entries,
+     np.array([0.0, 0.1, 0.19, 0.34, 0.37, 0.47, 0.56, 1.0]), 0.03),
+    (fermion_pair_hamiltonian(0.05).entries, np.array([0.0]), 1e-3),
+    (boson_dimer_hamiltonian(boson_basis(10), 0.05).entries,
+     _random_irregular_grid(2001), 1e-3),
+], ids=["irregular-grid", "one-point", "irregular-2001"])
+def test_kernel_equals_per_point_loop_bit_for_bit(h, tau, dtau):
+    # every run of equal intervals has length one: one product per interval
+    spans = np.diff(tau)
+    assert (spans[1:] != spans[:-1]).all()
+    psi0 = _random_start(h.shape[0])
+    assert np.array_equal(active_kernel()(h, psi0, tau, dtau),
+                          _per_point_rk4(h, psi0, tau, dtau))
+
+
 @pytest.mark.parametrize("h, tau, dtau", [
     (boson_dimer_hamiltonian(boson_basis(10), 0.05).entries,
      np.linspace(0.0, 40.0, 2001), 1e-3),
     (boson_dimer_hamiltonian(boson_basis(10), 5.0).entries,
      np.linspace(0.0, 5.0, 2001), 1e-4),
-    (fermion_pair_hamiltonian(5.0).entries,
-     np.array([0.0, 0.1, 0.19, 0.34, 0.37, 0.47, 0.56, 1.0]), 0.03),
     # 1e19 substeps per interval: the count must not pass through int64
     (boson_dimer_hamiltonian(boson_basis(3), 0.05).entries,
      np.array([0.0, 10.0, 20.0]), 1e-18),
-    (fermion_pair_hamiltonian(0.05).entries, np.array([0.0]), 1e-3),
     # the rk4 workload's fermion run: dimension 3, the smallest the CLI steps
     (fermion_pair_hamiltonian(5.0).entries, np.linspace(0.0, 40.0, 2001), 1e-3),
     (np.array([[0.7]]), np.linspace(0.0, 1.0, 6), 1e-2),
-], ids=["boson-N10-default-grid", "boson-N10-stiff", "irregular-grid",
-        "1e19-substeps", "one-point", "fermion-ubar5-default-grid", "one-by-one"])
-def test_kernel_equals_per_point_loop_bit_for_bit(h, tau, dtau):
-    rng = np.random.default_rng(14)
-    dim = h.shape[0]
-    psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    psi0 /= np.linalg.norm(psi0)
-    assert np.array_equal(active_kernel()(h, psi0, tau, dtau),
-                          _per_point_rk4(h, psi0, tau, dtau))
+], ids=["boson-N10-default-grid", "boson-N10-stiff", "1e19-substeps",
+        "fermion-ubar5-default-grid", "one-by-one"])
+def test_kernel_matches_per_point_loop_on_linspace_grids(h, tau, dtau):
+    psi0 = _random_start(h.shape[0])
+    deviation = np.max(np.abs(active_kernel()(h, psi0, tau, dtau)
+                              - _per_point_rk4(h, psi0, tau, dtau)))
+    assert deviation <= 1e-12
+
+
+@st.composite
+def _run_grids(draw):
+    """Grids from 0 made of runs of equal intervals and single irregular
+    ones, in multiples of 2^-10 so the runs stay exactly equal under
+    np.diff; some are replaced by the linspace grid of the same size."""
+    spans = []
+    for length, units in draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 300)),
+                                       min_size=1, max_size=6)):
+        spans += [units / 1024.0] * length
+        spans += [u / 1024.0 for u in draw(st.lists(st.integers(1, 300), max_size=3))]
+    tau = np.cumsum([0.0] + spans)
+    if draw(st.booleans()):
+        tau = np.linspace(0.0, tau[-1], tau.shape[0])
+    return tau
+
+
+@given(tau=_run_grids(), ubar=st.floats(-5.0, 5.0), dtau=st.sampled_from([0.01, 0.05]))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_classical_loop_on_runs_of_equal_intervals(tau, ubar, dtau):
+    h = fermion_pair_hamiltonian(ubar).entries
+    psi0 = _random_start(3)
+    deviation = np.max(np.abs(active_kernel()(h, psi0, tau, dtau)
+                              - _classical_rk4(h, psi0, tau, dtau)))
+    assert deviation <= 1e-11
+
+
+def test_linspace_grid_builds_one_power(monkeypatch):
+    calls = []
+    matrix_power = np.linalg.matrix_power
+
+    def counted(*args):
+        calls.append(args[1])
+        return matrix_power(*args)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", counted)
+    h, psi0, _ = _small_problem()
+    active_kernel()(h, psi0, np.linspace(0.0, 40.0, 2001), 1e-3)
+    assert calls == [20]
+
+
+def test_grid_ending_at_the_largest_double_raises_no_warning():
+    # recomputing linspace(0, max, 4) overflows in its last product, which
+    # linspace then replaces by the end point
+    with np.errstate(over="ignore"):
+        tau = np.linspace(0.0, np.finfo(float).max, 4)
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    states = rk4_propagate(np.zeros((2, 2)), psi0, tau, dtau=float(tau[1])).states
+    assert np.array_equal(states, np.tile(psi0, (4, 1)))
