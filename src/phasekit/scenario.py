@@ -7,16 +7,16 @@ formatting), which the test suite pins.
 CSV format: header ``tau,<channel names>``, one row per grid point, '.'
 decimal, ',' separator, LF line endings, no quoting, 17 significant digits —
 enough to round-trip doubles, so reruns are byte-identical on one platform.
-This module alone knows that format. Each cell is the text ``"%.17g"`` gives,
-built in numpy from exact integer digits, 8192 cells at a time, with no
-Python object per value; a cell outside fixed notation is formatted by
-``"%.17g"`` itself. The files of one ``figure`` command are formatted
-together, so each distinct column, its tau grid included, is laid out once.
-A non-finite value, or a header that would not parse back (no channel, a
-repeated name, a channel named tau, a name holding ',' or a line break), in
-any of them fails before any text is built, and each file is written to a
-temporary name beside it and then renamed over the target, so a failed write
-leaves no partial file.
+This module alone knows that format. Each cell is the text ``"%.17g"``
+gives, built in numpy from the 17 exact integer digits of an error-free
+float product, 8192 cells at a time, with no Python object per value; a cell
+outside fixed notation is formatted by ``"%.17g"`` itself. The files of one
+``figure`` command are formatted together, so each distinct column, its tau
+grid included, is laid out once. A non-finite value, or a header that would
+not parse back (no channel, a repeated name, a channel named tau, a name
+holding ',' or a line break), in any of them fails before any text is built,
+and each file is written to a temporary name beside it and then renamed over
+the target, so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -402,14 +402,16 @@ def run_scenario(cfg: ScenarioConfig) -> TimeSeries:
 # CSV
 
 
-# The exact text kernel. A double |v| = m * 2**q with X = floor(log10|v|) has
-# the 17 significant digits D = m * 5**k * 2**(q + k), k = 16 - X, rounded
-# half to even: a 128-bit product of uint64 halves shifted right by
-# s = -(q + k). "%.17g" writes fixed notation for X in -4..16, which is
-# laid out from D by one row permutation per exponent. Zeros have their own
-# layout, and any other cell (exponent notation, an estimate of X off by
-# one, a carry to 10**17, a shift outside 1..63) is formatted by "%.17g".
-# uint64 and int64 arrays are never mixed: numpy promotes the mix to float64.
+# The exact text kernel. A double |v| with X = floor(log10|v|) has the 17
+# significant digits D = |v| * 10**k, k = 16 - X, rounded half to even.
+# 10**k is exact for k <= 20, and Dekker's error-free product (Numer. Math.
+# 18:224, 1971) gives |v| * 10**k = p + e exactly from float64 operations.
+# Where D has 17 digits, p >= 10**16 > 2**53 is an even integer, so D = p +
+# rint(e). "%.17g" writes fixed notation for X in -4..16, which is laid out
+# from D by one row permutation per exponent. Zeros have their own layout,
+# and any other cell (exponent notation, an estimate of X off by one, a
+# carry to 10**17) is formatted by "%.17g". uint64 and int64 arrays are
+# never mixed: numpy promotes the mix to float64.
 _CSV_BLOCK_CELLS = 8192  # cells laid out at once; bounds the planes held
 _CELL_BYTES = 25  # the longest "%.17g" text, "-1.2345678901234567e-308", + separator
 _TEXT_BYTES = _CELL_BYTES - 1
@@ -420,10 +422,11 @@ _ZERO_CLASS, _OTHER_CLASS = 21, 22
 _ZERO_ROW, _DOT_ROW, _SIGN_ROW, _NUL_ROW = 17, 18, 19, 20
 # the class of floor(log10|v|) clipped to -5..17, indexed from -5
 _CLASS_OF_EXPONENT = np.array([_OTHER_CLASS, *range(21), _OTHER_CLASS], dtype=np.int8)
-_K = np.array([*range(20, -1, -1), 0, 0], dtype=np.uint64)  # per class; 0 for the last two
-_POW5_HIGH = (_U64(5) ** _K) >> _U64(32)
-_POW5_LOW = (_U64(5) ** _K) & _U64(0xFFFFFFFF)
-_SHIFT_BASE = _U64(1075) - _K  # s = this minus the biased binary exponent
+_SPLIT = float(2 ** 27 + 1)  # Veltkamp's splitter: 53 bits = 26 + 27
+# per class, 10**k and its two halves; 1 for the last two
+_SCALE = np.array([float(10 ** k) for k in range(20, -1, -1)] + [1.0, 1.0])
+_SCALE_HIGH = _SPLIT * _SCALE - (_SPLIT * _SCALE - _SCALE)
+_SCALE_LOW = _SCALE - _SCALE_HIGH
 _DIGIT_INDEX = np.arange(17, dtype=np.int8)[:, None]
 
 
@@ -460,30 +463,25 @@ def _exponent_class(values: np.ndarray) -> np.ndarray:
 def _digits17(values: np.ndarray, cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D, the 17 significant digits of each value of class ``cls`` as one
     integer, and where D is exact; elsewhere D is meaningless."""
-    bits = np.abs(values).view(np.uint64)
-    shift = _SHIFT_BASE[cls] - (bits >> _U64(52))  # wraps below 0
-    exact = (shift - _U64(1) < _U64(63)) & (cls < _ZERO_CLASS)
-    shift[~exact] = 1
-    bits &= _U64((1 << 52) - 1)
-    bits |= _U64(1 << 52)  # the mantissa
-    m_high, m_low = bits >> _U64(32), bits & _U64(0xFFFFFFFF)
-    p_high, p_low = _POW5_HIGH[cls], _POW5_LOW[cls]
-    # mantissa * 5**k = high * 2**64 + low
-    low = m_low * p_low
-    middle = m_high * p_low + m_low * p_high  # < 2**54
-    high = m_high * p_high + (middle >> _U64(32))
-    middle <<= _U64(32)
-    middle += low
-    high += middle < low  # the carry
-    low = middle
-    # X is off by at most one, so the quotient is below 10**18 < 2**64
-    digits = (high << (_U64(64) - shift)) | (low >> shift)
-    exact &= digits >= _U64(10 ** 16)  # X was not too large
-    low &= (_U64(1) << shift) - _U64(1)  # the remainder
-    low += digits & _U64(1)  # a tie rounds up to even from an odd quotient
-    digits += low > (_U64(1) << (shift - _U64(1)))
-    exact &= digits < _U64(10 ** 17)  # X was not too small, and no carry
-    return digits, exact
+    a = np.abs(values)
+    a[cls >= _ZERO_CLASS] = 1.0  # outside fixed notation 1 * 1: no cast leaves int64
+    scale_high, scale_low = _SCALE_HIGH[cls], _SCALE_LOW[cls]
+    product = a * _SCALE[cls]
+    # Veltkamp's split of a, then Dekker's error, each product and sum one
+    # numpy operation (never fused), as the proof assumes
+    a_high = _SPLIT * a
+    a_high -= a_high - a
+    a -= a_high  # the low half
+    error = product - a_high * scale_high
+    error -= a * scale_high
+    error -= a_high * scale_low
+    np.subtract(a * scale_low, error, out=error)  # |v| * 10**k - product, exactly
+    digits = product.astype(np.int64)
+    digits += np.rint(error, out=error).astype(np.int64)  # product is even: ties to even
+    # X was not too large (no double's product lies within 1/2 below
+    # 10**16) or too small, and no carry
+    exact = (digits >= 10 ** 16) & (digits < 10 ** 17)
+    return digits.view(np.uint64), exact
 
 
 def _source_rows(digits: np.ndarray, cls: np.ndarray, values: np.ndarray) -> np.ndarray:

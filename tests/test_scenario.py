@@ -264,6 +264,23 @@ def test_run_scenario_fermion_channels():
     assert series.channels["xi_variance"][0] == pytest.approx(0.0, abs=1e-12)
 
 
+# the boson mirror law: a left-well start gives the right-well channels with
+# the S and W means negated (fluctW waits for its exact spread, ROADMAP item 9)
+_MIRROR_SIGNS = {"avgC_CN": 1, "avgS_CN": -1, "avgC_U": 1, "avgS_U": -1,
+                 "fluctC": 1, "fluctS": 1, "avgW": -1, "xi": 1}
+
+
+@pytest.mark.parametrize("ubar", [0.05, 5.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+def test_boson_channels_obey_the_mirror_law(n, ubar):
+    right = ScenarioConfig(system="boson", N=n, ubar=ubar, channels=tuple(_MIRROR_SIGNS))
+    left = replace(right, initial="left-well")
+    from_right, from_left = run_scenario(right), run_scenario(left)
+    for name, sign in _MIRROR_SIGNS.items():
+        np.testing.assert_allclose(from_left.channels[name], sign * from_right.channels[name],
+                                   rtol=0, atol=1e-11, err_msg=name)
+
+
 def _all_channels(system, integrator):
     """Every channel of ``system`` from a seeded random start."""
     rng = np.random.default_rng(14)
@@ -498,7 +515,13 @@ def test_format_csv_boundaries_match_per_value_formatter():
     values = []
     for power in range(-8, 20):  # every fixed/exponent switch and digit count
         values += _ulp_neighbours(float(f"1e{power}"), 3)
-    values += _ulp_neighbours(2.0 ** 51, 3)  # where the shift leaves 1..63
+    values += _ulp_neighbours(2.0 ** 51, 3)
+    # fixed-notation cells of at least 2**51, which the kernel lays out itself
+    large = np.array([2.0 ** 51, -2.0 ** 51, 2.0 ** 52, 2.0 ** 53 - 1, 2.0 ** 53,
+                      2.0 ** 53 + 2, 1e16, 12345678901234568.0, -3e16])
+    _, exact = scenario._digits17(large, scenario._exponent_class(large))
+    assert exact.all()
+    values += large.tolist()
     ties = [1 + 2 ** -17, 1 + 3 * 2 ** -17]  # 18 digits, the 18th a 5
     values += ties
     # the smallest and largest subnormal, the smallest normal, 0, the largest
