@@ -135,7 +135,10 @@ class ScenarioConfig:
             raise ConfigError(f"tau_max must be positive and finite, got {self.tau_max!r}")
         if self.steps < 2:
             raise ConfigError(f"steps must be at least 2, got {self.steps}")
-        # parse_config cuts a value at '#' or a line break and strips it
+        # parse_config cuts a value at '#' or a line break and strips it, and
+        # Path("") is the working directory
+        if self.out == "":
+            raise ConfigError("out must not be empty, got ''")
         if self.out is not None and ("#" in self.out or self.out != self.out.strip()
                                      or len(self.out.splitlines()) > 1):
             raise ConfigError(f"out must hold no '#' or line break and no leading or "
@@ -593,7 +596,7 @@ def _format_files(files: list[tuple[TimeSeries, list[str]]]) -> dict[tuple, str]
             block = cells if file_picks == every else cells.take(file_picks, axis=1)
             block[:, :, -1] = ord(",")
             block[:, -1, -1] = ord("\n")
-            part.append(block[block != 0].tobytes().decode("ascii"))  # drop the NUL bytes
+            part.append(block.tobytes().translate(None, b"\0").decode("ascii"))  # drop the NULs
     return {(id(series), tuple(names)): "".join(part)
             for (series, names), part in zip(files, parts)}
 

@@ -179,6 +179,25 @@ def test_unwritable_output_exits_one(tmp_path, capsys, case):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["figure", "run"])
+def test_empty_output_path_exits_one_and_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                        command):
+    # Path("") is the working directory: an empty --out or out= is refused
+    monkeypatch.chdir(tmp_path)
+    if command == "figure":
+        argv = ["figure", "fig1", "--out", ""]
+    else:
+        (tmp_path / "scenario.cfg").write_text(
+            "system=boson\nN=2\nubar=0.05\nsteps=5\nchannels=avgW\nout=\n",
+            encoding="utf-8")
+        argv = ["run", "--config", "scenario.cfg"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("phasekit: config error:") and "empty, got ''" in err
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if command == "figure" else ["scenario.cfg"])
+
+
 def test_run_failed_replace_keeps_old_target(tmp_path, capsys, monkeypatch):
     cfg, out = _write_config(tmp_path)
     out.write_bytes(b"old bytes\n")
@@ -225,7 +244,7 @@ def test_failed_figure_leaves_no_file(tmp_path, capsys, monkeypatch, failure, co
 
 def test_failed_figure_rerun_keeps_earlier_files(tmp_path, capsys, monkeypatch):
     # a rerun into a full bundle whose third write fails removes nothing
-    names = [e.filename for e in preset_entries("fig1")]
+    names = [f for e in preset_entries("fig1") for f in e.filenames]
     out = tmp_path / "bundle"
     out.mkdir()
     for name in names:
@@ -254,7 +273,7 @@ def test_failed_figure_rerun_keeps_earlier_files(tmp_path, capsys, monkeypatch):
 def test_non_finite_figure_rerun_keeps_every_old_file(tmp_path, capsys, monkeypatch):
     # every text is formatted before the first write, so a NaN in the last
     # entry's series leaves the whole old bundle as it was
-    names = [e.filename for e in preset_entries("fig1")]
+    names = [f for e in preset_entries("fig1") for f in e.filenames]
     out = tmp_path / "bundle"
     out.mkdir()
     for name in names:

@@ -24,17 +24,37 @@ def test_unknown_preset_rejected():
 
 
 def test_entry_counts():
-    counts = {name: len(entries) for name, entries in PRESETS.items()}
-    assert counts == {
+    # scenarios per preset, and the one-channel files they write
+    scenarios = {name: len(entries) for name, entries in PRESETS.items()}
+    assert scenarios == {
+        "fig1": 3, "fig2": 3, "fig3": 3, "fig4": 3,
+        "fig5": 1, "fig6": 1, "fig7": 1, "fig8": 1,
+        "fig9": 2, "fig10": 4, "fig11": 2,
+    }
+    files = {name: sum(len(e.filenames) for e in entries)
+             for name, entries in PRESETS.items()}
+    assert files == {
         "fig1": 6, "fig2": 6, "fig3": 6, "fig4": 6,
         "fig5": 4, "fig6": 4, "fig7": 4, "fig8": 4,
         "fig9": 4, "fig10": 8, "fig11": 4,
     }
 
 
+def test_preset_entries_propagate_distinct_scenarios():
+    # entries differing only in their channels would propagate one scenario
+    # twice; each file name is its stem and channel
+    for name, entries in PRESETS.items():
+        scenarios = [tuple(v for k, v in vars(e.config).items() if k != "channels")
+                     for e in entries]
+        assert len(set(scenarios)) == len(scenarios), name
+        for entry in entries:
+            assert entry.filenames == tuple(f"{entry.stem}_{c}.csv"
+                                            for c in entry.config.channels)
+
+
 def test_boson_average_preset_structure():
     entries = preset_entries("fig1")
-    names = [e.filename for e in entries]
+    names = [f for e in entries for f in e.filenames]
     assert "fig1_boson_N2_U0.05_avgC_CN.csv" in names
     assert "fig1_boson_N10_U0.05_avgC_U.csv" in names
     for entry in entries:
@@ -44,17 +64,18 @@ def test_boson_average_preset_structure():
         assert entry.config.steps == 2001
         assert entry.config.tau_max == 40.0
         assert entry.config.initial == "right-well"
+        assert entry.config.channels == ("avgC_CN", "avgC_U")
 
 
 def test_fermion_phase_presets_cover_both_pairs():
     cross = preset_entries("fig5")
     assert all(e.config.mode_pair == "l-up/r-down" for e in cross)
-    assert all("lu-rd" in e.filename for e in cross)
+    assert all("lu-rd" in f for e in cross for f in e.filenames)
     same = preset_entries("fig7")
     assert all(e.config.mode_pair == "l-up/r-up" for e in same)
-    assert all("lu-ru" in e.filename for e in same)
-    assert {e.config.channels[0] for e in cross} == \
-        {"avgC_U", "avgS_U", "fluctC", "fluctS"}
+    assert all("lu-ru" in f for e in same for f in e.filenames)
+    assert [c for e in cross for c in e.config.channels] == \
+        ["avgC_U", "avgS_U", "fluctC", "fluctS"]
 
 
 def test_imbalance_presets_emit_both_systems():
@@ -62,7 +83,7 @@ def test_imbalance_presets_emit_both_systems():
     systems = {(e.config.system, e.config.ubar) for e in entries}
     assert systems == {("boson", 0.05), ("boson", 0.5),
                        ("fermion", 0.05), ("fermion", 0.5)}
-    names = [e.filename for e in entries]
+    names = [f for e in entries for f in e.filenames]
     assert "fig10_fermion_U0.5_fluctW.csv" in names
     strong = preset_entries("fig11")
     assert {e.config.ubar for e in strong} == {5.0}
