@@ -1,8 +1,11 @@
 """Scenario configs, channel evaluation, and CSV emission.
 
 Config format: flat UTF-8 ``key=value`` lines, ``#`` comments, no nesting.
-Parsing then re-serializing is a fixed point (canonical key order and value
-formatting), which the test suite pins.
+One table, ``_CONFIG_TEXT``, gives each ``ScenarioConfig`` field, in the
+canonical key order, its text parser and formatter; ``parse_config`` and
+``serialize_config`` both read it. A value its parser refuses is a
+ConfigError naming the key, and parsing then re-serializing is a fixed
+point, which the test suite pins.
 
 CSV format: header ``tau,<channel names>``, one row per grid point, '.'
 decimal, ',' separator, LF line endings, no quoting, 17 significant digits —
@@ -26,7 +29,7 @@ import numbers
 import os
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -35,7 +38,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
 from .fock import _check_unit_norm, boson_basis, fermion_sector, fock_state
-from .hamiltonians import _finite, boson_dimer_hamiltonian, fermion_pair_hamiltonian
+from .hamiltonians import (_check_ubar, _finite, boson_dimer_hamiltonian,
+                           fermion_pair_hamiltonian)
 from .observe import TimeSeries, expectation_series, pair_moments, xi_fermion_closed_form
 from .operators import (
     boson_cn_phase,
@@ -114,8 +118,8 @@ class ScenarioConfig:
         # types first: math.isfinite raises TypeError on a string, a bool is
         # an Integral that serializes as "True", which parse_config rejects,
         # a list is no dict key, and out=5 would parse back as "5"
-        for name, kind, what in (("ubar", numbers.Real, "a real number"),
-                                 ("tau_max", numbers.Real, "a real number"),
+        _check_ubar(self.ubar)
+        for name, kind, what in (("tau_max", numbers.Real, "a real number"),
                                  ("N", (numbers.Integral, type(None)), "an integer"),
                                  ("steps", numbers.Integral, "an integer"),
                                  ("mode_pair", (str, type(None)), "a string"),
@@ -129,8 +133,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
-        if not _finite(self.ubar):
-            raise ConfigError(f"ubar must be finite, got {self.ubar!r}")
         if not (_finite(self.tau_max) and self.tau_max > 0):
             raise ConfigError(f"tau_max must be positive and finite, got {self.tau_max!r}")
         if self.steps < 2:
@@ -207,9 +209,6 @@ class ScenarioConfig:
         return (self.N + 1) if self.system == "boson" else 3
 
 
-_CONFIG_KEYS = frozenset(field.name for field in fields(ScenarioConfig))
-
-
 # ---------------------------------------------------------------------------
 # config text format
 
@@ -223,6 +222,37 @@ def _format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
+def _parse_initial(text: str) -> Union[str, tuple[complex, ...]]:
+    if text in ("right-well", "left-well"):
+        return text
+    return tuple(complex(part.strip()) for part in text.split(","))
+
+
+def _format_initial(initial: Union[str, tuple[complex, ...]]) -> str:
+    return initial if isinstance(initial, str) else ",".join(map(_format_complex, initial))
+
+
+def _format_real(value: float) -> str:
+    return repr(float(value))
+
+
+# config key -> (text parser, text formatter), in the order serialize_config
+# writes them; a parser raises ValueError on malformed text
+_CONFIG_TEXT = {
+    "system": (str, str),
+    "N": (int, str),
+    "ubar": (float, _format_real),
+    "mode_pair": (str, str),
+    "tau_max": (float, _format_real),
+    "steps": (int, str),
+    "initial": (_parse_initial, _format_initial),
+    "integrator": (str, str),
+    "channels": (lambda text: tuple(p.strip() for p in text.split(",") if p.strip()),
+                 ",".join),
+    "out": (str, str),
+}
+
+
 def parse_config(text: str) -> ScenarioConfig:
     pairs: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -233,7 +263,7 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TEXT:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {line_no}: duplicate key {key!r}")
@@ -243,53 +273,19 @@ def parse_config(text: str) -> ScenarioConfig:
         if required not in pairs:
             raise ConfigError(f"missing required key {required!r}")
 
-    kwargs: dict = {"system": pairs["system"]}
-    try:
-        kwargs["ubar"] = float(pairs["ubar"])
-        if "N" in pairs:
-            kwargs["N"] = int(pairs["N"])
-        if "tau_max" in pairs:
-            kwargs["tau_max"] = float(pairs["tau_max"])
-        if "steps" in pairs:
-            kwargs["steps"] = int(pairs["steps"])
-    except ValueError as exc:
-        raise ConfigError(f"malformed numeric value: {exc}") from exc
-    for key in ("mode_pair", "integrator", "out"):
-        if key in pairs:
-            kwargs[key] = pairs[key]
-    if "initial" in pairs:
-        value = pairs["initial"]
-        if value in ("right-well", "left-well"):
-            kwargs["initial"] = value
-        else:
-            try:
-                kwargs["initial"] = tuple(complex(part.strip())
-                                          for part in value.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"malformed initial amplitudes: {exc}") from exc
-    kwargs["channels"] = tuple(part.strip() for part in pairs["channels"].split(",")
-                               if part.strip())
+    kwargs = {}
+    for key, value in pairs.items():
+        try:
+            kwargs[key] = _CONFIG_TEXT[key][0](value)
+        except ValueError as exc:
+            raise ConfigError(f"malformed {key} value: {exc}") from exc
     return ScenarioConfig(**kwargs)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
-    lines = [f"system={cfg.system}"]
-    if cfg.N is not None:
-        lines.append(f"N={cfg.N}")
-    lines.append(f"ubar={float(cfg.ubar)!r}")
-    if cfg.mode_pair is not None:
-        lines.append(f"mode_pair={cfg.mode_pair}")
-    lines.append(f"tau_max={float(cfg.tau_max)!r}")
-    lines.append(f"steps={cfg.steps}")
-    if isinstance(cfg.initial, str):
-        lines.append(f"initial={cfg.initial}")
-    else:
-        lines.append("initial=" + ",".join(_format_complex(a) for a in cfg.initial))
-    lines.append(f"integrator={cfg.integrator}")
-    lines.append("channels=" + ",".join(cfg.channels))
-    if cfg.out is not None:
-        lines.append(f"out={cfg.out}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={format_value(value)}\n"
+                   for key, (_, format_value) in _CONFIG_TEXT.items()
+                   if (value := getattr(cfg, key)) is not None)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from phasekit import (
     unitarity_deficiency,
     well_number_diff,
 )
-from phasekit.fock import FULL_DIM, MODE_NAMES
-from phasekit.operators import OperatorMatrix
+from phasekit.fock import FULL_DIM, MODE_NAMES, particle_count
+from phasekit.operators import OperatorMatrix, _fermion_pair_shift, half_filled_projector
 from phasekit.verify import (
     anticommutator_residual,
     betaf_isometry_residual,
@@ -234,6 +234,67 @@ def test_same_spin_coupling_keeps_rest_configuration():
     assert v[1, 4] == 1.0
     # rest l_down occupied: |ud,0> couples to |d,u>
     assert v[3, 6] == 1.0
+
+
+# the fermionic l <-> r mirror M: M a_k† M† = a_mirror(k)† and M|vac> = |vac>
+_MIRROR_MODE = (2, 3, 0, 1)  # l_up <-> r_up, l_down <-> r_down
+_PAIRS = {"l-up/r-up": (0, 2), "l-up/r-down": (0, 3)}
+
+
+def _mirror(a):
+    """M a M†. Column s of M is the product of the mirrored creation
+    operators on the vacuum, in mode order, so it carries their reordering
+    sign."""
+    space = fermion_sector()
+    create = [fermion_ladder(space, k).entries.conj().T for k in range(4)]
+    m = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
+    for s in range(FULL_DIM):
+        m[0, s] = 1.0
+        for k in reversed(range(4)):  # the highest mode acts on the vacuum first
+            if (s >> k) & 1:
+                m[:, s] = create[_MIRROR_MODE[k]] @ m[:, s]
+    assert all(np.array_equal(m @ create[k] @ m.conj().T, create[_MIRROR_MODE[k]])
+               for k in range(4))
+    return m @ a @ m.conj().T
+
+
+def _signed_coupling(i, j):
+    """V' = V with each entry times (-1)^(occupied modes strictly between the
+    pair, on the column state): the shift's sign string."""
+    between = sum(1 << k for k in range(min(i, j) + 1, max(i, j)))
+    signs = [(-1.0) ** particle_count(s & between) for s in range(FULL_DIM)]
+    return fermion_vacuum_coupling(fermion_sector(), i, j) * np.array(signs)
+
+
+@pytest.mark.parametrize("pair", list(_PAIRS))
+def test_mirror_maps_the_pair_shift_to_the_mirrored_pair(pair):
+    i, j = _PAIRS[pair]
+    space = fermion_sector()
+    assert np.array_equal(_mirror(_fermion_pair_shift(space, i, j)),
+                          _fermion_pair_shift(space, _MIRROR_MODE[i], _MIRROR_MODE[j]))
+
+
+def test_vacuum_coupling_mirror_covariance_depends_on_the_pair():
+    # ROADMAP item 11: covariant for l-up/r-down; for l-up/r-up, with l_down
+    # between the pair, wrong in sign at two entries
+    space = fermion_sector()
+    for pair, broken in (("l-up/r-down", []), ("l-up/r-up", [[6, 3], [12, 9]])):
+        i, j = _PAIRS[pair]
+        miss = (_mirror(fermion_vacuum_coupling(space, i, j))
+                - fermion_vacuum_coupling(space, _MIRROR_MODE[i], _MIRROR_MODE[j]))
+        assert np.argwhere(miss).tolist() == broken, pair
+        assert np.max(np.abs(miss)) == (2.0 if broken else 0.0)
+
+
+def test_signed_coupling_is_mirror_covariant_for_l_up_r_up():
+    # the alternative convention V' (not the package's): covariant, and
+    # shift + V' stays an isometry on the half-filled subspace
+    i, j = _PAIRS["l-up/r-up"]
+    space = fermion_sector()
+    assert np.array_equal(_mirror(_signed_coupling(i, j)),
+                          _signed_coupling(_MIRROR_MODE[i], _MIRROR_MODE[j]))
+    beta = _fermion_pair_shift(space, i, j) + _signed_coupling(i, j)
+    assert unitarity_deficiency(beta, half_filled_projector(space, i, j)) == (0.0, 0.0)
 
 
 def test_double_sum_variant_breaks_isometry():

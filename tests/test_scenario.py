@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from phasekit import (
     TimeSeries,
     boson_basis,
     boson_cn_phase,
+    boson_dimer_hamiltonian,
     boson_number_diff,
     boson_unitary_phase,
     embedded_fermion_states,
@@ -81,6 +82,26 @@ def test_parse_rejects_malformed_input():
         parse_config("just a line\n")
     with pytest.raises(ConfigError):
         parse_config("system=boson\nN=2\n")  # channels missing
+
+
+@pytest.mark.parametrize("key, value", [("N", "x"), ("ubar", "x"), ("tau_max", "1j"),
+                                        ("steps", "x"), ("steps", "5.0"),
+                                        ("initial", "1,x,0")])
+def test_malformed_value_names_its_key(key, value):
+    pairs = {"system": "boson", "N": "2", "ubar": "1.0", "channels": "avgW", key: value}
+    text = "".join(f"{k}={v}\n" for k, v in pairs.items())
+    with pytest.raises(ConfigError, match=f"^malformed {key} value: "):
+        parse_config(text)
+
+
+def test_config_text_table_is_the_fields_in_canonical_order():
+    keys = ["system", "N", "ubar", "mode_pair", "tau_max", "steps", "initial",
+            "integrator", "channels", "out"]
+    assert list(scenario._CONFIG_TEXT) == keys
+    assert sorted(keys) == sorted(field.name for field in fields(ScenarioConfig))
+    cfg = ScenarioConfig(system="fermion", ubar=5.0, channels=("avgW",), out="a.csv")
+    assert [line.split("=")[0] for line in serialize_config(cfg).splitlines()] == \
+        [k for k in keys if k != "N"]
 
 
 def test_field_validation():
@@ -176,32 +197,43 @@ out_strategy = st.one_of(st.none(), st.text(
     min_size=1, max_size=12,
 ).filter(lambda out: out == out.strip() and len(out.splitlines()) <= 1))
 
+_part = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(min_value=-1.0, max_value=1.0))
+
+
+def _initial(dim):
+    """A label, or ``dim`` amplitudes scaled to unit norm; a part that is
+    0.0 or -0.0 stays so."""
+    def unit(amps):
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        return tuple(complex(a.real / norm, a.imag / norm) for a in amps)
+    amps = st.lists(st.builds(complex, _part, _part), min_size=dim, max_size=dim)
+    return st.one_of(st.sampled_from(("right-well", "left-well")),
+                     amps.filter(lambda amps: sum(abs(a) for a in amps) > 1e-3).map(unit))
+
+
+def _config(system, dim, channels, **size):
+    return st.builds(
+        ScenarioConfig, system=st.just(system),
+        ubar=st.floats(allow_nan=False, allow_infinity=False),
+        tau_max=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        steps=st.integers(min_value=2, max_value=50), initial=_initial(dim),
+        integrator=st.sampled_from(("eigen", "rk4")),
+        channels=st.lists(st.sampled_from(channels), min_size=1, max_size=4,
+                          unique=True).map(tuple),
+        out=out_strategy, **size)
+
+
+# every key, with negative ubar, any positive tau_max and amplitude starts
 config_strategy = st.one_of(
-    st.builds(
-        lambda n, ubar, steps, chans, integrator, out: ScenarioConfig(
-            system="boson", N=n, ubar=ubar, steps=steps,
-            channels=tuple(sorted(set(chans))), integrator=integrator, out=out),
-        st.integers(min_value=1, max_value=8),
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        st.integers(min_value=2, max_value=50),
-        st.lists(st.sampled_from(BOSON_CHANNELS), min_size=1, max_size=4),
-        st.sampled_from(("eigen", "rk4")),
-        out_strategy,
-    ),
-    st.builds(
-        lambda ubar, chans, pair, out: ScenarioConfig(
-            system="fermion", ubar=ubar, channels=tuple(sorted(set(chans))),
-            mode_pair=pair, out=out),
-        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        st.lists(st.sampled_from(FERMION_CHANNELS), min_size=1, max_size=4),
-        st.sampled_from(("l-up/r-down", "l-up/r-up")),
-        out_strategy,
-    ),
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: _config("boson", n + 1, BOSON_CHANNELS, N=st.just(n))),
+    _config("fermion", 3, FERMION_CHANNELS,
+            mode_pair=st.sampled_from((None, *MODE_PAIRS))),
 )
 
 
 @given(config_strategy)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_config_round_trip_is_fixed_point(cfg):
     text = serialize_config(cfg)
     parsed = parse_config(text)
@@ -271,21 +303,29 @@ def test_run_scenario_fermion_channels():
     assert series.channels["xi_variance"][0] == pytest.approx(0.0, abs=1e-12)
 
 
+def _law_tolerance(cfg):
+    """64·max|E|·tau_max·eps: the phases E·tau of an eigen run carry rounding
+    of order max|E|·tau_max·eps. Up to N=40 the boson laws below measured at
+    most 2.1 (mirror) and 12.6 (interaction sign) times that."""
+    h = boson_dimer_hamiltonian(boson_basis(cfg.N), cfg.ubar).entries
+    return 64 * np.max(np.abs(np.linalg.eigvalsh(h))) * cfg.tau_max * np.finfo(float).eps
+
+
 # the boson mirror law: a left-well start gives the right-well channels with
 # the S and W means negated (fluctW waits for its exact spread, ROADMAP item 9)
 _MIRROR_SIGNS = {"avgC_CN": 1, "avgS_CN": -1, "avgC_U": 1, "avgS_U": -1,
                  "fluctC": 1, "fluctS": 1, "avgW": -1, "xi": 1}
 
 
-@pytest.mark.parametrize("ubar", [0.05, 5.0])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("ubar", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 40])
 def test_boson_channels_obey_the_mirror_law(n, ubar):
     right = ScenarioConfig(system="boson", N=n, ubar=ubar, channels=tuple(_MIRROR_SIGNS))
     left = replace(right, initial="left-well")
     from_right, from_left = run_scenario(right), run_scenario(left)
     for name, sign in _MIRROR_SIGNS.items():
         np.testing.assert_allclose(from_left.channels[name], sign * from_right.channels[name],
-                                   rtol=0, atol=1e-11, err_msg=name)
+                                   rtol=0, atol=_law_tolerance(right), err_msg=name)
 
 
 # the boson interaction-sign law: P = diag((-1)^l) gives P H(u) P = -H(-u),
@@ -297,14 +337,14 @@ _ODD_N_SIGN_LAW = {"avgC_U": -1, "avgS_U": 1, "fluctC": 1, "fluctS": 1}
 
 
 @pytest.mark.parametrize("ubar", [0.05, 0.5, 5.0])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 10, 20, 40])
 def test_boson_channels_obey_the_interaction_sign_law(n, ubar):
     signs = {**_SIGN_LAW, **(_ODD_N_SIGN_LAW if n % 2 else {})}
     cfg = ScenarioConfig(system="boson", N=n, ubar=ubar, channels=tuple(signs))
     plus, minus = run_scenario(cfg), run_scenario(replace(cfg, ubar=-ubar))
     for name, sign in signs.items():
         np.testing.assert_allclose(minus.channels[name], sign * plus.channels[name],
-                                   rtol=0, atol=1e-12, err_msg=name)
+                                   rtol=0, atol=_law_tolerance(cfg), err_msg=name)
 
 
 # the pair's laws: the sign of each channel under the mirror (a left-well
