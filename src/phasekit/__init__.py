@@ -18,9 +18,7 @@ from .evolve import (
 )
 from .fock import (
     BosonDimerBasis,
-    FermionSector,
     boson_basis,
-    fermion_sector,
     fock_state,
 )
 from .hamiltonians import (
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BosonDimerBasis",
     "ConfigError",
-    "FermionSector",
     "NumericalError",
     "OperatorMatrix",
     "PhasekitError",
@@ -98,7 +95,6 @@ __all__ = [
     "fermion_pair_closed_form",
     "fermion_pair_embedding",
     "fermion_pair_hamiltonian",
-    "fermion_sector",
     "fermion_unitary_phase",
     "fermion_vacuum_coupling",
     "fock_state",

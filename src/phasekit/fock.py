@@ -1,12 +1,13 @@
 """Finite-dimensional Hilbert spaces for the two-site problem.
 
-Two spaces are supported:
-
-* a bosonic dimer at fixed total particle number N, indexed by the left-well
-  occupation ``l`` so that basis state ``l`` is ``|n_left=l, n_right=N-l>``;
-* the four-mode fermionic Fock space of a two-well, two-spin system, enumerated
-  as occupation bitmasks over the canonical mode order
-  ``(l_up, l_down, r_up, r_down)`` = bits 0..3.
+* The bosonic dimer at fixed total particle number N is a
+  ``BosonDimerBasis``, indexed by the left-well occupation ``l`` so that
+  basis state ``l`` is ``|n_left=l, n_right=N-l>``.
+* The four-mode fermionic Fock space of a two-well, two-spin system is one
+  fixed space, so it is constants, not an object: its ``FULL_DIM`` = 16
+  states are the occupation bitmasks 0..15 over the canonical mode order
+  ``MODE_NAMES`` = ``(l_up, l_down, r_up, r_down)`` = bits 0..3, and the
+  fermion builders of :mod:`phasekit.operators` take modes only.
 
 A bitmask's canonical state is the ordered product of creation operators
 applied to the vacuum in mode order; this convention fixes every fermionic
@@ -79,27 +80,6 @@ def boson_basis(total_particles: int) -> BosonDimerBasis:
 
 def particle_count(mask: int) -> int:
     return int(mask).bit_count()
-
-
-@dataclass(frozen=True)
-class FermionSector:
-    """Ordered list of occupation bitmasks.
-
-    ``states[i]`` is the bitmask of index i, ascending in mask value, so the
-    enumeration is deterministic. Operators are built on the full
-    16-dimensional space.
-    """
-
-    states: tuple[int, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.states)
-
-
-def fermion_sector() -> FermionSector:
-    """The four-mode fermionic Fock space, all 16 masks."""
-    return FermionSector(states=tuple(range(FULL_DIM)))
 
 
 def _check_unit_norm(amplitudes: Sequence[complex]) -> None:

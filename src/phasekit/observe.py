@@ -86,13 +86,10 @@ def expectation_series(op: Union[OperatorMatrix, np.ndarray],
 
 
 def embedded_fermion_states(states: Union[Trajectory, np.ndarray]) -> np.ndarray:
-    """Map three-amplitude pair states into the 16-dim Fock space (isometric);
-    16-dim inputs pass through unchanged."""
+    """Map three-amplitude pair states into the 16-dim Fock space (isometric)."""
     arr = _states_matrix(states)
-    if arr.shape[1] == 16:
-        return arr
     if arr.shape[1] != 3:
-        raise ConfigError(f"expected 3- or 16-dimensional states, got {arr.shape[1]}")
+        raise ConfigError(f"expected 3-dimensional pair states, got {arr.shape[1]}")
     return arr @ fermion_pair_embedding().T
 
 

@@ -8,7 +8,9 @@ links |N,0> with |0,N> and restores unitarity.
 
 Fermion operators are built as dense 16x16 matrices on the full four-mode
 Fock space from bitmask ladder matrices (sign = parity of occupied lower
-modes), so composite signs are automatic.
+modes), so composite signs are automatic. That space is fixed (the
+``FULL_DIM`` masks of :mod:`phasekit.fock`), so each fermion builder takes
+only its modes: a mode, a mode pair, or nothing for ``well_number_diff``.
 The vacuum coupling for a mode pair matches each one-occupied configuration
 with its partner: identical rest occupations when the pair's spins agree,
 well-mirrored rest occupations (the two rest modes swap) when they differ.
@@ -41,7 +43,6 @@ from .fock import (
     MODE_NAMES,
     N_MODES,
     BosonDimerBasis,
-    FermionSector,
     _MODE_TWICE_SZ,
     _MODE_WELL,
     mode_index,
@@ -145,20 +146,12 @@ def boson_number_diff(basis: BosonDimerBasis) -> OperatorMatrix:
 # fermion operators
 
 
-def _require_full_space(space: FermionSector) -> None:
-    if space.dimension != FULL_DIM:
-        raise ConfigError(
-            "fermion operators are built on the full 16-dimensional space"
-        )
-
-
-def fermion_ladder(space: FermionSector, mode: Union[int, str]) -> OperatorMatrix:
+def fermion_ladder(mode: Union[int, str]) -> OperatorMatrix:
     """Annihilation matrix of one mode with the canonical-ordering sign.
 
     Entry convention: acting on a mask with the mode occupied clears the bit
     and multiplies by (-1)^(number of occupied modes preceding it).
     """
-    _require_full_space(space)
     m = mode_index(mode)
     a = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
     below = (1 << m) - 1
@@ -169,23 +162,22 @@ def fermion_ladder(space: FermionSector, mode: Union[int, str]) -> OperatorMatri
     return OperatorMatrix(a, label=f"annihilate[{MODE_NAMES[m]}]")
 
 
-def fermion_number_op(space: FermionSector, mode: Union[int, str]) -> OperatorMatrix:
-    _require_full_space(space)
+def fermion_number_op(mode: Union[int, str]) -> OperatorMatrix:
     m = mode_index(mode)
     diag = np.array([(s >> m) & 1 for s in range(FULL_DIM)], dtype=float)
     return OperatorMatrix(np.diag(diag).astype(complex),
                           label=f"number[{MODE_NAMES[m]}]", hermitian=True)
 
 
-def _fermion_pair_shift(space: FermionSector, m: int, mp: int) -> np.ndarray:
+def _fermion_pair_shift(m: int, mp: int) -> np.ndarray:
     """(N_m+1)^(-1/2) a_m a_mp^dag (N_mp+1)^(-1/2): moves one fermion m -> mp.
 
     Both scale factors act on a mode that is empty where the product is
     nonzero, so each is exactly 1 and the result is a_m a_mp^dag (entries
     exactly 0 or +-1).
     """
-    a_m = fermion_ladder(space, m).entries
-    a_mp = fermion_ladder(space, mp).entries
+    a_m = fermion_ladder(m).entries
+    a_mp = fermion_ladder(mp).entries
     return a_m @ a_mp.conj().T
 
 
@@ -196,11 +188,11 @@ def _check_pair(m: Union[int, str], mp: Union[int, str]) -> tuple[int, int]:
     return i, j
 
 
-def fermion_cn_phase(space: FermionSector, m: Union[int, str],
+def fermion_cn_phase(m: Union[int, str],
                      mp: Union[int, str]) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Non-unitary cosine/sine for a mode pair (no vacuum coupling)."""
     i, j = _check_pair(m, mp)
-    u = _fermion_pair_shift(space, i, j)
+    u = _fermion_pair_shift(i, j)
     return _cos_sin(u, "cn", f"{MODE_NAMES[i]},{MODE_NAMES[j]}")
 
 
@@ -208,8 +200,7 @@ def _rest_modes(m: int, mp: int) -> tuple[int, int]:
     return tuple(k for k in range(N_MODES) if k not in (m, mp))  # type: ignore[return-value]
 
 
-def fermion_vacuum_coupling(space: FermionSector, m: Union[int, str],
-                            mp: Union[int, str]) -> np.ndarray:
+def fermion_vacuum_coupling(m: Union[int, str], mp: Union[int, str]) -> np.ndarray:
     """Raw vacuum-coupling matrix V = sum of |m occupied><mp occupied| terms.
 
     Each configuration with only m occupied couples to the single partner
@@ -219,7 +210,6 @@ def fermion_vacuum_coupling(space: FermionSector, m: Union[int, str],
     half-filled subspace.
     """
     i, j = _check_pair(m, mp)
-    _require_full_space(space)
     r0, r1 = _rest_modes(i, j)
     same_spin = _MODE_TWICE_SZ[i] == _MODE_TWICE_SZ[j]
     v = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
@@ -231,29 +221,27 @@ def fermion_vacuum_coupling(space: FermionSector, m: Union[int, str],
     return v
 
 
-def fermion_unitary_phase(space: FermionSector, m: Union[int, str],
+def fermion_unitary_phase(m: Union[int, str],
                           mp: Union[int, str]) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Unitary-completed cosine/sine and betaF = cos + i sin for a mode pair."""
     i, j = _check_pair(m, mp)
-    beta = _fermion_pair_shift(space, i, j) + fermion_vacuum_coupling(space, i, j)
+    beta = _fermion_pair_shift(i, j) + fermion_vacuum_coupling(i, j)
     names = f"{MODE_NAMES[i]},{MODE_NAMES[j]}"
     return (*_cos_sin(beta, "u", names),
             OperatorMatrix(beta, label=f"betaF[{names}]", hermitian=False))
 
 
-def fermion_number_diff(space: FermionSector, m: Union[int, str],
-                        mp: Union[int, str]) -> OperatorMatrix:
+def fermion_number_diff(m: Union[int, str], mp: Union[int, str]) -> OperatorMatrix:
     """Per-pair imbalance N_m - N_mp (diagonal)."""
     i, j = _check_pair(m, mp)
-    n_m = fermion_number_op(space, i).entries
-    n_mp = fermion_number_op(space, j).entries
+    n_m = fermion_number_op(i).entries
+    n_mp = fermion_number_op(j).entries
     names = f"{MODE_NAMES[i]},{MODE_NAMES[j]}"
     return OperatorMatrix(n_m - n_mp, label=f"number_diff[{names}]", hermitian=True)
 
 
-def well_number_diff(space: FermionSector) -> OperatorMatrix:
+def well_number_diff() -> OperatorMatrix:
     """Well-level imbalance (N_l_up + N_l_down) - (N_r_up + N_r_down)."""
-    _require_full_space(space)
     diag = np.zeros(FULL_DIM)
     for s in range(FULL_DIM):
         for mode in range(N_MODES):
@@ -270,9 +258,7 @@ def half_filled_masks(m: Union[int, str], mp: Union[int, str]) -> tuple[int, ...
                  if ((s >> i) & 1) + ((s >> j) & 1) == 1)
 
 
-def half_filled_projector(space: FermionSector, m: Union[int, str],
-                          mp: Union[int, str]) -> np.ndarray:
-    _require_full_space(space)
+def half_filled_projector(m: Union[int, str], mp: Union[int, str]) -> np.ndarray:
     p = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
     for s in half_filled_masks(m, mp):
         p[s, s] = 1.0

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
-from .fock import _check_unit_norm, boson_basis, fermion_sector, fock_state
+from .fock import _check_unit_norm, boson_basis, fock_state
 from .hamiltonians import (_check_ubar, _finite, boson_dimer_hamiltonian,
                            fermion_pair_hamiltonian)
 from .observe import TimeSeries, expectation_series, pair_moments, xi_fermion_closed_form
@@ -127,6 +127,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
+        # a numpy integer would wrap in steps x dimension below
+        for name in ("N", "steps"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int(getattr(self, name)))
         if self.system not in SYSTEMS:
             raise ConfigError(f"system must be one of {SYSTEMS}, got {self.system!r}")
         if self.integrator not in INTEGRATORS:
@@ -331,12 +335,11 @@ def _family_operators(cfg: ScenarioConfig,
         else:
             ops = (boson_cn_phase if family == "CN" else boson_unitary_phase)(basis)[:2]
         return [(op.entries, op.entries @ op.entries) for op in ops]
-    space = fermion_sector()
     if family == "W":
-        ops = (well_number_diff(space),)
+        ops = (well_number_diff(),)
     else:
         build = fermion_cn_phase if family == "CN" else fermion_unitary_phase
-        ops = build(space, *MODE_PAIRS[cfg.mode_pair])[:2]
+        ops = build(*MODE_PAIRS[cfg.mode_pair])[:2]
     return [pair_moments(op) for op in ops]
 
 

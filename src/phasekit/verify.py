@@ -48,7 +48,7 @@ from .evolve import (
     eigen_propagate,
     fermion_pair_closed_form,
 )
-from .fock import FULL_DIM, MODE_NAMES, boson_basis, fermion_sector, fock_state
+from .fock import FULL_DIM, MODE_NAMES, boson_basis, fock_state
 from .hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from .observe import expectation_series
 from .operators import (
@@ -168,9 +168,7 @@ class PairFamily(NamedTuple):
 
 def pair_family(m: str, mp: str) -> PairFamily:
     """Every fermion phase operator of a mode pair, for the fermion operator laws."""
-    space = fermion_sector()
-    return PairFamily(m, mp, *fermion_cn_phase(space, m, mp),
-                      *fermion_unitary_phase(space, m, mp))
+    return PairFamily(m, mp, *fermion_cn_phase(m, mp), *fermion_unitary_phase(m, mp))
 
 
 def boson_hermiticity_residual(f: BosonFamily) -> float:
@@ -220,14 +218,13 @@ def boson_jacobi_residual(f: BosonFamily, w: OperatorMatrix) -> float:
 
 def fermion_jacobi_residual(f: PairFamily) -> float:
     """Cyclic double commutators of (cos_U, sin_U, N_m - N_mp) for a pair."""
-    w = fermion_number_diff(fermion_sector(), f.m, f.mp)
+    w = fermion_number_diff(f.m, f.mp)
     return _jacobi_residual(f.cos_u, f.sin_u, w)
 
 
 def anticommutator_residual() -> float:
     """{a_i, a_j} = 0 and {a_i, a_j^dag} = delta_ij over all 4x4 mode pairs."""
-    space = fermion_sector()
-    ladders = [fermion_ladder(space, m).entries for m in range(4)]
+    ladders = [fermion_ladder(m).entries for m in range(4)]
     eye = np.eye(FULL_DIM, dtype=complex)
     worst = 0.0
     for i in range(4):
@@ -245,14 +242,14 @@ def betaf_isometry_residual(f: PairFamily) -> float:
     return _maxabs(sing - 1.0)
 
 
-def _double_sum_beta(space) -> np.ndarray:
+def _double_sum_beta() -> np.ndarray:
     """betaF of (l_up, r_up) completed by the unmatched double sum: every
     configuration with only l_up occupied couples to every one with only r_up
     occupied whose rest holds the same particle count, not to its one partner."""
     i, j = MODE_NAMES.index("l_up"), MODE_NAMES.index("r_up")
     r0, r1 = (k for k in range(len(MODE_NAMES)) if k not in (i, j))
     # the raw shift a_i a_j^dag, zero wherever the coupling is set
-    beta = fermion_ladder(space, i).entries @ fermion_ladder(space, j).entries.conj().T
+    beta = fermion_ladder(i).entries @ fermion_ladder(j).entries.conj().T
     rest_configs = [(a, b) for a in (0, 1) for b in (0, 1)]
     for a0, a1 in rest_configs:
         for b0, b1 in rest_configs:
@@ -263,9 +260,8 @@ def _double_sum_beta(space) -> np.ndarray:
 
 def double_sum_residual() -> float:
     """Half-filled unitarity deficiency of the unmatched double-sum betaF."""
-    space = fermion_sector()
-    p = half_filled_projector(space, "l_up", "r_up")
-    return max(unitarity_deficiency(_double_sum_beta(space), subspace=p))
+    p = half_filled_projector("l_up", "r_up")
+    return max(unitarity_deficiency(_double_sum_beta(), subspace=p))
 
 
 def _boson_sweep(n_max: int, families: dict[int, BosonFamily]) -> dict[str, list[float]]:

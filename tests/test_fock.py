@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from phasekit import ConfigError, boson_basis, fermion_sector, fock_state
-from phasekit.fock import FULL_DIM, MODE_NAMES, mode_index, particle_count
+from phasekit import ConfigError, boson_basis, fock_state
+from phasekit.fock import MODE_NAMES, mode_index, particle_count
 
 
 def test_boson_basis_indexing():
@@ -45,12 +45,6 @@ def test_mask_bookkeeping():
     assert particle_count(15) == 4
 
 
-def test_full_sector_is_all_sixteen_masks():
-    space = fermion_sector()
-    assert space.states == tuple(range(FULL_DIM))
-    assert space.dimension == FULL_DIM
-
-
 def test_fock_state_boson_wells():
     basis = boson_basis(4)
     right = fock_state(basis, "right-well")
@@ -62,5 +56,6 @@ def test_fock_state_boson_wells():
     for label in (1.5, 1, (1, 3), (1, 2, 3), "Right-Well", ["right-well"]):
         with pytest.raises(ConfigError, match="unknown boson state label"):
             fock_state(basis, label)
-    with pytest.raises(ConfigError):
-        fock_state(fermion_sector(), "right-well")  # fermion states are pair amplitudes
+    # fermion states are pair amplitudes, and a bare particle number is no basis
+    with pytest.raises(ConfigError, match="unsupported space type: int"):
+        fock_state(4, "right-well")

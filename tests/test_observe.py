@@ -19,7 +19,6 @@ from phasekit import (
     embedded_fermion_states,
     expectation_series,
     fermion_cn_phase,
-    fermion_sector,
     fermion_unitary_phase,
     run_scenario,
     well_number_diff,
@@ -101,10 +100,9 @@ def _random_states(rng, count, dim):
 
 
 def _pair_operators():
-    space = fermion_sector()
-    return [pair_moments(op) for op in (*fermion_cn_phase(space, "l_up", "r_down"),
-                                        *fermion_unitary_phase(space, "l_up", "r_up")[:2],
-                                        well_number_diff(space))]
+    return [pair_moments(op) for op in (*fermion_cn_phase("l_up", "r_down"),
+                                        *fermion_unitary_phase("l_up", "r_up")[:2],
+                                        well_number_diff())]
 
 
 @pytest.mark.parametrize("dim", [1, 3, 11, 16])
@@ -153,12 +151,10 @@ def test_embedding_of_pair_states():
     sym = embedded_fermion_states(np.array([[1.0, 0.0, 0.0]], dtype=complex))
     assert sym[0, 9] == pytest.approx(1.0 / math.sqrt(2.0))
     assert sym[0, 6] == pytest.approx(1.0 / math.sqrt(2.0))
-    # full-space states pass through untouched
-    full = np.zeros((2, 16), dtype=complex)
-    full[:, 3] = 1.0
-    assert np.array_equal(embedded_fermion_states(full), full)
-    with pytest.raises(ConfigError):
-        embedded_fermion_states(np.zeros((1, 5), dtype=complex))
+    # only pair states embed: a full-space width is refused like any other
+    for width in (5, 16):
+        with pytest.raises(ConfigError, match="expected 3-dimensional pair states"):
+            embedded_fermion_states(np.zeros((1, width), dtype=complex))
 
 
 def _pair_channels(ubar, tau_max, steps):

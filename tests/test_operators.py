@@ -22,7 +22,6 @@ from phasekit import (
     fermion_cn_phase,
     fermion_ladder,
     fermion_number_op,
-    fermion_sector,
     fermion_unitary_phase,
     fermion_vacuum_coupling,
     unitarity_deficiency,
@@ -111,14 +110,13 @@ def test_boson_shift_entries_are_exact_ones():
 
 @pytest.mark.parametrize("mode", range(4))
 def test_fermion_ladder_matches_jw_oracle(mode):
-    a = fermion_ladder(fermion_sector(), mode).entries
+    a = fermion_ladder(mode).entries
     assert np.array_equal(a, _oracle_jw_ladder(mode))
 
 
 def test_fermion_number_operator_is_diagonal_occupancy():
-    space = fermion_sector()
     for mode in range(4):
-        n_op = fermion_number_op(space, mode).entries
+        n_op = fermion_number_op(mode).entries
         expected = np.diag([(s >> mode) & 1 for s in range(FULL_DIM)]).astype(complex)
         assert np.array_equal(n_op, expected)
 
@@ -190,8 +188,7 @@ def test_anticommutators_exact():
 
 def test_pair_shift_signs():
     # same-spin pair (l_up, r_up): the shift inherits Jordan-Wigner signs
-    space = fermion_sector()
-    cos, sin = fermion_cn_phase(space, "l_up", "r_up")
+    cos, sin = fermion_cn_phase("l_up", "r_up")
     shift = cos.entries + 1j * sin.entries
     # |ud,0> (mask 3) -> +|d,u> (mask 6)
     assert shift[6, 3] == 1.0
@@ -201,9 +198,8 @@ def test_pair_shift_signs():
 
 def test_pair_shift_entries_are_integers():
     # every (N+1)^{-1/2} factor evaluates to exactly 1 on surviving entries
-    space = fermion_sector()
     for m, mp in (("l_up", "r_up"), ("l_up", "r_down"), ("l_down", "r_down")):
-        cos, sin = fermion_cn_phase(space, m, mp)
+        cos, sin = fermion_cn_phase(m, mp)
         shift = cos.entries + 1j * sin.entries
         assert np.all(np.isin(shift.real, (-1.0, 0.0, 1.0)))
         assert np.array_equal(shift.imag, np.zeros_like(shift.imag))
@@ -212,8 +208,7 @@ def test_pair_shift_entries_are_integers():
 def test_matched_coupling_cross_spin_sector_example():
     # on the two-particle, net-spin-zero masks {3, 6, 9, 12} the completed
     # cosine couples only the two doubly-occupied wells, with weight 1/2
-    space = fermion_sector()
-    cos_u = fermion_unitary_phase(space, "l_up", "r_down")[0].entries
+    cos_u = fermion_unitary_phase("l_up", "r_down")[0].entries
     sector = (3, 6, 9, 12)
     for i in sector:
         for j in sector:
@@ -222,8 +217,7 @@ def test_matched_coupling_cross_spin_sector_example():
 
 
 def test_same_spin_coupling_keeps_rest_configuration():
-    space = fermion_sector()
-    v = fermion_vacuum_coupling(space, "l_up", "r_up")
+    v = fermion_vacuum_coupling("l_up", "r_up")
     # rest modes are l_down (bit 1) and r_down (bit 3); the 4 rest configs
     # couple one-to-one with the rest bits untouched
     assert np.count_nonzero(v) == 4
@@ -245,8 +239,7 @@ def _mirror(a):
     """M a M†. Column s of M is the product of the mirrored creation
     operators on the vacuum, in mode order, so it carries their reordering
     sign."""
-    space = fermion_sector()
-    create = [fermion_ladder(space, k).entries.conj().T for k in range(4)]
+    create = [fermion_ladder(k).entries.conj().T for k in range(4)]
     m = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
     for s in range(FULL_DIM):
         m[0, s] = 1.0
@@ -263,25 +256,23 @@ def _signed_coupling(i, j):
     pair, on the column state): the shift's sign string."""
     between = sum(1 << k for k in range(min(i, j) + 1, max(i, j)))
     signs = [(-1.0) ** particle_count(s & between) for s in range(FULL_DIM)]
-    return fermion_vacuum_coupling(fermion_sector(), i, j) * np.array(signs)
+    return fermion_vacuum_coupling(i, j) * np.array(signs)
 
 
 @pytest.mark.parametrize("pair", list(_PAIRS))
 def test_mirror_maps_the_pair_shift_to_the_mirrored_pair(pair):
     i, j = _PAIRS[pair]
-    space = fermion_sector()
-    assert np.array_equal(_mirror(_fermion_pair_shift(space, i, j)),
-                          _fermion_pair_shift(space, _MIRROR_MODE[i], _MIRROR_MODE[j]))
+    assert np.array_equal(_mirror(_fermion_pair_shift(i, j)),
+                          _fermion_pair_shift(_MIRROR_MODE[i], _MIRROR_MODE[j]))
 
 
 def test_vacuum_coupling_mirror_covariance_depends_on_the_pair():
     # ROADMAP item 11: covariant for l-up/r-down; for l-up/r-up, with l_down
     # between the pair, wrong in sign at two entries
-    space = fermion_sector()
     for pair, broken in (("l-up/r-down", []), ("l-up/r-up", [[6, 3], [12, 9]])):
         i, j = _PAIRS[pair]
-        miss = (_mirror(fermion_vacuum_coupling(space, i, j))
-                - fermion_vacuum_coupling(space, _MIRROR_MODE[i], _MIRROR_MODE[j]))
+        miss = (_mirror(fermion_vacuum_coupling(i, j))
+                - fermion_vacuum_coupling(_MIRROR_MODE[i], _MIRROR_MODE[j]))
         assert np.argwhere(miss).tolist() == broken, pair
         assert np.max(np.abs(miss)) == (2.0 if broken else 0.0)
 
@@ -290,11 +281,10 @@ def test_signed_coupling_is_mirror_covariant_for_l_up_r_up():
     # the alternative convention V' (not the package's): covariant, and
     # shift + V' stays an isometry on the half-filled subspace
     i, j = _PAIRS["l-up/r-up"]
-    space = fermion_sector()
     assert np.array_equal(_mirror(_signed_coupling(i, j)),
                           _signed_coupling(_MIRROR_MODE[i], _MIRROR_MODE[j]))
-    beta = _fermion_pair_shift(space, i, j) + _signed_coupling(i, j)
-    assert unitarity_deficiency(beta, half_filled_projector(space, i, j)) == (0.0, 0.0)
+    beta = _fermion_pair_shift(i, j) + _signed_coupling(i, j)
+    assert unitarity_deficiency(beta, half_filled_projector(i, j)) == (0.0, 0.0)
 
 
 def test_double_sum_variant_breaks_isometry():
@@ -313,7 +303,7 @@ def test_fermion_jacobi_identity(pair):
 
 
 def test_well_number_diff_counts_both_spins():
-    w = well_number_diff(fermion_sector()).entries
+    w = well_number_diff().entries
     assert w[0, 0] == 0.0
     assert w[3, 3] == 2.0    # both particles in the left well
     assert w[12, 12] == -2.0
@@ -321,9 +311,8 @@ def test_well_number_diff_counts_both_spins():
 
 
 def test_pair_requires_distinct_modes():
-    space = fermion_sector()
     with pytest.raises(ConfigError):
-        fermion_cn_phase(space, "l_up", "l_up")
+        fermion_cn_phase("l_up", "l_up")
 
 
 def test_operator_matrix_validates_hermiticity_flag():

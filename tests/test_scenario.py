@@ -20,7 +20,6 @@ from phasekit import (
     embedded_fermion_states,
     expectation_series,
     fermion_cn_phase,
-    fermion_sector,
     fermion_unitary_phase,
     parse_config,
     serialize_config,
@@ -167,6 +166,17 @@ def test_work_limits_are_inclusive():
     ScenarioConfig(system="fermion", ubar=1.0, channels=("avgW",), steps=most)
     with pytest.raises(ConfigError, match="grid amplitudes"):
         ScenarioConfig(system="fermion", ubar=1.0, channels=("avgW",), steps=most + 1)
+
+
+def test_numpy_integer_counts_are_stored_as_int():
+    # in int64, steps x dimension = 2**62 x 4 wraps to 0, under any limit
+    with pytest.raises(ConfigError, match=f"exceeds {MAX_GRID_AMPLITUDES} grid amplitudes"):
+        ScenarioConfig(system="boson", N=3, ubar=0.05, steps=np.int64(2**62),
+                       channels=("avgW",))
+    cfg = ScenarioConfig(system="boson", N=np.int64(3), ubar=0.05, steps=np.int64(21),
+                         channels=("avgW",))
+    assert type(cfg.N) is int and type(cfg.steps) is int
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_initial_amplitude_validation():
@@ -427,10 +437,9 @@ def test_channels_equal_the_public_series_functions(system):
                boson_number_diff(basis))
         pairs = [(op.entries, op.entries @ op.entries) for op in ops]
     else:
-        space = fermion_sector()
         pair = MODE_PAIRS[cfg.mode_pair]
-        ops = (*fermion_cn_phase(space, *pair), *fermion_unitary_phase(space, *pair)[:2],
-               well_number_diff(space))
+        ops = (*fermion_cn_phase(*pair), *fermion_unitary_phase(*pair)[:2],
+               well_number_diff())
         pairs = [pair_moments(op) for op in ops]
     moments = [tuple(expectation_series(form, traj) for form in forms) for forms in pairs]
     c_cn, s_cn, c_u, s_u, w = moments
@@ -472,11 +481,10 @@ def _fock_space_spread(op, states):
 def _fock_space_channels(cfg, traj):
     """Every fermion channel from the 16-dim embedded states and full operators."""
     states = embedded_fermion_states(traj)
-    space = fermion_sector()
     m, mp = MODE_PAIRS[cfg.mode_pair]
-    cos_cn, sin_cn = fermion_cn_phase(space, m, mp)
-    cos_u, sin_u, _ = fermion_unitary_phase(space, m, mp)
-    w = well_number_diff(space)
+    cos_cn, sin_cn = fermion_cn_phase(m, mp)
+    cos_u, sin_u, _ = fermion_unitary_phase(m, mp)
+    w = well_number_diff()
     mean_w = expectation_series(w, states)
     second_w = expectation_series(w.entries @ w.entries, states)
     return {

@@ -6,7 +6,7 @@ import pytest
 
 from phasekit import ConfigError, scenario, verify
 from phasekit.evolve import eigen_propagate
-from phasekit.fock import MODE_NAMES, boson_basis, fermion_sector, fock_state
+from phasekit.fock import MODE_NAMES, boson_basis, fock_state
 from phasekit.hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from phasekit.observe import expectation_series, pair_moments, xi_fermion_closed_form
 from phasekit.operators import (
@@ -92,7 +92,7 @@ def test_a_run_builds_each_family_and_trajectory_once(monkeypatch):
         built = sorted(args[0].total_particles for args, _ in calls[name])
         assert built == list(range(1, sizes + 1)), name
     # one per mode pair (12 before)
-    pairs = [args[1:] for args, _ in calls["fermion_unitary_phase"]]
+    pairs = [args for args, _ in calls["fermion_unitary_phase"]]
     assert len(pairs) == len(set(pairs)) == 6
     # five propagations are read by two checks each
     propagations = {tuple(np.asarray(getattr(a, "entries", getattr(a, "amplitudes", a))).tobytes()
@@ -160,7 +160,7 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
         for n in (3, 5))
 
     squeezing_tau = np.linspace(0.0, 40.0, 2001)
-    second_w = pair_moments(well_number_diff(fermion_sector()))[1]
+    second_w = pair_moments(well_number_diff())[1]
     squeezing = max(
         _maxabs(expectation_series(second_w, pair_run(ubar, both_right, squeezing_tau)[1]) / 2.0
                 - xi_fermion_closed_form(ubar, squeezing_tau))
