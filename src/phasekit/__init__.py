@@ -16,11 +16,7 @@ from .evolve import (
     fermion_pair_closed_form,
     rk4_propagate,
 )
-from .fock import (
-    BosonDimerBasis,
-    boson_basis,
-    fock_state,
-)
+from .fock import boson_basis, fock_state
 from .hamiltonians import (
     boson_dimer_hamiltonian,
     fermion_pair_embedding,
@@ -64,7 +60,6 @@ from .verify import VerificationReport, run_verification
 __version__ = "0.1.0"
 
 __all__ = [
-    "BosonDimerBasis",
     "ConfigError",
     "NumericalError",
     "OperatorMatrix",

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, StepSizeError
-from .fock import BosonDimerBasis, _check_unit_norm
+from .fock import _check_unit_norm, boson_basis
 from .hamiltonians import _check_ubar
-from .operators import OperatorMatrix, _as_array
+from .operators import OperatorMatrix
 
 DEFAULT_DTAU = 1e-3
 RK4_NORM_DRIFT_TOL = 1e-6
@@ -110,7 +111,7 @@ def _prepare(h: Union[OperatorMatrix, np.ndarray],
              psi0: Sequence[complex],
              tau_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not (isinstance(h, OperatorMatrix) and h.hermitian):  # else checked when built
-        h = OperatorMatrix(_as_array(h), label="propagation matrix", hermitian=True)
+        h = OperatorMatrix(h, label="propagation matrix", hermitian=True)
     arr = h.entries
     amps = _as_start(psi0, arr.shape[0])
     # the Trajectory checks the grid again, but only after the propagation ran
@@ -221,6 +222,8 @@ def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
     beyond RK4_NORM_DRIFT_TOL over the run raises StepSizeError; the drift
     of an accepted run is the returned Trajectory's ``norm_drift``.
     """
+    if isinstance(dtau, bool) or not isinstance(dtau, numbers.Real):
+        raise ConfigError(f"dtau must be a real number, got {dtau!r}")
     arr, amps, tau = _prepare(h, psi0, tau_grid)
     if not dtau > 0:
         raise ConfigError(f"dtau must be positive, got {dtau}")
@@ -307,14 +310,13 @@ def _two_frequency(shift: float, tau: np.ndarray,
     return middle, ca_0 + edge, cb_0 + edge
 
 
-def boson_free_amplitudes(basis: BosonDimerBasis,
-                          tau: Union[float, Sequence[float]]) -> np.ndarray:
+def boson_free_amplitudes(n: int, tau: Union[float, Sequence[float]]) -> np.ndarray:
     """Interaction-free boson amplitudes from the right-well start, shape
     (len(tau), N+1). At ubar=0 the dimer Hamiltonian is -2 J_x, so
     c_l(tau) = sqrt(C(N, l)) (i sin tau)^l (cos tau)^(N-l). ConfigError past
     N of about 2050, where sqrt(C(N, N/2)) leaves the double range."""
+    n = boson_basis(n)
     tau = _closed_form_tau(tau)
-    n = basis.total_particles
     l = np.arange(n + 1)
     with np.errstate(over="ignore"):
         root_binom = np.cumprod(np.sqrt(np.concatenate(([1.0], (n - l[:-1]) / l[1:]))))

@@ -1,8 +1,8 @@
 """Finite-dimensional Hilbert spaces for the two-site problem.
 
-* The bosonic dimer at fixed total particle number N is a
-  ``BosonDimerBasis``, indexed by the left-well occupation ``l`` so that
-  basis state ``l`` is ``|n_left=l, n_right=N-l>``.
+* The bosonic dimer at fixed total particle number N is N itself, which every
+  boson builder passes through the ``boson_basis`` gate; basis state ``l`` =
+  0..N is ``|n_left=l, n_right=N-l>``.
 * The four-mode fermionic Fock space of a two-well, two-spin system is one
   fixed space, so it is constants, not an object: its ``FULL_DIM`` = 16
   states are the occupation bitmasks 0..15 over the canonical mode order
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -50,32 +49,19 @@ def mode_index(mode: Union[int, str]) -> int:
     raise ConfigError(f"unknown mode {mode!r}: expected an index 0..3 or one of {MODE_NAMES}")
 
 
-@dataclass(frozen=True)
-class BosonDimerBasis:
-    """Fixed-N two-mode Fock basis, index l <-> |n_left=l, n_right=N-l>."""
-
-    total_particles: int
-
-    def __post_init__(self) -> None:
-        n = self.total_particles
-        # a bool is an Integral, and int() would floor 2.7 and parse "3"
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ConfigError(f"particle number must be an integer, got {n!r}")
-        if n < 1:
-            raise ConfigError(
-                "degenerate basis: need at least one particle for "
-                "phase-difference dynamics"
-            )
-        object.__setattr__(self, "total_particles", int(n))  # a numpy integer too
-
-    @property
-    def dimension(self) -> int:
-        return self.total_particles + 1
-
-
-def boson_basis(total_particles: int) -> BosonDimerBasis:
-    """Basis of dimension N+1; rejects N=0 (no relative phase to speak of)."""
-    return BosonDimerBasis(total_particles)
+def boson_basis(n: int) -> int:
+    """The particle number N of the fixed-N dimer, as ``int``: the one gate
+    every boson builder passes N through. ConfigError unless N is an integer
+    (not a bool) with N >= 1, since N=0 has no relative phase to speak of."""
+    # a bool is an Integral, and int() would floor 2.7 and parse "3"
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ConfigError(f"particle number must be an integer, got {n!r}")
+    if n < 1:
+        raise ConfigError(
+            "degenerate basis: need at least one particle for "
+            "phase-difference dynamics"
+        )
+    return int(n)  # a numpy integer too
 
 
 def particle_count(mask: int) -> int:
@@ -94,16 +80,15 @@ def _check_unit_norm(amplitudes: Sequence[complex]) -> None:
         raise ConfigError(f"initial amplitudes not normalized: |c| = {norm!r}")
 
 
-def fock_state(space: BosonDimerBasis, label: str) -> np.ndarray:
-    """Read-only unit amplitude vector of a named boson start, as configs
-    name it: ``"right-well"`` is basis index 0 (n_left = 0) and
+def fock_state(n: int, label: str) -> np.ndarray:
+    """Read-only unit amplitude vector of a named boson start at N=n, as
+    configs name it: ``"right-well"`` is basis index 0 (n_left = 0) and
     ``"left-well"`` is index N (n_left = N)."""
-    if not isinstance(space, BosonDimerBasis):
-        raise ConfigError(f"unsupported space type: {type(space).__name__}")
+    n = boson_basis(n)
     if not isinstance(label, str) or label not in ("right-well", "left-well"):
         raise ConfigError(
             f"unknown boson state label {label!r}: expected 'right-well' or 'left-well'")
-    amps = np.zeros(space.dimension, dtype=complex)
-    amps[0 if label == "right-well" else space.total_particles] = 1.0
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[0 if label == "right-well" else n] = 1.0
     amps.setflags(write=False)
     return amps

@@ -1,8 +1,8 @@
 """Two-site Hamiltonians in reduced units (energies in hbar*J, time tau = J*t).
 
-The boson dimer Hamiltonian is the real symmetric tridiagonal matrix over the
-fixed-N basis: hopping -sqrt((l+1)(N-l)) between neighbouring occupations and
-interaction diagonal (ubar/2)(l^2 + (N-l)^2 - N).
+The boson dimer Hamiltonian of N bosons is the real symmetric tridiagonal
+matrix over the fixed-N basis: hopping -sqrt((l+1)(N-l)) between neighbouring
+occupations and interaction diagonal (ubar/2)(l^2 + (N-l)^2 - N).
 
 The fermion pair Hamiltonian acts on the three dynamically coupled states of
 two opposite-spin fermions: (sym, |ud,0>, |0,ud>) where
@@ -19,7 +19,7 @@ import numbers
 import numpy as np
 
 from .errors import ConfigError
-from .fock import BosonDimerBasis
+from .fock import boson_basis
 from .operators import OperatorMatrix
 
 # Fock-space bitmasks of the dynamical basis (mode order l_up,l_down,r_up,r_down):
@@ -47,10 +47,10 @@ def _check_ubar(ubar: float) -> None:
         raise ConfigError(f"ubar must be finite, got {ubar!r}")
 
 
-def boson_dimer_hamiltonian(basis: BosonDimerBasis, ubar: float) -> OperatorMatrix:
+def boson_dimer_hamiltonian(n: int, ubar: float) -> OperatorMatrix:
+    n = boson_basis(n)
     _check_ubar(ubar)
-    n = basis.total_particles
-    dim = basis.dimension
+    dim = n + 1
     h = np.zeros((dim, dim), dtype=complex)
     for l in range(dim):
         h[l, l] = 0.5 * ubar * (l * l + (n - l) * (n - l) - n)

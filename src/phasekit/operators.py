@@ -1,6 +1,7 @@
 """Phase-difference, number-difference, and ladder operators.
 
-Boson operators live on the fixed-N dimer basis (dimension N+1). The shift
+Boson operators live on the fixed-N dimer basis (dimension N+1), and each
+boson builder takes N, checked by ``fock.boson_basis``. The shift
 operator that underlies the non-unitary cosine/sine pair moves one particle
 from the left well to the right well with unit coefficient, so its matrix is
 exactly the sub-shift with ones; the vacuum coupling adds the corner term that
@@ -42,9 +43,9 @@ from .fock import (
     FULL_DIM,
     MODE_NAMES,
     N_MODES,
-    BosonDimerBasis,
     _MODE_TWICE_SZ,
     _MODE_WELL,
+    boson_basis,
     mode_index,
     particle_count,
 )
@@ -61,9 +62,7 @@ class OperatorMatrix:
     hermitian: bool = False
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=complex, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ConfigError(f"operator {self.label!r} is not square: {arr.shape}")
+        arr = _as_array(self.entries).copy()
         if self.hermitian:  # the one hermiticity check, which propagation also uses
             if not np.isfinite(arr).all():  # before inf - inf can warn
                 raise NumericalError(
@@ -79,7 +78,17 @@ class OperatorMatrix:
 
 
 def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
-    return op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
+    """``op`` as a square complex matrix, not copied when it is one already;
+    ConfigError for an operand numpy cannot convert or that is not square."""
+    if isinstance(op, OperatorMatrix):
+        return op.entries
+    try:
+        arr = np.asarray(op, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"operand is not a numeric matrix: {exc}") from None
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ConfigError(f"operand is not square: shape {arr.shape}")
+    return arr
 
 
 def _cos_sin(x: np.ndarray, kind: str,
@@ -99,45 +108,46 @@ def _cos_sin(x: np.ndarray, kind: str,
 # boson operators
 
 
-def _boson_shift(basis: BosonDimerBasis) -> np.ndarray:
+def _boson_shift(n: int) -> np.ndarray:
     """Matrix moving one particle left -> right: e_l -> e_{l-1}, unit entries."""
-    return np.eye(basis.dimension, k=1, dtype=complex)
+    return np.eye(n + 1, k=1, dtype=complex)
 
 
-def _boson_corner(basis: BosonDimerBasis) -> np.ndarray:
+def _boson_corner(n: int) -> np.ndarray:
     """|N,0><0,N|: index N is all-left, index 0 is all-right."""
-    dim = basis.dimension
-    k = np.zeros((dim, dim), dtype=complex)
-    k[dim - 1, 0] = 1.0
+    k = np.zeros((n + 1, n + 1), dtype=complex)
+    k[n, 0] = 1.0
     return k
 
 
-def boson_cn_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
+def boson_cn_phase(n: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Non-unitary cosine/sine pair built from the left->right shift."""
-    return _cos_sin(_boson_shift(basis), "cn", f"N={basis.total_particles}")
+    n = boson_basis(n)
+    return _cos_sin(_boson_shift(n), "cn", f"N={n}")
 
 
-def boson_vacuum_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, OperatorMatrix]:
+def boson_vacuum_phase(n: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Corner cosine/sine linking the two all-in-one-well states."""
-    return _cos_sin(_boson_corner(basis), "vac", f"N={basis.total_particles}")
+    n = boson_basis(n)
+    return _cos_sin(_boson_corner(n), "vac", f"N={n}")
 
 
-def boson_unitary_phase(basis: BosonDimerBasis) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+def boson_unitary_phase(n: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Unitary cosine/sine and the combined operator beta = cos + i sin.
 
     beta is the cyclic shift of the fixed-N ladder (the left->right shift plus
     the corner term), hence exactly unitary.
     """
-    n = basis.total_particles
-    beta = _boson_shift(basis) + _boson_corner(basis)
+    n = boson_basis(n)
+    beta = _boson_shift(n) + _boson_corner(n)
     return (*_cos_sin(beta, "u", f"N={n}"),
             OperatorMatrix(beta, label=f"beta[N={n}]", hermitian=False))
 
 
-def boson_number_diff(basis: BosonDimerBasis) -> OperatorMatrix:
+def boson_number_diff(n: int) -> OperatorMatrix:
     """Population imbalance n_left - n_right = diag(2l - N)."""
-    n = basis.total_particles
-    diag = np.array([2 * l - n for l in range(basis.dimension)], dtype=float)
+    n = boson_basis(n)
+    diag = np.array([2 * l - n for l in range(n + 1)], dtype=float)
     return OperatorMatrix(np.diag(diag).astype(complex),
                           label=f"number_diff[N={n}]", hermitian=True)
 

@@ -85,7 +85,7 @@ PRESET_NAMES = tuple(PRESETS)
 def preset_entries(name: str) -> tuple[PresetEntry, ...]:
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(
             f"unknown preset {name!r}; expected one of {PRESET_NAMES}"
         ) from None
@@ -102,6 +102,8 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     their new content.
     """
     entries = preset_entries(name)
+    if not isinstance(out_dir, (str, os.PathLike)):  # Path() takes nothing else
+        raise ConfigError(f"output directory must be a path, got {out_dir!r}")
     if out_dir == "":  # Path("") is the working directory
         raise ConfigError("output directory must not be empty, got ''")
     out = Path(out_dir)

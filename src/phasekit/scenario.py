@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
-from .fock import _check_unit_norm, boson_basis, fock_state
+from .fock import _check_unit_norm, fock_state
 from .hamiltonians import (_check_ubar, _finite, boson_dimer_hamiltonian,
                            fermion_pair_hamiltonian)
 from .observe import TimeSeries, expectation_series, pair_moments, xi_fermion_closed_form
@@ -299,7 +299,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
 def initial_amplitudes(cfg: ScenarioConfig) -> np.ndarray:
     if isinstance(cfg.initial, str):
         if cfg.system == "boson":
-            return fock_state(boson_basis(cfg.N), cfg.initial)
+            return fock_state(cfg.N, cfg.initial)
         # dynamical basis (sym, both-left, both-right)
         amps = np.zeros(3, dtype=complex)
         amps[2 if cfg.initial == "right-well" else 1] = 1.0
@@ -313,7 +313,7 @@ def propagate_scenario(cfg: ScenarioConfig) -> Trajectory:
     with np.errstate(over="ignore"):
         tau_grid = np.linspace(0.0, cfg.tau_max, cfg.steps)
     if cfg.system == "boson":
-        h = boson_dimer_hamiltonian(boson_basis(cfg.N), cfg.ubar)
+        h = boson_dimer_hamiltonian(cfg.N, cfg.ubar)
     else:
         h = fermion_pair_hamiltonian(cfg.ubar)
     psi0 = initial_amplitudes(cfg)
@@ -329,11 +329,10 @@ def _family_operators(cfg: ScenarioConfig,
     """Each observable of ``family`` as (operator, second-moment operator) on
     cfg's dynamical basis."""
     if cfg.system == "boson":
-        basis = boson_basis(cfg.N)
         if family == "W":
-            ops = (boson_number_diff(basis),)
+            ops = (boson_number_diff(cfg.N),)
         else:
-            ops = (boson_cn_phase if family == "CN" else boson_unitary_phase)(basis)[:2]
+            ops = (boson_cn_phase if family == "CN" else boson_unitary_phase)(cfg.N)[:2]
         return [(op.entries, op.entries @ op.entries) for op in ops]
     if family == "W":
         ops = (well_number_diff(),)
@@ -638,6 +637,8 @@ def write_csv(series: TimeSeries, channel_order: Sequence[str],
     temporary file beside the target, which then replaces it, so an
     interrupted or failed write leaves any old target whole.
     """
+    if not isinstance(path, (str, os.PathLike)):  # Path() takes nothing else
+        raise ConfigError(f"CSV target must be a path, got {path!r}")
     target = Path(path)
     text = format_csv(series, channel_order, _bundle=_bundle)
     # a fixed-length name, so it fits wherever the target's name fits

@@ -48,7 +48,7 @@ from .evolve import (
     eigen_propagate,
     fermion_pair_closed_form,
 )
-from .fock import FULL_DIM, MODE_NAMES, boson_basis, fock_state
+from .fock import FULL_DIM, MODE_NAMES, fock_state
 from .hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from .observe import expectation_series
 from .operators import (
@@ -149,9 +149,8 @@ class BosonFamily(NamedTuple):
 
 def boson_family(n: int) -> BosonFamily:
     """Every boson phase operator at N=n, for the boson operator laws."""
-    basis = boson_basis(n)
-    return BosonFamily(n, *boson_cn_phase(basis), *boson_vacuum_phase(basis),
-                       *boson_unitary_phase(basis))
+    return BosonFamily(n, *boson_cn_phase(n), *boson_vacuum_phase(n),
+                       *boson_unitary_phase(n))
 
 
 class PairFamily(NamedTuple):
@@ -276,7 +275,7 @@ def _boson_sweep(n_max: int, families: dict[int, BosonFamily]) -> dict[str, list
         cases["unitarity"].append(boson_unitarity_residual(family))
         cases["corner"].append(corner_defect_residual(family))
         if n <= COMMUTATOR_N_MAX:
-            w = boson_number_diff(boson_basis(n))
+            w = boson_number_diff(n)
             cases["commutators"].append(number_phase_commutator_residual(family, w))
             cases["jacobi"].append(boson_jacobi_residual(family, w))
         del family  # before the next N's family is built
@@ -320,7 +319,7 @@ def _check_mirror_symmetry(n_max: int) -> CheckResult:
     worst = 0.0
     for n in range(1, n_max + 1):
         for ubar in UBAR_SET:
-            h = boson_dimer_hamiltonian(boson_basis(n), ubar).entries
+            h = boson_dimer_hamiltonian(n, ubar).entries
             worst = max(worst, _maxabs(h - h[::-1, ::-1]))
     return CheckResult("hamiltonian-mirror-symmetry", worst == 0.0, worst, 0.0,
                        "left/right well exchange leaves the matrix invariant")
@@ -338,7 +337,7 @@ def _check_interaction_placement() -> CheckResult:
 def _check_interaction_free_spectra(tol: float) -> CheckResult:
     target = np.array([-2.0, 0.0, 2.0])
     worst = max(_maxabs(np.linalg.eigvalsh(h.entries) - target)
-                for h in (boson_dimer_hamiltonian(boson_basis(2), 0.0),
+                for h in (boson_dimer_hamiltonian(2, 0.0),
                           fermion_pair_hamiltonian(0.0)))
     return CheckResult("interaction-free-spectra", worst <= tol, worst, tol,
                        "both systems reduce to the same tunneling triplet")
@@ -355,9 +354,8 @@ _MIXED = (0.5, 0.5j, math.sqrt(0.5))
 def _boson_right_well(n: int, ubar: float,
                       tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
     """H and the exact trajectory of the N=n dimer from the right well."""
-    basis = boson_basis(n)
-    h = boson_dimer_hamiltonian(basis, ubar)
-    return h, eigen_propagate(h, fock_state(basis, "right-well"), tau)
+    h = boson_dimer_hamiltonian(n, ubar)
+    return h, eigen_propagate(h, fock_state(n, "right-well"), tau)
 
 
 def _pair(ubar: float, init: tuple[complex, ...],
@@ -385,7 +383,7 @@ def boson_closed_form_residual(ubar: float, traj: Trajectory) -> float:
     tau = traj.tau_grid
     worst = _maxabs(traj.states[:, 1] - boson_pair_closed_form(ubar, tau))
     if ubar == 0.0:
-        worst = max(worst, _maxabs(traj.states - boson_free_amplitudes(boson_basis(2), tau)))
+        worst = max(worst, _maxabs(traj.states - boson_free_amplitudes(2, tau)))
     return worst
 
 

@@ -44,7 +44,6 @@ import pytest
 
 from phasekit import (
     ScenarioConfig,
-    boson_basis,
     boson_cn_phase,
     boson_dimer_hamiltonian,
     boson_unitary_phase,
@@ -73,9 +72,7 @@ def _right_well(n):
 
 
 def _boson_traj(n, ubar, tau):
-    basis = boson_basis(n)
-    h = boson_dimer_hamiltonian(basis, ubar)
-    return basis, eigen_propagate(h, _right_well(n), tau)
+    return eigen_propagate(boson_dimer_hamiltonian(n, ubar), _right_well(n), tau)
 
 
 # Every check `phasekit verify` passes, in its printed order, with the
@@ -166,7 +163,7 @@ def test_c05_closed_forms_match_eigenpropagation():
         h = fermion_pair_hamiltonian(ubar)
         pair = eigen_propagate(h, RIGHT_WELL_3, tau)
         assert fermion_closed_form_residual(ubar, RIGHT_WELL_3, pair) <= 1e-9
-        assert boson_closed_form_residual(ubar, _boson_traj(2, ubar, tau)[1]) <= 1e-9
+        assert boson_closed_form_residual(ubar, _boson_traj(2, ubar, tau)) <= 1e-9
 
 
 def _rk4_stability_oracle(h, psi0, tau, dtau):
@@ -192,8 +189,7 @@ def test_c06_rk4_cross_check_at_contract_step():
     # module docstring). rk4_propagate refuses this run on its norm drift of
     # ~3.5e-2 (test_evolve.py::test_rk4_norm_guard_trips_on_stiff_problem), so
     # the integrator's raw output is taken from its kernel.
-    basis = boson_basis(10)
-    h = boson_dimer_hamiltonian(basis, 5.0)
+    h = boson_dimer_hamiltonian(10, 5.0)
     tau = np.linspace(0.0, 40.0, 2001)
     exact = eigen_propagate(h, _right_well(10), tau)
     start = time.perf_counter()
@@ -260,9 +256,9 @@ def test_c09_unitary_raw_convergence_with_size():
     tau = np.linspace(0.0, 40.0, 2001)
     gaps = []
     for n in (2, 5, 10):
-        basis, traj = _boson_traj(n, 5.0, tau)
-        cos_cn = boson_cn_phase(basis)[0]
-        cos_u = boson_unitary_phase(basis)[0]
+        traj = _boson_traj(n, 5.0, tau)
+        cos_cn = boson_cn_phase(n)[0]
+        cos_u = boson_unitary_phase(n)[0]
         gap = np.max(np.abs(expectation_series(cos_u, traj)
                             - expectation_series(cos_cn, traj)))
         gaps.append(float(gap))
@@ -287,7 +283,7 @@ def test_c11_conservation_along_acceptance_trajectories():
                          (4, 0.0, tau_short), (5, 0.0, tau_short),
                          (2, 5.0, tau_long), (5, 5.0, tau_long),
                          (10, 5.0, tau_long)):
-        h = boson_dimer_hamiltonian(boson_basis(n), ubar)
+        h = boson_dimer_hamiltonian(n, ubar)
         cases.append((h, _right_well(n), tau))
     for ubar in (0.0, 0.05, 5.0):
         h = fermion_pair_hamiltonian(ubar)

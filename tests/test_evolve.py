@@ -21,7 +21,6 @@ from phasekit import (
     ScenarioConfig,
     StepSizeError,
     Trajectory,
-    boson_basis,
     boson_cn_phase,
     boson_dimer_hamiltonian,
     boson_free_amplitudes,
@@ -76,8 +75,7 @@ def _expm_series(m, squarings=10, orders=24):
 
 
 def test_eigen_propagation_against_direct_expm():
-    basis = boson_basis(4)
-    h = boson_dimer_hamiltonian(basis, 5.0)
+    h = boson_dimer_hamiltonian(4, 5.0)
     tau = np.linspace(0.0, 3.0, 7)
     traj = eigen_propagate(h, _right_well(4), tau)
     # independent oracle: series matrix exponential, no eigh involved
@@ -96,8 +94,7 @@ def test_eigen_norm_and_energy_conservation():
 
 
 def test_rk4_matches_eigen_at_weak_coupling():
-    basis = boson_basis(5)
-    h = boson_dimer_hamiltonian(basis, 0.05)
+    h = boson_dimer_hamiltonian(5, 0.05)
     tau = np.linspace(0.0, 10.0, 101)
     exact = eigen_propagate(h, _right_well(5), tau)
     approx = rk4_propagate(h, _right_well(5), tau, dtau=1e-3)
@@ -105,7 +102,7 @@ def test_rk4_matches_eigen_at_weak_coupling():
 
 
 def test_rk4_error_scales_as_fourth_order():
-    h = boson_dimer_hamiltonian(boson_basis(3), 1.0)
+    h = boson_dimer_hamiltonian(3, 1.0)
     tau = np.linspace(0.0, 2.0, 3)
     exact = eigen_propagate(h, _right_well(3), tau)
 
@@ -119,12 +116,21 @@ def test_rk4_error_scales_as_fourth_order():
 
 
 def test_rk4_rejects_bad_steps():
-    h = boson_dimer_hamiltonian(boson_basis(2), 0.0)
+    h = boson_dimer_hamiltonian(2, 0.0)
     tau = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ConfigError):
         rk4_propagate(h, _right_well(2), tau, dtau=0.0)
     with pytest.raises(ConfigError):
         rk4_propagate(h, _right_well(2), tau, dtau=0.5)  # exceeds spacing
+
+
+@pytest.mark.parametrize("dtau", ["x", None, 1e-3 + 0j, np.array([1e-3, 1e-3]), True],
+                         ids=["str", "none", "complex", "array", "bool"])
+def test_rk4_refuses_a_dtau_that_is_not_a_real_number(dtau):
+    # True once ran as dtau = 1.0; the others raised numpy's or Python's own errors
+    h = boson_dimer_hamiltonian(2, 0.0)
+    with pytest.raises(ConfigError, match="dtau must be a real number"):
+        rk4_propagate(h, _right_well(2), np.linspace(0.0, 1.0, 11), dtau=dtau)
 
 
 def _trajectory_of(h, psi0, tau):
@@ -151,7 +157,7 @@ def test_degenerate_tau_grid_is_rejected_before_propagation(propagate, tau, mess
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr("phasekit.evolve._rk4_steps", refuse)
-    h = boson_dimer_hamiltonian(boson_basis(2), 0.05)
+    h = boson_dimer_hamiltonian(2, 0.05)
     with pytest.raises(ConfigError, match=message):
         propagate(h, _right_well(2), tau)
 
@@ -208,7 +214,7 @@ def _tau_grids(draw):
 @given(_tau_grids())
 @settings(max_examples=150, deadline=None)
 def test_trajectory_and_propagator_accept_the_same_grids(tau):
-    h = boson_dimer_hamiltonian(boson_basis(2), 0.05)
+    h = boson_dimer_hamiltonian(2, 0.05)
     outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -232,8 +238,7 @@ def test_rk4_overflowing_power_fails_the_drift_gate():
 def test_rk4_norm_guard_trips_on_stiff_problem():
     # N=10 at strong coupling has spectral radius ~225; dtau=1e-3 is far from
     # the accuracy regime and the drift guard must catch it
-    basis = boson_basis(10)
-    h = boson_dimer_hamiltonian(basis, 5.0)
+    h = boson_dimer_hamiltonian(10, 5.0)
     tau = np.linspace(0.0, 40.0, 2001)
     with pytest.raises(StepSizeError):
         rk4_propagate(h, _right_well(10), tau, dtau=1e-3)
@@ -241,8 +246,7 @@ def test_rk4_norm_guard_trips_on_stiff_problem():
 
 def test_rk4_stiff_problem_converges_at_fine_step():
     # same stiff problem, 100x smaller step: accuracy follows the h^4 law
-    basis = boson_basis(10)
-    h = boson_dimer_hamiltonian(basis, 5.0)
+    h = boson_dimer_hamiltonian(10, 5.0)
     tau = np.linspace(0.0, 1.0, 11)
     exact = eigen_propagate(h, _right_well(10), tau)
     approx = rk4_propagate(h, _right_well(10), tau, dtau=1e-5)
@@ -279,13 +283,13 @@ def test_boson_closed_form_refuses_the_start_it_cannot_guarantee():
     tau = np.linspace(0.0, 10.0, 101)
     with pytest.raises(ConfigError, match="c1 is exact only"):
         boson_pair_closed_form(5.0, tau, (0.0, 1.0, 0.0))
-    h = boson_dimer_hamiltonian(boson_basis(2), 0.0)
+    h = boson_dimer_hamiltonian(2, 0.0)
     start = np.array([0.6, 0.8j, 0.0])
     c1 = boson_pair_closed_form(0.0, tau, start)
     assert c1.shape == tau.shape
     assert np.max(np.abs(eigen_propagate(h, start, tau).states[:, 1] - c1)) < 1e-12
     for ubar, start in ((5.0, (1.0, 0.0, 0.0)), (-5.0, (0.0, 0.0, 1.0))):
-        h = boson_dimer_hamiltonian(boson_basis(2), ubar)
+        h = boson_dimer_hamiltonian(2, ubar)
         c1 = boson_pair_closed_form(ubar, tau, start)
         assert np.max(np.abs(eigen_propagate(h, start, tau).states[:, 1] - c1)) < 1e-12
 
@@ -295,7 +299,7 @@ def test_boson_closed_form_against_eigen():
     # edges at ubar=0
     tau = np.linspace(0.0, 40.0, 401)
     for ubar in (0.0, 0.05, 5.0):
-        h = boson_dimer_hamiltonian(boson_basis(2), ubar)
+        h = boson_dimer_hamiltonian(2, ubar)
         traj = eigen_propagate(h, _right_well(2), tau)
         assert boson_closed_form_residual(ubar, traj) < 1e-12
 
@@ -307,7 +311,7 @@ def test_closed_forms_keep_both_roots_at_huge_coupling(ubar):
     h = fermion_pair_hamiltonian(ubar)
     pair = eigen_propagate(h, RIGHT_WELL_3, tau)
     assert fermion_closed_form_residual(ubar, RIGHT_WELL_3, pair) < 1e-12
-    h = boson_dimer_hamiltonian(boson_basis(2), ubar)
+    h = boson_dimer_hamiltonian(2, ubar)
     boson = eigen_propagate(h, _right_well(2), tau)
     assert boson_closed_form_residual(ubar, boson) < 1e-12
 
@@ -330,21 +334,19 @@ def test_closed_forms_refuse_unrepresentable_phases():
 def test_free_amplitudes_match_eigen_at_every_n():
     tau = np.linspace(0.0, 40.0, 401)
     for n in [*range(1, 41), 100]:
-        basis = boson_basis(n)
-        free = boson_free_amplitudes(basis, tau)
+        free = boson_free_amplitudes(n, tau)
         assert free.shape == (tau.size, n + 1)
-        traj = eigen_propagate(boson_dimer_hamiltonian(basis, 0.0), _right_well(n), tau)
+        traj = eigen_propagate(boson_dimer_hamiltonian(n, 0.0), _right_well(n), tau)
         assert np.max(np.abs(traj.states - free)) < 1e-12, n
         assert np.max(np.abs(np.linalg.norm(free, axis=1) - 1.0)) < 1e-12, n
-        w = expectation_series(boson_number_diff(basis), free)
+        w = expectation_series(boson_number_diff(n), free)
         assert np.max(np.abs(w + n * np.cos(2.0 * tau))) < 1e-13 * n, n  # W is O(N)
 
 
 def test_free_amplitudes_match_rk4_at_the_default_step():
-    basis = boson_basis(10)
     tau = np.linspace(0.0, 40.0, 2001)
-    traj = rk4_propagate(boson_dimer_hamiltonian(basis, 0.0), _right_well(10), tau)
-    assert np.max(np.abs(traj.states - boson_free_amplitudes(basis, tau))) < 1e-8
+    traj = rk4_propagate(boson_dimer_hamiltonian(10, 0.0), _right_well(10), tau)
+    assert np.max(np.abs(traj.states - boson_free_amplitudes(10, tau))) < 1e-8
 
 
 def test_free_amplitudes_give_the_odd_even_and_gap_laws():
@@ -352,10 +354,9 @@ def test_free_amplitudes_give_the_odd_even_and_gap_laws():
     # odd N and at most 2^-N at even N
     tau = np.linspace(0.0, 2.0 * math.pi, 401)
     for n in range(1, 41):
-        basis = boson_basis(n)
-        free = boson_free_amplitudes(basis, tau)
-        cos_u = expectation_series(boson_unitary_phase(basis)[0], free)
-        cos_cn = expectation_series(boson_cn_phase(basis)[0], free)
+        free = boson_free_amplitudes(n, tau)
+        cos_u = expectation_series(boson_unitary_phase(n)[0], free)
+        cos_cn = expectation_series(boson_cn_phase(n)[0], free)
         law = ((-1j) ** n).real * (np.sin(2.0 * tau) / 2.0) ** n
         assert np.max(np.abs(cos_u - cos_cn - law)) < 1e-13, n
         assert np.max(np.abs(cos_cn)) < 1e-13, n
@@ -372,7 +373,7 @@ def test_free_amplitudes_at_huge_n_are_unit_rows_or_config_errors(n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            free = boson_free_amplitudes(boson_basis(n), tau)
+            free = boson_free_amplitudes(n, tau)
         except ConfigError:
             assert n > 2000
             return
@@ -389,9 +390,9 @@ def test_closed_forms_reject_bad_inits():
 
 # every entry point that takes amplitudes, each through the one unit-norm gate
 NORM_GATES = {
-    "eigen": lambda start: eigen_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
+    "eigen": lambda start: eigen_propagate(boson_dimer_hamiltonian(2, 1.0),
                                            start, [0.0, 1.0]),
-    "rk4": lambda start: rk4_propagate(boson_dimer_hamiltonian(boson_basis(2), 1.0),
+    "rk4": lambda start: rk4_propagate(boson_dimer_hamiltonian(2, 1.0),
                                        start, [0.0, 1.0]),
     "fermion-closed-form": lambda start: fermion_pair_closed_form(1.0, [0.0, 1.0], start),
     "boson-closed-form": lambda start: boson_pair_closed_form(1.0, [0.0, 1.0], start),
@@ -404,7 +405,7 @@ CLOSED_FORMS = {
     "fermion-closed-form": fermion_pair_closed_form,
     "boson-closed-form": boson_pair_closed_form,
     "xi-closed-form": xi_fermion_closed_form,
-    "free-amplitudes": lambda ubar, tau: boson_free_amplitudes(boson_basis(2), tau),
+    "free-amplitudes": lambda ubar, tau: boson_free_amplitudes(2, tau),
 }
 
 
@@ -478,7 +479,7 @@ def test_eigen_propagate_phase_bound_is_inclusive():
 
 
 def test_propagators_reject_dimension_mismatch():
-    h = boson_dimer_hamiltonian(boson_basis(2), 0.0)
+    h = boson_dimer_hamiltonian(2, 0.0)
     # the whole shape is compared: a scalar has none and a nested list is 2-D
     for start in (np.array([1.0, 0.0]), 1.0, [[1.0, 0.0, 0.0]]):
         for propagate in (eigen_propagate, rk4_propagate):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from phasekit import (
     ConfigError,
-    boson_basis,
     boson_dimer_hamiltonian,
     fermion_pair_embedding,
     fermion_pair_hamiltonian,
@@ -35,12 +34,12 @@ def _oracle_boson_hamiltonian(n, ubar):
        st.sampled_from([0.0, 0.05, 0.5, 5.0]))
 @settings(max_examples=20, deadline=None)
 def test_boson_hamiltonian_matches_two_mode_oracle(n, ubar):
-    h = boson_dimer_hamiltonian(boson_basis(n), ubar).entries
+    h = boson_dimer_hamiltonian(n, ubar).entries
     assert np.max(np.abs(h - _oracle_boson_hamiltonian(n, ubar))) < 1e-12
 
 
 def test_boson_hamiltonian_entries():
-    h = boson_dimer_hamiltonian(boson_basis(2), 5.0).entries
+    h = boson_dimer_hamiltonian(2, 5.0).entries
     expected = np.array([[5.0, -math.sqrt(2.0), 0.0],
                          [-math.sqrt(2.0), 0.0, -math.sqrt(2.0)],
                          [0.0, -math.sqrt(2.0), 5.0]], dtype=complex)
@@ -49,7 +48,7 @@ def test_boson_hamiltonian_entries():
 
 def test_boson_hamiltonian_mirror_symmetry():
     for n in (1, 3, 6):
-        h = boson_dimer_hamiltonian(boson_basis(n), 0.7).entries
+        h = boson_dimer_hamiltonian(n, 0.7).entries
         assert np.array_equal(h, h[::-1, ::-1])
 
 
@@ -100,7 +99,7 @@ def test_embedding_is_isometric_and_places_amplitudes():
 
 
 @pytest.mark.parametrize("build", [
-    lambda ubar: boson_dimer_hamiltonian(boson_basis(2), ubar),
+    lambda ubar: boson_dimer_hamiltonian(2, ubar),
     fermion_pair_hamiltonian,
 ], ids=["boson", "fermion"])
 @pytest.mark.parametrize("ubar", ["5", None, 1 + 0j, True, 10**400, math.nan],

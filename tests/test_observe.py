@@ -10,7 +10,6 @@ from phasekit import (
     NumericalError,
     ScenarioConfig,
     TimeSeries,
-    boson_basis,
     boson_cn_phase,
     boson_dimer_hamiltonian,
     boson_number_diff,
@@ -30,17 +29,15 @@ RIGHT_WELL_3 = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
 def _boson_traj(n, ubar, tau_max=2.0 * math.pi, steps=2001):
-    basis = boson_basis(n)
-    h = boson_dimer_hamiltonian(basis, ubar)
+    h = boson_dimer_hamiltonian(n, ubar)
     psi0 = np.zeros(n + 1, dtype=complex)
     psi0[0] = 1.0
     tau = np.linspace(0.0, tau_max, steps)
-    return basis, tau, eigen_propagate(h, psi0, tau)
+    return tau, eigen_propagate(h, psi0, tau)
 
 
 def test_expectation_against_manual_quadratic_form():
-    basis = boson_basis(2)
-    w = boson_number_diff(basis)
+    w = boson_number_diff(2)
     state = np.array([0.6, 0.0, 0.8j], dtype=complex)
     manual = float((state.conj() @ w.entries @ state).real)
     assert expectation_series(w, state)[0] == pytest.approx(manual, abs=1e-15)
@@ -74,14 +71,14 @@ def test_fluctuation_of_eigenstate_is_zero():
     assert series.channels["fluctC"][0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
     # the raw cosine misses it: fluctuation 1/2 (no channel carries it)
     state = np.array([1.0, 0.0, 0.0], dtype=complex)
-    cos_cn = boson_cn_phase(boson_basis(2))[0].entries
+    cos_cn = boson_cn_phase(2)[0].entries
     mean, second = (expectation_series(op, state)[0] for op in (cos_cn, cos_cn @ cos_cn))
     assert math.sqrt(second - mean * mean) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_expectation_series_matches_pointwise_expectation():
-    basis, tau, traj = _boson_traj(3, 0.5, tau_max=1.0, steps=11)
-    cos_u = boson_unitary_phase(basis)[0]
+    tau, traj = _boson_traj(3, 0.5, tau_max=1.0, steps=11)
+    cos_u = boson_unitary_phase(3)[0]
     series = expectation_series(cos_u, traj)
     for k in (0, 5, 10):
         psi = traj.states[k]
@@ -133,7 +130,7 @@ def test_nonhermitian_sandwich_raises():
 
 
 def test_mismatched_state_dimension_raises_config_error():
-    w = boson_number_diff(boson_basis(2))
+    w = boson_number_diff(2)
     for state in (np.array([1.0, 0.0], dtype=complex), np.eye(4, dtype=complex)):
         with pytest.raises(ConfigError, match="does not match"):
             expectation_series(w, state)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from phasekit import (
     ConfigError,
     NumericalError,
-    boson_basis,
     boson_cn_phase,
     boson_number_diff,
     boson_unitary_phase,
@@ -94,13 +93,13 @@ def _oracle_jw_ladder(mode):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_boson_shift_matches_two_mode_oracle(n):
-    cos, sin = boson_cn_phase(boson_basis(n))
+    cos, sin = boson_cn_phase(n)
     shift = cos.entries + 1j * sin.entries  # cos + i sin reassembles the shift
     assert np.max(np.abs(shift - _oracle_boson_shift(n))) < 1e-14
 
 
 def test_boson_shift_entries_are_exact_ones():
-    cos, sin = boson_cn_phase(boson_basis(6))
+    cos, sin = boson_cn_phase(6)
     shift = cos.entries + 1j * sin.entries
     expected = np.zeros((7, 7), dtype=complex)
     for left in range(1, 7):
@@ -138,7 +137,7 @@ def test_raw_boson_operator_corner_defect_is_exact(n):
 
 
 def test_raw_boson_operator_full_space_residual_is_one():
-    cos, sin = boson_cn_phase(boson_basis(4))
+    cos, sin = boson_cn_phase(4)
     shift = cos.entries + 1j * sin.entries
     left, right = unitarity_deficiency(shift)
     assert left == pytest.approx(1.0)
@@ -147,7 +146,7 @@ def test_raw_boson_operator_full_space_residual_is_one():
 
 def test_completed_beta_is_the_cyclic_shift():
     n = 5
-    cos_u, sin_u, beta = boson_unitary_phase(boson_basis(n))
+    cos_u, sin_u, beta = boson_unitary_phase(n)
     expected = np.zeros((n + 1, n + 1), dtype=complex)
     for left in range(1, n + 1):
         expected[left - 1, left] = 1.0
@@ -156,11 +155,10 @@ def test_completed_beta_is_the_cyclic_shift():
 
 
 def test_single_particle_special_case():
-    basis = boson_basis(1)
-    cos0, sin0 = boson_vacuum_phase(basis)
+    cos0, sin0 = boson_vacuum_phase(1)
     assert sin0.entries[1, 0] == -0.5j
     assert sin0.entries[0, 1] == 0.5j
-    cos_u, sin_u, beta = boson_unitary_phase(basis)
+    cos_u, sin_u, beta = boson_unitary_phase(1)
     assert np.array_equal(sin_u.entries, np.zeros((2, 2)))
     assert np.array_equal(beta.entries, cos_u.entries)
     assert np.array_equal(cos_u.entries @ cos_u.entries, np.eye(2))
@@ -169,12 +167,12 @@ def test_single_particle_special_case():
 @given(st.integers(min_value=1, max_value=10))
 @settings(max_examples=10, deadline=None)
 def test_number_phase_commutator_identities(n):
-    w = boson_number_diff(boson_basis(n))
+    w = boson_number_diff(n)
     assert number_phase_commutator_residual(boson_family(n), w) <= 1e-12
 
 
 def test_number_diff_diagonal():
-    w = boson_number_diff(boson_basis(3)).entries
+    w = boson_number_diff(3).entries
     assert np.array_equal(np.diag(w).real, np.array([-3.0, -1.0, 1.0, 3.0]))
 
 

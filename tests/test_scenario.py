@@ -12,17 +12,20 @@ from phasekit import (
     NumericalError,
     ScenarioConfig,
     TimeSeries,
-    boson_basis,
     boson_cn_phase,
     boson_dimer_hamiltonian,
     boson_number_diff,
     boson_unitary_phase,
+    commutator,
+    eigen_propagate,
     embedded_fermion_states,
     expectation_series,
     fermion_cn_phase,
     fermion_unitary_phase,
     parse_config,
+    preset_entries,
     serialize_config,
+    unitarity_deficiency,
     well_number_diff,
     xi_fermion_closed_form,
 )
@@ -317,7 +320,7 @@ def _law_tolerance(cfg):
     """64·max|E|·tau_max·eps: the phases E·tau of an eigen run carry rounding
     of order max|E|·tau_max·eps. Up to N=40 the boson laws below measured at
     most 2.1 (mirror) and 12.6 (interaction sign) times that."""
-    h = boson_dimer_hamiltonian(boson_basis(cfg.N), cfg.ubar).entries
+    h = boson_dimer_hamiltonian(cfg.N, cfg.ubar).entries
     return 64 * np.max(np.abs(np.linalg.eigvalsh(h))) * cfg.tau_max * np.finfo(float).eps
 
 
@@ -432,9 +435,8 @@ def test_channels_equal_the_public_series_functions(system):
     series = run_scenario(cfg)
     traj = propagate_scenario(cfg)
     if system == "boson":
-        basis = boson_basis(cfg.N)
-        ops = (*boson_cn_phase(basis), *boson_unitary_phase(basis)[:2],
-               boson_number_diff(basis))
+        ops = (*boson_cn_phase(cfg.N), *boson_unitary_phase(cfg.N)[:2],
+               boson_number_diff(cfg.N))
         pairs = [(op.entries, op.entries @ op.entries) for op in ops]
     else:
         pair = MODE_PAIRS[cfg.mode_pair]
@@ -748,3 +750,23 @@ def test_write_csv_refuses_non_finite_tau(tmp_path):
     with pytest.raises(NumericalError, match="'tau' is inf"):
         write_csv(series, ["avgW"], target)
     assert not target.exists()
+
+
+_SERIES = TimeSeries(np.linspace(0.0, 1.0, 3), {"avgW": np.zeros(3)})
+_START = np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expectation_series(np.ones((3, 2)), _START),
+    lambda: commutator("a", "b"),
+    lambda: unitarity_deficiency(np.ones((2, 3))),
+    lambda: eigen_propagate("x", _START, [0.0, 1.0]),
+    lambda: write_csv(_SERIES, ["avgW"], None),
+    lambda: run_figure("fig1", None),
+    lambda: preset_entries(["fig1"]),
+], ids=["expectation-not-square", "commutator-str", "deficiency-not-square",
+        "propagate-str", "write-csv-none", "figure-none", "preset-list"])
+def test_malformed_operands_are_config_errors(call):
+    # each once raised numpy's ValueError or Python's TypeError
+    with pytest.raises(ConfigError):
+        call()

@@ -6,7 +6,7 @@ import pytest
 
 from phasekit import ConfigError, scenario, verify
 from phasekit.evolve import eigen_propagate
-from phasekit.fock import MODE_NAMES, boson_basis, fock_state
+from phasekit.fock import MODE_NAMES, fock_state
 from phasekit.hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from phasekit.observe import expectation_series, pair_moments, xi_fermion_closed_form
 from phasekit.operators import (
@@ -89,7 +89,7 @@ def test_a_run_builds_each_family_and_trajectory_once(monkeypatch):
     # check built its own), and W only where the commutators are checked
     for name, sizes in (("boson_cn_phase", 12), ("boson_vacuum_phase", 12),
                         ("boson_unitary_phase", 12), ("boson_number_diff", 10)):
-        built = sorted(args[0].total_particles for args, _ in calls[name])
+        built = sorted(args[0] for args, _ in calls[name])
         assert built == list(range(1, sizes + 1)), name
     # one per mode pair (12 before)
     pairs = [args for args, _ in calls["fermion_unitary_phase"]]
@@ -116,16 +116,15 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
     both_right = np.array([0.0, 0.0, 1.0], dtype=complex)
 
     def boson_run(n, ubar, grid=tau):
-        basis = boson_basis(n)
-        h = boson_dimer_hamiltonian(basis, ubar)
-        return h, eigen_propagate(h, fock_state(basis, "right-well"), grid)
+        h = boson_dimer_hamiltonian(n, ubar)
+        return h, eigen_propagate(h, fock_state(n, "right-well"), grid)
 
     def pair_run(ubar, init, grid=tau):
         h = fermion_pair_hamiltonian(ubar)
         return h, eigen_propagate(h, init, grid)
 
     def w(n):
-        return boson_number_diff(boson_basis(n))
+        return boson_number_diff(n)
 
     runs = [boson_run(n, ubar) for n in (2, 5, 10) for ubar in (0.05, 5.0)]
     runs += [pair_run(ubar, both_right) for ubar in (0.05, 5.0)]
@@ -133,10 +132,9 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
 
     # the four laws below are checks only, so they are restated here from the
     # public builders, in the check's own arithmetic
-    basis = boson_basis(3)
-    cos_cn, sin_cn = boson_cn_phase(basis)
-    cos0, sin0 = boson_vacuum_phase(basis)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
+    cos_cn, sin_cn = boson_cn_phase(3)
+    cos0, sin0 = boson_vacuum_phase(3)
+    cos_u, sin_u, _ = boson_unitary_phase(3)
     _, traj = boson_run(3, 5.0)
     linearity = max(
         _maxabs(expectation_series(cos_u, traj) - expectation_series(cos_cn, traj)
@@ -144,9 +142,8 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
         _maxabs(expectation_series(sin_u, traj) - expectation_series(sin_cn, traj)
                 - expectation_series(sin0, traj)))
 
-    basis = boson_basis(2)
-    cos_cn, sin_cn = boson_cn_phase(basis)
-    cos_u, sin_u, _ = boson_unitary_phase(basis)
+    cos_cn, sin_cn = boson_cn_phase(2)
+    cos_u, sin_u, _ = boson_unitary_phase(2)
     _, free = boson_run(2, 0.0, free_tau)
     free_laws = max(
         _maxabs(expectation_series(cos_cn, free)),
@@ -155,7 +152,7 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
         _maxabs(expectation_series(sin_u, free) - expectation_series(sin_cn, free)))
 
     odd_even = max(
-        _maxabs(expectation_series(boson_unitary_phase(boson_basis(n))[0],
+        _maxabs(expectation_series(boson_unitary_phase(n)[0],
                                    boson_run(n, 0.0, free_tau)[1]))
         for n in (3, 5))
 
@@ -209,7 +206,8 @@ def test_non_integer_sizes_are_config_errors_before_any_work(monkeypatch, build)
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
-    for name in ("boson_family", "eigen_propagate", "boson_basis"):
+    for name in ("boson_family", "eigen_propagate", "boson_dimer_hamiltonian",
+                 "boson_number_diff"):
         monkeypatch.setattr(verify, name, no_work)
     with pytest.raises(ConfigError):
         build()
