@@ -29,7 +29,6 @@ from .observe import (
     xi_fermion_closed_form,
 )
 from .operators import (
-    OperatorMatrix,
     anticommutator,
     boson_cn_phase,
     boson_number_diff,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "NumericalError",
-    "OperatorMatrix",
     "PhasekitError",
     "PRESET_NAMES",
     "ScenarioConfig",

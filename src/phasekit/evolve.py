@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, StepSizeError
 from .fock import _check_unit_norm, boson_basis
 from .hamiltonians import _check_ubar
-from .operators import OperatorMatrix
+from .operators import _as_array, _hermitian
 
 DEFAULT_DTAU = 1e-3
 RK4_NORM_DRIFT_TOL = 1e-6
@@ -107,18 +107,18 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
 
-def _prepare(h: Union[OperatorMatrix, np.ndarray],
+def _prepare(h: np.ndarray,
              psi0: Sequence[complex],
              tau_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not (isinstance(h, OperatorMatrix) and h.hermitian):  # else checked when built
-        h = OperatorMatrix(h, label="propagation matrix", hermitian=True)
-    arr = h.entries
+    # every matrix passes the hermiticity gate, a builder's again at O(d^2);
+    # the caller's array is neither copied nor made read-only
+    arr = _hermitian(_as_array(h))
     amps = _as_start(psi0, arr.shape[0])
     # the Trajectory checks the grid again, but only after the propagation ran
     return arr, amps, _check_tau_grid(tau_grid)
 
 
-def eigen_propagate(h: Union[OperatorMatrix, np.ndarray],
+def eigen_propagate(h: np.ndarray,
                     psi0: Sequence[complex],
                     tau_grid: Sequence[float]) -> Trajectory:
     """Exact propagation psi(tau) = sum_k e^{-i E_k tau} <k|psi0> |k>."""
@@ -211,7 +211,7 @@ def active_kernel():
     return _rk4_steps
 
 
-def rk4_propagate(h: Union[OperatorMatrix, np.ndarray],
+def rk4_propagate(h: np.ndarray,
                   psi0: Sequence[complex],
                   tau_grid: Sequence[float],
                   dtau: float = DEFAULT_DTAU) -> Trajectory:

@@ -9,6 +9,9 @@ two opposite-spin fermions: (sym, |ud,0>, |0,ud>) where
 sym = (|u,d> + |d,u>)/sqrt(2). It couples sym to each doubly-occupied state
 by -sqrt(2), and its interaction diag(ubar/2, 0, 0) sits on the
 one-fermion-per-well amplitude.
+
+Each builder returns a read-only complex matrix, and both Hamiltonians pass
+the hermiticity gate of :mod:`phasekit.operators` when built.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fock import boson_basis
-from .operators import OperatorMatrix
+from .operators import _hermitian, _read_only
 
 # Fock-space bitmasks of the dynamical basis (mode order l_up,l_down,r_up,r_down):
 # sym spreads over |u,d> = mask 9 and |d,u> = mask 6 with + signs.
@@ -47,7 +50,7 @@ def _check_ubar(ubar: float) -> None:
         raise ConfigError(f"ubar must be finite, got {ubar!r}")
 
 
-def boson_dimer_hamiltonian(n: int, ubar: float) -> OperatorMatrix:
+def boson_dimer_hamiltonian(n: int, ubar: float) -> np.ndarray:
     n = boson_basis(n)
     _check_ubar(ubar)
     dim = n + 1
@@ -58,17 +61,17 @@ def boson_dimer_hamiltonian(n: int, ubar: float) -> OperatorMatrix:
             k = -math.sqrt((l + 1) * (n - l))
             h[l, l + 1] = k
             h[l + 1, l] = k
-    return OperatorMatrix(h, label=f"boson_dimer[N={n},ubar={ubar:g}]", hermitian=True)
+    return _read_only(_hermitian(h))
 
 
-def fermion_pair_hamiltonian(ubar: float) -> OperatorMatrix:
+def fermion_pair_hamiltonian(ubar: float) -> np.ndarray:
     _check_ubar(ubar)
     h = np.zeros((3, 3), dtype=complex)
     s2 = math.sqrt(2.0)
     h[0, 1] = h[1, 0] = -s2
     h[0, 2] = h[2, 0] = -s2
     h[0, 0] = 0.5 * ubar
-    return OperatorMatrix(h, label=f"fermion_pair[ubar={ubar:g}]", hermitian=True)
+    return _read_only(_hermitian(h))
 
 
 def fermion_pair_embedding() -> np.ndarray:
@@ -85,5 +88,4 @@ def fermion_pair_embedding() -> np.ndarray:
     e[_MASK_DOWN_UP, 0] = inv_s2
     e[_MASK_BOTH_LEFT, 1] = 1.0
     e[_MASK_BOTH_RIGHT, 2] = 1.0
-    e.setflags(write=False)
-    return e
+    return _read_only(e)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolve import Trajectory, _closed_form_tau, _real_array, _two_frequency_roots
 from .hamiltonians import _check_ubar, fermion_pair_embedding
-from .operators import OperatorMatrix, _as_array
+from .operators import _as_array
 
 IMAG_ERROR_TOL = 1e-10
 
@@ -53,13 +53,20 @@ class TimeSeries:
 
 
 def _states_matrix(states: Union[Trajectory, np.ndarray]) -> np.ndarray:
-    arr = states.states if isinstance(states, Trajectory) else np.asarray(states, dtype=complex)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr
+    """The states as rows of a complex matrix (one state is one row);
+    ConfigError for what numpy cannot convert or that is not 1-D or 2-D."""
+    if isinstance(states, Trajectory):
+        return states.states
+    try:
+        arr = np.asarray(states, dtype=complex)
+    except (TypeError, ValueError) as exc:  # a string or a ragged nesting
+        raise ConfigError(f"states are not an array of numbers: {exc}") from None
+    if arr.ndim not in (1, 2):
+        raise ConfigError(f"states must be one state or a 2-D stack, got shape {arr.shape}")
+    return arr[None, :] if arr.ndim == 1 else arr
 
 
-def expectation_series(op: Union[OperatorMatrix, np.ndarray],
+def expectation_series(op: np.ndarray,
                        states: Union[Trajectory, np.ndarray]) -> np.ndarray:
     """<psi|op|psi> per state (a 1-D state gives one value) for a hermitian
     operator: NumericalError if an imaginary part exceeds IMAG_ERROR_TOL,
@@ -93,7 +100,7 @@ def embedded_fermion_states(states: Union[Trajectory, np.ndarray]) -> np.ndarray
     return arr @ fermion_pair_embedding().T
 
 
-def pair_moments(op: Union[OperatorMatrix, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def pair_moments(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(E^dag A E, E^dag A^2 E) for a 16-dim operator A, E the pair embedding.
 
     <E psi|A|E psi> = psi^dag (E^dag A E) psi, and likewise for A^2, so both

@@ -1,5 +1,12 @@
 """Phase-difference, number-difference, and ladder operators.
 
+An operator is its matrix: every builder returns a read-only square complex
+``np.ndarray``. Each hermitian one (every cosine and sine, the number
+operators, and the Hamiltonians of :mod:`phasekit.hamiltonians`) has passed
+one gate, ``_hermitian``: finite entries and max|A - A^dag| within
+HERMITICITY_TOL, else NumericalError. Propagation applies the same gate to
+every matrix it is given.
+
 Boson operators live on the fixed-N dimer basis (dimension N+1), and each
 boson builder takes N, checked by ``fock.boson_basis``. The shift
 operator that underlies the non-unitary cosine/sine pair moves one particle
@@ -33,7 +40,6 @@ a mirror law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -41,7 +47,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .fock import (
     FULL_DIM,
-    MODE_NAMES,
     N_MODES,
     _MODE_TWICE_SZ,
     _MODE_WELL,
@@ -53,35 +58,27 @@ from .fock import (
 HERMITICITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex square matrix with a label and a hermiticity flag."""
-
-    entries: np.ndarray
-    label: str = ""
-    hermitian: bool = False
-
-    def __post_init__(self) -> None:
-        arr = _as_array(self.entries).copy()
-        if self.hermitian:  # the one hermiticity check, which propagation also uses
-            if not np.isfinite(arr).all():  # before inf - inf can warn
-                raise NumericalError(
-                    f"operator {self.label!r} is not a finite matrix: it has non-finite entries"
-                )
-            dev = float(np.abs(arr - arr.conj().T).max())
-            if not dev <= HERMITICITY_TOL:  # NaN fails too
-                raise NumericalError(
-                    f"operator {self.label!r} is not hermitian: it deviates by {dev:.3e}"
-                )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+def _hermitian(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself once it passes the one hermiticity gate: NumericalError
+    unless every entry is finite and max|A - A^dag| <= HERMITICITY_TOL. Each
+    hermitian builder gates its own result, and propagation every matrix."""
+    if not np.isfinite(arr).all():  # before inf - inf can warn
+        raise NumericalError("operator is not a finite matrix: it has non-finite entries")
+    dev = float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
+    if not dev <= HERMITICITY_TOL:  # NaN fails too
+        raise NumericalError(f"operator is not hermitian: it deviates by {dev:.3e}")
+    return arr
 
 
-def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, made read-only: the form every builder returns."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_array(op: np.ndarray) -> np.ndarray:
     """``op`` as a square complex matrix, not copied when it is one already;
     ConfigError for an operand numpy cannot convert or that is not square."""
-    if isinstance(op, OperatorMatrix):
-        return op.entries
     try:
         arr = np.asarray(op, dtype=complex)
     except (TypeError, ValueError) as exc:
@@ -91,8 +88,15 @@ def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _cos_sin(x: np.ndarray, kind: str,
-             where: str) -> tuple[OperatorMatrix, OperatorMatrix]:
+def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands as square complex matrices of one shape (``_as_array``)."""
+    x, y = _as_array(a), _as_array(b)
+    if x.shape != y.shape:
+        raise ConfigError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    return x, y
+
+
+def _cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian and anti-hermitian halves of a shift X: cos + i sin = X.
 
     cos = (X + X^dag)/2 and sin = (X - X^dag)/2i, for bosons and fermions,
@@ -100,8 +104,8 @@ def _cos_sin(x: np.ndarray, kind: str,
     """
     # X^dag is taken twice, not held across both builds: one N x N array
     # fewer at the peak of a large family's build
-    return (OperatorMatrix(0.5 * (x + x.conj().T), label=f"cos_{kind}[{where}]", hermitian=True),
-            OperatorMatrix(-0.5j * (x - x.conj().T), label=f"sin_{kind}[{where}]", hermitian=True))
+    return (_read_only(_hermitian(0.5 * (x + x.conj().T))),
+            _read_only(_hermitian(-0.5j * (x - x.conj().T))))
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +124,17 @@ def _boson_corner(n: int) -> np.ndarray:
     return k
 
 
-def boson_cn_phase(n: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+def boson_cn_phase(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Non-unitary cosine/sine pair built from the left->right shift."""
-    n = boson_basis(n)
-    return _cos_sin(_boson_shift(n), "cn", f"N={n}")
+    return _cos_sin(_boson_shift(boson_basis(n)))
 
 
-def boson_vacuum_phase(n: int) -> tuple[OperatorMatrix, OperatorMatrix]:
+def boson_vacuum_phase(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Corner cosine/sine linking the two all-in-one-well states."""
-    n = boson_basis(n)
-    return _cos_sin(_boson_corner(n), "vac", f"N={n}")
+    return _cos_sin(_boson_corner(boson_basis(n)))
 
 
-def boson_unitary_phase(n: int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+def boson_unitary_phase(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unitary cosine/sine and the combined operator beta = cos + i sin.
 
     beta is the cyclic shift of the fixed-N ladder (the left->right shift plus
@@ -140,23 +142,21 @@ def boson_unitary_phase(n: int) -> tuple[OperatorMatrix, OperatorMatrix, Operato
     """
     n = boson_basis(n)
     beta = _boson_shift(n) + _boson_corner(n)
-    return (*_cos_sin(beta, "u", f"N={n}"),
-            OperatorMatrix(beta, label=f"beta[N={n}]", hermitian=False))
+    return (*_cos_sin(beta), _read_only(beta))
 
 
-def boson_number_diff(n: int) -> OperatorMatrix:
+def boson_number_diff(n: int) -> np.ndarray:
     """Population imbalance n_left - n_right = diag(2l - N)."""
     n = boson_basis(n)
     diag = np.array([2 * l - n for l in range(n + 1)], dtype=float)
-    return OperatorMatrix(np.diag(diag).astype(complex),
-                          label=f"number_diff[N={n}]", hermitian=True)
+    return _read_only(_hermitian(np.diag(diag).astype(complex)))
 
 
 # ---------------------------------------------------------------------------
 # fermion operators
 
 
-def fermion_ladder(mode: Union[int, str]) -> OperatorMatrix:
+def fermion_ladder(mode: Union[int, str]) -> np.ndarray:
     """Annihilation matrix of one mode with the canonical-ordering sign.
 
     Entry convention: acting on a mask with the mode occupied clears the bit
@@ -169,14 +169,13 @@ def fermion_ladder(mode: Union[int, str]) -> OperatorMatrix:
         if (s >> m) & 1:
             sign = -1.0 if particle_count(s & below) % 2 else 1.0
             a[s ^ (1 << m), s] = sign
-    return OperatorMatrix(a, label=f"annihilate[{MODE_NAMES[m]}]")
+    return _read_only(a)
 
 
-def fermion_number_op(mode: Union[int, str]) -> OperatorMatrix:
+def fermion_number_op(mode: Union[int, str]) -> np.ndarray:
     m = mode_index(mode)
     diag = np.array([(s >> m) & 1 for s in range(FULL_DIM)], dtype=float)
-    return OperatorMatrix(np.diag(diag).astype(complex),
-                          label=f"number[{MODE_NAMES[m]}]", hermitian=True)
+    return _read_only(_hermitian(np.diag(diag).astype(complex)))
 
 
 def _fermion_pair_shift(m: int, mp: int) -> np.ndarray:
@@ -186,9 +185,7 @@ def _fermion_pair_shift(m: int, mp: int) -> np.ndarray:
     nonzero, so each is exactly 1 and the result is a_m a_mp^dag (entries
     exactly 0 or +-1).
     """
-    a_m = fermion_ladder(m).entries
-    a_mp = fermion_ladder(mp).entries
-    return a_m @ a_mp.conj().T
+    return fermion_ladder(m) @ fermion_ladder(mp).conj().T
 
 
 def _check_pair(m: Union[int, str], mp: Union[int, str]) -> tuple[int, int]:
@@ -199,11 +196,9 @@ def _check_pair(m: Union[int, str], mp: Union[int, str]) -> tuple[int, int]:
 
 
 def fermion_cn_phase(m: Union[int, str],
-                     mp: Union[int, str]) -> tuple[OperatorMatrix, OperatorMatrix]:
+                     mp: Union[int, str]) -> tuple[np.ndarray, np.ndarray]:
     """Non-unitary cosine/sine for a mode pair (no vacuum coupling)."""
-    i, j = _check_pair(m, mp)
-    u = _fermion_pair_shift(i, j)
-    return _cos_sin(u, "cn", f"{MODE_NAMES[i]},{MODE_NAMES[j]}")
+    return _cos_sin(_fermion_pair_shift(*_check_pair(m, mp)))
 
 
 def _rest_modes(m: int, mp: int) -> tuple[int, int]:
@@ -228,37 +223,31 @@ def fermion_vacuum_coupling(m: Union[int, str], mp: Union[int, str]) -> np.ndarr
         b0, b1 = (a0, a1) if same_spin else (a1, a0)
         s01 = (b0 << r0) | (b1 << r1) | (1 << j)
         v[s10, s01] = 1.0
-    return v
+    return _read_only(v)
 
 
 def fermion_unitary_phase(m: Union[int, str],
-                          mp: Union[int, str]) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+                          mp: Union[int, str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unitary-completed cosine/sine and betaF = cos + i sin for a mode pair."""
     i, j = _check_pair(m, mp)
     beta = _fermion_pair_shift(i, j) + fermion_vacuum_coupling(i, j)
-    names = f"{MODE_NAMES[i]},{MODE_NAMES[j]}"
-    return (*_cos_sin(beta, "u", names),
-            OperatorMatrix(beta, label=f"betaF[{names}]", hermitian=False))
+    return (*_cos_sin(beta), _read_only(beta))
 
 
-def fermion_number_diff(m: Union[int, str], mp: Union[int, str]) -> OperatorMatrix:
+def fermion_number_diff(m: Union[int, str], mp: Union[int, str]) -> np.ndarray:
     """Per-pair imbalance N_m - N_mp (diagonal)."""
     i, j = _check_pair(m, mp)
-    n_m = fermion_number_op(i).entries
-    n_mp = fermion_number_op(j).entries
-    names = f"{MODE_NAMES[i]},{MODE_NAMES[j]}"
-    return OperatorMatrix(n_m - n_mp, label=f"number_diff[{names}]", hermitian=True)
+    return _read_only(_hermitian(fermion_number_op(i) - fermion_number_op(j)))
 
 
-def well_number_diff() -> OperatorMatrix:
+def well_number_diff() -> np.ndarray:
     """Well-level imbalance (N_l_up + N_l_down) - (N_r_up + N_r_down)."""
     diag = np.zeros(FULL_DIM)
     for s in range(FULL_DIM):
         for mode in range(N_MODES):
             if (s >> mode) & 1:
                 diag[s] += 1.0 if _MODE_WELL[mode] == 0 else -1.0
-    return OperatorMatrix(np.diag(diag).astype(complex),
-                          label="well_number_diff", hermitian=True)
+    return _read_only(_hermitian(np.diag(diag).astype(complex)))
 
 
 def half_filled_masks(m: Union[int, str], mp: Union[int, str]) -> tuple[int, ...]:
@@ -272,42 +261,39 @@ def half_filled_projector(m: Union[int, str], mp: Union[int, str]) -> np.ndarray
     p = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
     for s in half_filled_masks(m, mp):
         p[s, s] = 1.0
-    return p
+    return _read_only(p)
 
 
 # ---------------------------------------------------------------------------
 # diagnostics
 
 
-def commutator(a: Union[OperatorMatrix, np.ndarray],
-               b: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
-    x, y = _as_array(a), _as_array(b)
-    if x.shape != y.shape:
-        raise ConfigError(f"dimension mismatch: {x.shape} vs {y.shape}")
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, y = _operands(a, b)
     return x @ y - y @ x
 
 
-def anticommutator(a: Union[OperatorMatrix, np.ndarray],
-                   b: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
-    x, y = _as_array(a), _as_array(b)
-    if x.shape != y.shape:
-        raise ConfigError(f"dimension mismatch: {x.shape} vs {y.shape}")
+def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    x, y = _operands(a, b)
     return x @ y + y @ x
 
 
-def unitarity_deficiency(op: Union[OperatorMatrix, np.ndarray],
+def unitarity_deficiency(op: np.ndarray,
                          subspace: Optional[np.ndarray] = None) -> tuple[float, float]:
     """Max-abs-entry residuals (‖P(AA†-I)P‖, ‖P(A†A-I)P‖), P = projector.
 
-    Without a subspace, P is the identity. Max-abs-entry norm keeps the
-    numbers bit-reproducible at these dimensions.
+    Without a subspace, P is the identity; with one, P must match A's shape
+    (ConfigError). Max-abs-entry norm keeps the numbers bit-reproducible at
+    these dimensions.
     """
-    a = _as_array(op)
+    if subspace is None:
+        a, p = _as_array(op), None
+    else:
+        a, p = _operands(op, subspace)
     eye = np.eye(a.shape[0], dtype=complex)
     left = a @ a.conj().T - eye
     right = a.conj().T @ a - eye
-    if subspace is not None:
-        p = _as_array(subspace)
+    if p is not None:
         left = p @ left @ p
         right = p @ right @ p
     return float(np.max(np.abs(left))), float(np.max(np.abs(right)))

@@ -333,7 +333,7 @@ def _family_operators(cfg: ScenarioConfig,
             ops = (boson_number_diff(cfg.N),)
         else:
             ops = (boson_cn_phase if family == "CN" else boson_unitary_phase)(cfg.N)[:2]
-        return [(op.entries, op.entries @ op.entries) for op in ops]
+        return [(op, op @ op) for op in ops]
     if family == "W":
         ops = (well_number_diff(),)
     else:

@@ -52,7 +52,6 @@ from .fock import FULL_DIM, MODE_NAMES, fock_state
 from .hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from .observe import expectation_series
 from .operators import (
-    OperatorMatrix,
     anticommutator,
     boson_cn_phase,
     boson_number_diff,
@@ -125,8 +124,7 @@ def _maxabs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _herm_residual(op) -> float:
-    a = op.entries
+def _herm_residual(a: np.ndarray) -> float:
     return _maxabs(a - a.conj().T)
 
 
@@ -138,13 +136,13 @@ class BosonFamily(NamedTuple):
     """The raw (CN), vacuum and unitary cosine/sine and beta at N=n."""
 
     n: int
-    cos_cn: OperatorMatrix
-    sin_cn: OperatorMatrix
-    cos0: OperatorMatrix
-    sin0: OperatorMatrix
-    cos_u: OperatorMatrix
-    sin_u: OperatorMatrix
-    beta: OperatorMatrix
+    cos_cn: np.ndarray
+    sin_cn: np.ndarray
+    cos0: np.ndarray
+    sin0: np.ndarray
+    cos_u: np.ndarray
+    sin_u: np.ndarray
+    beta: np.ndarray
 
 
 def boson_family(n: int) -> BosonFamily:
@@ -158,11 +156,11 @@ class PairFamily(NamedTuple):
 
     m: str
     mp: str
-    cos_cn: OperatorMatrix
-    sin_cn: OperatorMatrix
-    cos_u: OperatorMatrix
-    sin_u: OperatorMatrix
-    beta: OperatorMatrix
+    cos_cn: np.ndarray
+    sin_cn: np.ndarray
+    cos_u: np.ndarray
+    sin_u: np.ndarray
+    beta: np.ndarray
 
 
 def pair_family(m: str, mp: str) -> PairFamily:
@@ -189,17 +187,17 @@ def boson_unitarity_residual(f: BosonFamily) -> float:
 def corner_defect_residual(f: BosonFamily) -> float:
     """Raw beta beta^dag against I minus the all-left projector, and
     beta^dag beta against I minus the all-right projector."""
-    beta_cn = f.cos_cn.entries + 1j * f.sin_cn.entries
+    beta_cn = f.cos_cn + 1j * f.sin_cn
     index = np.arange(f.n + 1)  # index N is all-left, 0 is all-right
     return max(_maxabs(beta_cn @ beta_cn.conj().T - np.diag(index < f.n)),
                _maxabs(beta_cn.conj().T @ beta_cn - np.diag(index > 0)))
 
 
-def number_phase_commutator_residual(f: BosonFamily, w: OperatorMatrix) -> float:
+def number_phase_commutator_residual(f: BosonFamily, w: np.ndarray) -> float:
     """[cos_U, W] = 2i(sin_U - (N+1) sin0) and [sin_U, W] = -2i(cos_U - (N+1) cos0),
     with W the family's ``boson_number_diff``."""
-    r1 = commutator(f.cos_u, w) - 2j * (f.sin_u.entries - (f.n + 1) * f.sin0.entries)
-    r2 = commutator(f.sin_u, w) + 2j * (f.cos_u.entries - (f.n + 1) * f.cos0.entries)
+    r1 = commutator(f.cos_u, w) - 2j * (f.sin_u - (f.n + 1) * f.sin0)
+    r2 = commutator(f.sin_u, w) + 2j * (f.cos_u - (f.n + 1) * f.cos0)
     return max(_maxabs(r1), _maxabs(r2))
 
 
@@ -209,7 +207,7 @@ def _jacobi_residual(a, b, c) -> float:
                    + commutator(commutator(c, a), b))
 
 
-def boson_jacobi_residual(f: BosonFamily, w: OperatorMatrix) -> float:
+def boson_jacobi_residual(f: BosonFamily, w: np.ndarray) -> float:
     """Cyclic double commutators of (cos_U, sin_U, W), W the family's
     ``boson_number_diff``."""
     return _jacobi_residual(f.cos_u, f.sin_u, w)
@@ -223,7 +221,7 @@ def fermion_jacobi_residual(f: PairFamily) -> float:
 
 def anticommutator_residual() -> float:
     """{a_i, a_j} = 0 and {a_i, a_j^dag} = delta_ij over all 4x4 mode pairs."""
-    ladders = [fermion_ladder(m).entries for m in range(4)]
+    ladders = [fermion_ladder(m) for m in range(4)]
     eye = np.eye(FULL_DIM, dtype=complex)
     worst = 0.0
     for i in range(4):
@@ -237,7 +235,7 @@ def anticommutator_residual() -> float:
 def betaf_isometry_residual(f: PairFamily) -> float:
     """Largest |singular value - 1| of betaF on the half-filled subspace."""
     columns = list(half_filled_masks(f.m, f.mp))
-    sing = np.linalg.svd(f.beta.entries[:, columns], compute_uv=False)
+    sing = np.linalg.svd(f.beta[:, columns], compute_uv=False)
     return _maxabs(sing - 1.0)
 
 
@@ -248,7 +246,7 @@ def _double_sum_beta() -> np.ndarray:
     i, j = MODE_NAMES.index("l_up"), MODE_NAMES.index("r_up")
     r0, r1 = (k for k in range(len(MODE_NAMES)) if k not in (i, j))
     # the raw shift a_i a_j^dag, zero wherever the coupling is set
-    beta = fermion_ladder(i).entries @ fermion_ladder(j).entries.conj().T
+    beta = fermion_ladder(i) @ fermion_ladder(j).conj().T
     rest_configs = [(a, b) for a in (0, 1) for b in (0, 1)]
     for a0, a1 in rest_configs:
         for b0, b1 in rest_configs:
@@ -319,15 +317,15 @@ def _check_mirror_symmetry(n_max: int) -> CheckResult:
     worst = 0.0
     for n in range(1, n_max + 1):
         for ubar in UBAR_SET:
-            h = boson_dimer_hamiltonian(n, ubar).entries
+            h = boson_dimer_hamiltonian(n, ubar)
             worst = max(worst, _maxabs(h - h[::-1, ::-1]))
     return CheckResult("hamiltonian-mirror-symmetry", worst == 0.0, worst, 0.0,
                        "left/right well exchange leaves the matrix invariant")
 
 
 def _check_interaction_placement() -> CheckResult:
-    free = fermion_pair_hamiltonian(0.0).entries
-    worst = max(_maxabs(fermion_pair_hamiltonian(ubar).entries - free
+    free = fermion_pair_hamiltonian(0.0)
+    worst = max(_maxabs(fermion_pair_hamiltonian(ubar) - free
                         - np.diag([ubar / 2.0, 0.0, 0.0]))
                 for ubar in UBAR_SET)
     return CheckResult("fermion-interaction-placement", worst == 0.0, worst, 0.0,
@@ -336,7 +334,7 @@ def _check_interaction_placement() -> CheckResult:
 
 def _check_interaction_free_spectra(tol: float) -> CheckResult:
     target = np.array([-2.0, 0.0, 2.0])
-    worst = max(_maxabs(np.linalg.eigvalsh(h.entries) - target)
+    worst = max(_maxabs(np.linalg.eigvalsh(h) - target)
                 for h in (boson_dimer_hamiltonian(2, 0.0),
                           fermion_pair_hamiltonian(0.0)))
     return CheckResult("interaction-free-spectra", worst <= tol, worst, tol,
@@ -352,20 +350,20 @@ _MIXED = (0.5, 0.5j, math.sqrt(0.5))
 
 
 def _boson_right_well(n: int, ubar: float,
-                      tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
+                      tau: np.ndarray) -> tuple[np.ndarray, Trajectory]:
     """H and the exact trajectory of the N=n dimer from the right well."""
     h = boson_dimer_hamiltonian(n, ubar)
     return h, eigen_propagate(h, fock_state(n, "right-well"), tau)
 
 
 def _pair(ubar: float, init: tuple[complex, ...],
-          tau: np.ndarray) -> tuple[OperatorMatrix, Trajectory]:
+          tau: np.ndarray) -> tuple[np.ndarray, Trajectory]:
     """H and the exact trajectory of the fermion pair from ``init``."""
     h = fermion_pair_hamiltonian(ubar)
     return h, eigen_propagate(h, np.array(init, dtype=complex), tau)
 
 
-def conservation_residual(h: OperatorMatrix, traj: Trajectory) -> tuple[float, float]:
+def conservation_residual(h: np.ndarray, traj: Trajectory) -> tuple[float, float]:
     """(norm drift, energy drift) of a trajectory under h."""
     energy = expectation_series(h, traj)
     return traj.norm_drift, _maxabs(energy - energy[0])
@@ -387,7 +385,7 @@ def boson_closed_form_residual(ubar: float, traj: Trajectory) -> float:
     return worst
 
 
-_Runs = dict[float, tuple[OperatorMatrix, Trajectory]]  # (H, trajectory) by ubar
+_Runs = dict[float, tuple[np.ndarray, Trajectory]]  # (H, trajectory) by ubar
 
 
 def _check_conservation(bosons: _Runs, pairs: _Runs, tau: np.ndarray) -> CheckResult:

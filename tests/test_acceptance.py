@@ -173,7 +173,7 @@ def _rk4_stability_oracle(h, psi0, tau, dtau):
     rk4_propagate does; a substep of length s multiplies eigencomponent k by
     R(-i s E_k).
     """
-    energies, vectors = np.linalg.eigh(h.entries)
+    energies, vectors = np.linalg.eigh(h)
     span = np.diff(tau)
     n_sub = np.maximum(np.rint(span / dtau).astype(int), 1)
     z = -1j * np.outer(span / n_sub, energies)
@@ -193,7 +193,7 @@ def test_c06_rk4_cross_check_at_contract_step():
     tau = np.linspace(0.0, 40.0, 2001)
     exact = eigen_propagate(h, _right_well(10), tau)
     start = time.perf_counter()
-    approx = active_kernel()(h.entries, _right_well(10), tau, 1e-3)
+    approx = active_kernel()(h, _right_well(10), tau, 1e-3)
     elapsed = time.perf_counter() - start
     assert elapsed <= 30.0
     oracle = _rk4_stability_oracle(h, _right_well(10), tau, 1e-3)

@@ -34,12 +34,12 @@ def _oracle_boson_hamiltonian(n, ubar):
        st.sampled_from([0.0, 0.05, 0.5, 5.0]))
 @settings(max_examples=20, deadline=None)
 def test_boson_hamiltonian_matches_two_mode_oracle(n, ubar):
-    h = boson_dimer_hamiltonian(n, ubar).entries
+    h = boson_dimer_hamiltonian(n, ubar)
     assert np.max(np.abs(h - _oracle_boson_hamiltonian(n, ubar))) < 1e-12
 
 
 def test_boson_hamiltonian_entries():
-    h = boson_dimer_hamiltonian(2, 5.0).entries
+    h = boson_dimer_hamiltonian(2, 5.0)
     expected = np.array([[5.0, -math.sqrt(2.0), 0.0],
                          [-math.sqrt(2.0), 0.0, -math.sqrt(2.0)],
                          [0.0, -math.sqrt(2.0), 5.0]], dtype=complex)
@@ -48,7 +48,7 @@ def test_boson_hamiltonian_entries():
 
 def test_boson_hamiltonian_mirror_symmetry():
     for n in (1, 3, 6):
-        h = boson_dimer_hamiltonian(n, 0.7).entries
+        h = boson_dimer_hamiltonian(n, 0.7)
         assert np.array_equal(h, h[::-1, ::-1])
 
 
@@ -57,14 +57,14 @@ def test_fermion_hamiltonian_entries():
     expected = np.array([[2.5, -root2, -root2],
                          [-root2, 0.0, 0.0],
                          [-root2, 0.0, 0.0]], dtype=complex)
-    assert np.array_equal(fermion_pair_hamiltonian(5.0).entries, expected)
+    assert np.array_equal(fermion_pair_hamiltonian(5.0), expected)
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_fermion_hamiltonian_interaction_placement(ubar):
     # the interaction sits on the single-occupancy amplitude only, exactly
-    placed = fermion_pair_hamiltonian(ubar).entries - fermion_pair_hamiltonian(0.0).entries
+    placed = fermion_pair_hamiltonian(ubar) - fermion_pair_hamiltonian(0.0)
     assert np.array_equal(placed, np.diag([ubar / 2.0, 0.0, 0.0]))
 
 
@@ -78,7 +78,7 @@ def test_fermion_sym_sector_eigenvalues():
     # the antisymmetric double-occupancy combination decouples at eigenvalue 0;
     # the rest is a 2x2 block with eigenvalues ubar/4 +- sqrt(4 + (ubar/4)^2)
     ubar = 5.0
-    h = fermion_pair_hamiltonian(ubar).entries
+    h = fermion_pair_hamiltonian(ubar)
     vals = np.sort(np.linalg.eigvalsh(h))
     quarter = ubar / 4.0
     omega = math.sqrt(4.0 + quarter * quarter)

@@ -39,7 +39,7 @@ def _boson_traj(n, ubar, tau_max=2.0 * math.pi, steps=2001):
 def test_expectation_against_manual_quadratic_form():
     w = boson_number_diff(2)
     state = np.array([0.6, 0.0, 0.8j], dtype=complex)
-    manual = float((state.conj() @ w.entries @ state).real)
+    manual = float((state.conj() @ w @ state).real)
     assert expectation_series(w, state)[0] == pytest.approx(manual, abs=1e-15)
 
 
@@ -71,7 +71,7 @@ def test_fluctuation_of_eigenstate_is_zero():
     assert series.channels["fluctC"][0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
     # the raw cosine misses it: fluctuation 1/2 (no channel carries it)
     state = np.array([1.0, 0.0, 0.0], dtype=complex)
-    cos_cn = boson_cn_phase(2)[0].entries
+    cos_cn = boson_cn_phase(2)[0]
     mean, second = (expectation_series(op, state)[0] for op in (cos_cn, cos_cn @ cos_cn))
     assert math.sqrt(second - mean * mean) == pytest.approx(0.5, abs=1e-12)
 
@@ -82,7 +82,7 @@ def test_expectation_series_matches_pointwise_expectation():
     series = expectation_series(cos_u, traj)
     for k in (0, 5, 10):
         psi = traj.states[k]
-        manual = (psi.conj() @ cos_u.entries @ psi).real
+        manual = (psi.conj() @ cos_u @ psi).real
         assert series[k] == pytest.approx(manual, abs=1e-14)
 
 

@@ -17,17 +17,24 @@ from phasekit import (
     boson_cn_phase,
     boson_number_diff,
     boson_unitary_phase,
+    boson_dimer_hamiltonian,
     boson_vacuum_phase,
+    eigen_propagate,
     fermion_cn_phase,
     fermion_ladder,
+    fermion_number_diff,
     fermion_number_op,
+    fermion_pair_embedding,
+    fermion_pair_hamiltonian,
     fermion_unitary_phase,
     fermion_vacuum_coupling,
+    half_filled_projector,
+    rk4_propagate,
     unitarity_deficiency,
     well_number_diff,
 )
 from phasekit.fock import FULL_DIM, MODE_NAMES, particle_count
-from phasekit.operators import OperatorMatrix, _fermion_pair_shift, half_filled_projector
+from phasekit.operators import _fermion_pair_shift
 from phasekit.verify import (
     anticommutator_residual,
     betaf_isometry_residual,
@@ -94,13 +101,13 @@ def _oracle_jw_ladder(mode):
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
 def test_boson_shift_matches_two_mode_oracle(n):
     cos, sin = boson_cn_phase(n)
-    shift = cos.entries + 1j * sin.entries  # cos + i sin reassembles the shift
+    shift = cos + 1j * sin  # cos + i sin reassembles the shift
     assert np.max(np.abs(shift - _oracle_boson_shift(n))) < 1e-14
 
 
 def test_boson_shift_entries_are_exact_ones():
     cos, sin = boson_cn_phase(6)
-    shift = cos.entries + 1j * sin.entries
+    shift = cos + 1j * sin
     expected = np.zeros((7, 7), dtype=complex)
     for left in range(1, 7):
         expected[left - 1, left] = 1.0
@@ -109,13 +116,13 @@ def test_boson_shift_entries_are_exact_ones():
 
 @pytest.mark.parametrize("mode", range(4))
 def test_fermion_ladder_matches_jw_oracle(mode):
-    a = fermion_ladder(mode).entries
+    a = fermion_ladder(mode)
     assert np.array_equal(a, _oracle_jw_ladder(mode))
 
 
 def test_fermion_number_operator_is_diagonal_occupancy():
     for mode in range(4):
-        n_op = fermion_number_op(mode).entries
+        n_op = fermion_number_op(mode)
         expected = np.diag([(s >> mode) & 1 for s in range(FULL_DIM)]).astype(complex)
         assert np.array_equal(n_op, expected)
 
@@ -138,7 +145,7 @@ def test_raw_boson_operator_corner_defect_is_exact(n):
 
 def test_raw_boson_operator_full_space_residual_is_one():
     cos, sin = boson_cn_phase(4)
-    shift = cos.entries + 1j * sin.entries
+    shift = cos + 1j * sin
     left, right = unitarity_deficiency(shift)
     assert left == pytest.approx(1.0)
     assert right == pytest.approx(1.0)
@@ -151,17 +158,17 @@ def test_completed_beta_is_the_cyclic_shift():
     for left in range(1, n + 1):
         expected[left - 1, left] = 1.0
     expected[n, 0] = 1.0  # corner completion wraps the ladder around
-    assert np.array_equal(beta.entries, expected)
+    assert np.array_equal(beta, expected)
 
 
 def test_single_particle_special_case():
     cos0, sin0 = boson_vacuum_phase(1)
-    assert sin0.entries[1, 0] == -0.5j
-    assert sin0.entries[0, 1] == 0.5j
+    assert sin0[1, 0] == -0.5j
+    assert sin0[0, 1] == 0.5j
     cos_u, sin_u, beta = boson_unitary_phase(1)
-    assert np.array_equal(sin_u.entries, np.zeros((2, 2)))
-    assert np.array_equal(beta.entries, cos_u.entries)
-    assert np.array_equal(cos_u.entries @ cos_u.entries, np.eye(2))
+    assert np.array_equal(sin_u, np.zeros((2, 2)))
+    assert np.array_equal(beta, cos_u)
+    assert np.array_equal(cos_u @ cos_u, np.eye(2))
 
 
 @given(st.integers(min_value=1, max_value=10))
@@ -172,7 +179,7 @@ def test_number_phase_commutator_identities(n):
 
 
 def test_number_diff_diagonal():
-    w = boson_number_diff(3).entries
+    w = boson_number_diff(3)
     assert np.array_equal(np.diag(w).real, np.array([-3.0, -1.0, 1.0, 3.0]))
 
 
@@ -187,7 +194,7 @@ def test_anticommutators_exact():
 def test_pair_shift_signs():
     # same-spin pair (l_up, r_up): the shift inherits Jordan-Wigner signs
     cos, sin = fermion_cn_phase("l_up", "r_up")
-    shift = cos.entries + 1j * sin.entries
+    shift = cos + 1j * sin
     # |ud,0> (mask 3) -> +|d,u> (mask 6)
     assert shift[6, 3] == 1.0
     # |u,d> (mask 9) -> -|0,ud> (mask 12)
@@ -198,7 +205,7 @@ def test_pair_shift_entries_are_integers():
     # every (N+1)^{-1/2} factor evaluates to exactly 1 on surviving entries
     for m, mp in (("l_up", "r_up"), ("l_up", "r_down"), ("l_down", "r_down")):
         cos, sin = fermion_cn_phase(m, mp)
-        shift = cos.entries + 1j * sin.entries
+        shift = cos + 1j * sin
         assert np.all(np.isin(shift.real, (-1.0, 0.0, 1.0)))
         assert np.array_equal(shift.imag, np.zeros_like(shift.imag))
 
@@ -206,7 +213,7 @@ def test_pair_shift_entries_are_integers():
 def test_matched_coupling_cross_spin_sector_example():
     # on the two-particle, net-spin-zero masks {3, 6, 9, 12} the completed
     # cosine couples only the two doubly-occupied wells, with weight 1/2
-    cos_u = fermion_unitary_phase("l_up", "r_down")[0].entries
+    cos_u = fermion_unitary_phase("l_up", "r_down")[0]
     sector = (3, 6, 9, 12)
     for i in sector:
         for j in sector:
@@ -237,7 +244,7 @@ def _mirror(a):
     """M a M†. Column s of M is the product of the mirrored creation
     operators on the vacuum, in mode order, so it carries their reordering
     sign."""
-    create = [fermion_ladder(k).entries.conj().T for k in range(4)]
+    create = [fermion_ladder(k).conj().T for k in range(4)]
     m = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
     for s in range(FULL_DIM):
         m[0, s] = 1.0
@@ -301,7 +308,7 @@ def test_fermion_jacobi_identity(pair):
 
 
 def test_well_number_diff_counts_both_spins():
-    w = well_number_diff().entries
+    w = well_number_diff()
     assert w[0, 0] == 0.0
     assert w[3, 3] == 2.0    # both particles in the left well
     assert w[12, 12] == -2.0
@@ -313,14 +320,51 @@ def test_pair_requires_distinct_modes():
         fermion_cn_phase("l_up", "l_up")
 
 
-def test_operator_matrix_validates_hermiticity_flag():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(Exception):
-        OperatorMatrix(bad, label="bad", hermitian=True)
-    # a nan deviation must not pass, and inf - inf must not warn first
-    for value in (np.nan, np.inf):
-        with pytest.raises(NumericalError, match="non-finite"):
-            OperatorMatrix(np.diag([value, 0.0]), label="bad", hermitian=True)
+def test_propagation_gate_refuses_a_bad_matrix_and_leaves_it_alone():
+    # the one hermiticity gate, reached through both propagators on a
+    # caller's writable array: a NaN deviation must not pass, and inf - inf
+    # must not warn first
+    for bad, match in ((np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "not hermitian"),
+                       (np.diag([np.nan, 0.0]).astype(complex), "non-finite"),
+                       (np.diag([np.inf, 0.0]).astype(complex), "non-finite")):
+        before = bad.copy()
+        for propagate in (eigen_propagate, rk4_propagate):
+            with pytest.raises(NumericalError, match=match):
+                propagate(bad, [1.0, 0.0], [0.0, 1.0])
+            assert bad.flags.writeable
+            assert np.array_equal(bad, before, equal_nan=True)
+
+
+# every public builder of a matrix, by name
+_BUILT_MATRICES = {
+    "boson-cn-phase": lambda: boson_cn_phase(3),
+    "boson-vacuum-phase": lambda: boson_vacuum_phase(3),
+    "boson-unitary-phase": lambda: boson_unitary_phase(3),
+    "fermion-cn-phase": lambda: fermion_cn_phase("l_up", "r_down"),
+    "fermion-unitary-phase": lambda: fermion_unitary_phase("l_up", "r_up"),
+    "boson-dimer-hamiltonian": lambda: (boson_dimer_hamiltonian(3, 5.0),),
+    "fermion-pair-hamiltonian": lambda: (fermion_pair_hamiltonian(5.0),),
+    "fermion-ladder": lambda: (fermion_ladder("r_up"),),
+    "boson-number-diff": lambda: (boson_number_diff(3),),
+    "fermion-number-op": lambda: (fermion_number_op("l_down"),),
+    "fermion-number-diff": lambda: (fermion_number_diff("l_up", "r_up"),),
+    "well-number-diff": lambda: (well_number_diff(),),
+    "fermion-vacuum-coupling": lambda: (fermion_vacuum_coupling("l_up", "r_up"),),
+    "half-filled-projector": lambda: (half_filled_projector("l_up", "r_up"),),
+    "fermion-pair-embedding": lambda: (fermion_pair_embedding(),),
+}
+
+
+@pytest.mark.parametrize("build", _BUILT_MATRICES.values(), ids=_BUILT_MATRICES.keys())
+def test_every_builder_returns_a_read_only_complex_matrix(build):
+    for matrix in build():
+        assert type(matrix) is np.ndarray
+        assert matrix.dtype == complex
+        # the embedding is the one 16x3 isometry; every operator is square
+        if build is not _BUILT_MATRICES["fermion-pair-embedding"]:
+            assert matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1]
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
 
 def test_hermiticity_all_pairs():

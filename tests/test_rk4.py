@@ -63,7 +63,7 @@ def _per_point_rk4(h, psi0, tau_grid, dtau):
 
 
 def _small_problem():
-    h = boson_dimer_hamiltonian(3, 0.05).entries
+    h = boson_dimer_hamiltonian(3, 0.05)
     psi0 = np.zeros(4, dtype=complex)
     psi0[0] = 1.0
     tau = np.linspace(0.0, 2.0, 21)
@@ -95,13 +95,13 @@ def test_substep_count_rounds_to_grid():
 
 
 @pytest.mark.parametrize("h, tau, dtau", [
-    (boson_dimer_hamiltonian(3, 0.05).entries,
+    (boson_dimer_hamiltonian(3, 0.05),
      np.linspace(0.0, 2.0, 21), 1e-2),
-    (fermion_pair_hamiltonian(5.0).entries, np.linspace(0.0, 2.0, 21), 1e-3),
-    (boson_dimer_hamiltonian(10, 5.0).entries,
+    (fermion_pair_hamiltonian(5.0), np.linspace(0.0, 2.0, 21), 1e-3),
+    (boson_dimer_hamiltonian(10, 5.0),
      np.linspace(0.0, 0.5, 51), 1e-4),
     # substep counts 3, 3, 5 and 1; the first two share a count, not a step
-    (boson_dimer_hamiltonian(3, 0.05).entries,
+    (boson_dimer_hamiltonian(3, 0.05),
      np.array([0.0, 0.1, 0.19, 0.34, 0.37]), 0.03),
 ], ids=["boson-N3", "fermion-ubar5", "boson-N10-stiff", "non-uniform-grid"])
 def test_rk4_propagate_matches_classical_step_loop(h, tau, dtau):
@@ -139,10 +139,10 @@ def _random_irregular_grid(points):
 
 
 @pytest.mark.parametrize("h, tau, dtau", [
-    (fermion_pair_hamiltonian(5.0).entries,
+    (fermion_pair_hamiltonian(5.0),
      np.array([0.0, 0.1, 0.19, 0.34, 0.37, 0.47, 0.56, 1.0]), 0.03),
-    (fermion_pair_hamiltonian(0.05).entries, np.array([0.0]), 1e-3),
-    (boson_dimer_hamiltonian(10, 0.05).entries,
+    (fermion_pair_hamiltonian(0.05), np.array([0.0]), 1e-3),
+    (boson_dimer_hamiltonian(10, 0.05),
      _random_irregular_grid(2001), 1e-3),
 ], ids=["irregular-grid", "one-point", "irregular-2001"])
 def test_kernel_equals_per_point_loop_bit_for_bit(h, tau, dtau):
@@ -155,15 +155,15 @@ def test_kernel_equals_per_point_loop_bit_for_bit(h, tau, dtau):
 
 
 @pytest.mark.parametrize("h, tau, dtau", [
-    (boson_dimer_hamiltonian(10, 0.05).entries,
+    (boson_dimer_hamiltonian(10, 0.05),
      np.linspace(0.0, 40.0, 2001), 1e-3),
-    (boson_dimer_hamiltonian(10, 5.0).entries,
+    (boson_dimer_hamiltonian(10, 5.0),
      np.linspace(0.0, 5.0, 2001), 1e-4),
     # 1e19 substeps per interval: the count must not pass through int64
-    (boson_dimer_hamiltonian(3, 0.05).entries,
+    (boson_dimer_hamiltonian(3, 0.05),
      np.array([0.0, 10.0, 20.0]), 1e-18),
     # the rk4 workload's fermion run: dimension 3, the smallest the CLI steps
-    (fermion_pair_hamiltonian(5.0).entries, np.linspace(0.0, 40.0, 2001), 1e-3),
+    (fermion_pair_hamiltonian(5.0), np.linspace(0.0, 40.0, 2001), 1e-3),
     (np.array([[0.7]]), np.linspace(0.0, 1.0, 6), 1e-2),
 ], ids=["boson-N10-default-grid", "boson-N10-stiff", "1e19-substeps",
         "fermion-ubar5-default-grid", "one-by-one"])
@@ -193,7 +193,7 @@ def _run_grids(draw):
 @given(tau=_run_grids(), ubar=st.floats(-5.0, 5.0), dtau=st.sampled_from([0.01, 0.05]))
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_classical_loop_on_runs_of_equal_intervals(tau, ubar, dtau):
-    h = fermion_pair_hamiltonian(ubar).entries
+    h = fermion_pair_hamiltonian(ubar)
     psi0 = _random_start(3)
     deviation = np.max(np.abs(active_kernel()(h, psi0, tau, dtau)
                               - _classical_rk4(h, psi0, tau, dtau)))

@@ -320,7 +320,7 @@ def _law_tolerance(cfg):
     """64·max|E|·tau_max·eps: the phases E·tau of an eigen run carry rounding
     of order max|E|·tau_max·eps. Up to N=40 the boson laws below measured at
     most 2.1 (mirror) and 12.6 (interaction sign) times that."""
-    h = boson_dimer_hamiltonian(cfg.N, cfg.ubar).entries
+    h = boson_dimer_hamiltonian(cfg.N, cfg.ubar)
     return 64 * np.max(np.abs(np.linalg.eigvalsh(h))) * cfg.tau_max * np.finfo(float).eps
 
 
@@ -437,7 +437,7 @@ def test_channels_equal_the_public_series_functions(system):
     if system == "boson":
         ops = (*boson_cn_phase(cfg.N), *boson_unitary_phase(cfg.N)[:2],
                boson_number_diff(cfg.N))
-        pairs = [(op.entries, op.entries @ op.entries) for op in ops]
+        pairs = [(op, op @ op) for op in ops]
     else:
         pair = MODE_PAIRS[cfg.mode_pair]
         ops = (*fermion_cn_phase(*pair), *fermion_unitary_phase(*pair)[:2],
@@ -477,7 +477,7 @@ def test_inconsistent_moments_raise_the_radicand_error(system, channel, monkeypa
 
 def _fock_space_spread(op, states):
     return _spread(expectation_series(op, states),
-                   expectation_series(op.entries @ op.entries, states))
+                   expectation_series(op @ op, states))
 
 
 def _fock_space_channels(cfg, traj):
@@ -488,7 +488,7 @@ def _fock_space_channels(cfg, traj):
     cos_u, sin_u, _ = fermion_unitary_phase(m, mp)
     w = well_number_diff()
     mean_w = expectation_series(w, states)
-    second_w = expectation_series(w.entries @ w.entries, states)
+    second_w = expectation_series(w @ w, states)
     return {
         "avgC_CN": expectation_series(cos_cn, states),
         "avgS_CN": expectation_series(sin_cn, states),
@@ -759,14 +759,22 @@ _START = np.array([1.0, 0.0, 0.0])
 @pytest.mark.parametrize("call", [
     lambda: expectation_series(np.ones((3, 2)), _START),
     lambda: commutator("a", "b"),
+    lambda: expectation_series(np.eye(3), "x"),
+    lambda: expectation_series(np.eye(3), [[1.0, 0.0, 0.0], [1.0, 0.0]]),
+    lambda: expectation_series(np.eye(3), 1.0),
+    lambda: embedded_fermion_states("x"),
     lambda: unitarity_deficiency(np.ones((2, 3))),
+    lambda: unitarity_deficiency(np.eye(3), np.eye(2)),
     lambda: eigen_propagate("x", _START, [0.0, 1.0]),
+    lambda: eigen_propagate(np.zeros((0, 0)), [], [0.0]),
     lambda: write_csv(_SERIES, ["avgW"], None),
     lambda: run_figure("fig1", None),
     lambda: preset_entries(["fig1"]),
-], ids=["expectation-not-square", "commutator-str", "deficiency-not-square",
-        "propagate-str", "write-csv-none", "figure-none", "preset-list"])
+], ids=["expectation-not-square", "commutator-str", "expectation-str-states",
+        "expectation-ragged-states", "expectation-scalar-state", "embed-str-states",
+        "deficiency-not-square", "deficiency-subspace-mismatch", "propagate-str",
+        "propagate-empty", "write-csv-none", "figure-none", "preset-list"])
 def test_malformed_operands_are_config_errors(call):
-    # each once raised numpy's ValueError or Python's TypeError
+    # each once raised numpy's ValueError or IndexError, or Python's TypeError
     with pytest.raises(ConfigError):
         call()
