@@ -4,8 +4,9 @@ An operator is its matrix: every builder returns a read-only square complex
 ``np.ndarray``. Each hermitian one (every cosine and sine, the number
 operators, and the Hamiltonians of :mod:`phasekit.hamiltonians`) has passed
 one gate, ``_hermitian``: finite entries and max|A - A^dag| within
-HERMITICITY_TOL, else NumericalError. Propagation applies the same gate to
-every matrix it is given.
+HERMITICITY_TOL, else NumericalError. Propagation and the observables
+(``expectation_series``, ``pair_moments``) apply the same gate to every
+matrix they are given.
 
 Boson operators live on the fixed-N dimer basis (dimension N+1), and each
 boson builder takes N, checked by ``fock.boson_basis``. The shift
@@ -58,13 +59,18 @@ from .fock import (
 HERMITICITY_TOL = 1e-12
 
 
+def _hermiticity_deviation(arr: np.ndarray) -> float:
+    """max|A - A^dag| (0 if empty): the gate's measure, and verify's."""
+    return float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
+
+
 def _hermitian(arr: np.ndarray) -> np.ndarray:
     """``arr`` itself once it passes the one hermiticity gate: NumericalError
     unless every entry is finite and max|A - A^dag| <= HERMITICITY_TOL. Each
-    hermitian builder gates its own result, and propagation every matrix."""
+    hermitian builder gates its own result, propagation and observables every matrix."""
     if not np.isfinite(arr).all():  # before inf - inf can warn
         raise NumericalError("operator is not a finite matrix: it has non-finite entries")
-    dev = float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
+    dev = _hermiticity_deviation(arr)
     if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise NumericalError(f"operator is not hermitian: it deviates by {dev:.3e}")
     return arr

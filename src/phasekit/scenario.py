@@ -651,8 +651,13 @@ def write_csv(series: TimeSeries, channel_order: Sequence[str],
     except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take (NUL)
         with contextlib.suppress(OSError, ValueError):
             temp.unlink()
-        raise ConfigError(
-            f"cannot write {target}: {getattr(exc, 'strerror', None) or exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        if isinstance(exc, (FileExistsError, NotADirectoryError)):
+            # mkdir met a file where a directory must be: name it, not errno
+            blocker = next((part for part in reversed(target.parents)
+                            if part.exists() and not part.is_dir()), None)
+            reason = f"{blocker} is not a directory" if blocker else reason
+        raise ConfigError(f"cannot write {target}: {reason}") from exc
     return target
 
 

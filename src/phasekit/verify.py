@@ -52,6 +52,7 @@ from .fock import FULL_DIM, MODE_NAMES, fock_state
 from .hamiltonians import boson_dimer_hamiltonian, fermion_pair_hamiltonian
 from .observe import expectation_series
 from .operators import (
+    _hermiticity_deviation,
     anticommutator,
     boson_cn_phase,
     boson_number_diff,
@@ -124,10 +125,6 @@ def _maxabs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _herm_residual(a: np.ndarray) -> float:
-    return _maxabs(a - a.conj().T)
-
-
 # ---------------------------------------------------------------------------
 # operator algebra: each law is one residual over a built family
 
@@ -170,13 +167,14 @@ def pair_family(m: str, mp: str) -> PairFamily:
 
 def boson_hermiticity_residual(f: BosonFamily) -> float:
     """Largest |A - A^dag| over every boson cosine/sine flavor of a family."""
-    return max(_herm_residual(op)
+    return max(_hermiticity_deviation(op)
                for op in (f.cos_cn, f.sin_cn, f.cos0, f.sin0, f.cos_u, f.sin_u))
 
 
 def fermion_hermiticity_residual(f: PairFamily) -> float:
     """Largest |A - A^dag| over the raw and completed cosine/sine of a pair."""
-    return max(_herm_residual(op) for op in (f.cos_cn, f.sin_cn, f.cos_u, f.sin_u))
+    return max(_hermiticity_deviation(op)
+               for op in (f.cos_cn, f.sin_cn, f.cos_u, f.sin_u))
 
 
 def boson_unitarity_residual(f: BosonFamily) -> float:

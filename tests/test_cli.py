@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,24 +159,29 @@ def test_run_rk4_on_grid_finer_than_default_step(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["run-out-is-directory", "run-out-under-file",
-                                  "figure-out-is-file"])
+                                  "run-out-two-under-file", "figure-out-is-file",
+                                  "figure-out-under-file"])
 def test_unwritable_output_exits_one(tmp_path, capsys, case):
     taken = tmp_path / "taken"
     if case == "run-out-is-directory":
         taken.mkdir()
-        cfg, _ = _write_config(tmp_path, out=taken)
-        argv = ["run", "--config", str(cfg)]
-    elif case == "run-out-under-file":
-        taken.write_text("a file, not a directory\n", encoding="utf-8")
-        cfg, _ = _write_config(tmp_path, out=taken / "series.csv")
-        argv = ["run", "--config", str(cfg)]
     else:
         taken.write_text("a file, not a directory\n", encoding="utf-8")
-        argv = ["figure", "fig1", "--out", str(taken)]
+    if case.startswith("run"):
+        out = {"run-out-is-directory": taken, "run-out-under-file": taken / "series.csv",
+               "run-out-two-under-file": taken / "sub" / "series.csv"}[case]
+        cfg, _ = _write_config(tmp_path, out=out)
+        argv = ["run", "--config", str(cfg)]
+    else:
+        out = taken if case == "figure-out-is-file" else taken / "sub"
+        argv = ["figure", "fig1", "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("phasekit:") and f"cannot write {taken}" in err
     assert "Traceback" not in err
+    if case != "run-out-is-directory":
+        # the message names the file in the way, not mkdir's errno
+        assert f"{taken} is not a directory" in err, err
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -629,3 +635,89 @@ def test_verify_ends_in_its_report_or_a_mapped_error(n_max, tol):
         assert code == 1
         assert out.getvalue() == ""
         assert err.getvalue().startswith(("phasekit", "usage")), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# property: every `figure` ends in the preset's exact file set, each file
+# byte-equal to a clean run (exit 0), or a mapped error (exit 1 or 2) that
+# leaves no temporary or new file, and every file that was there before with
+# its old bytes or, for a preset file, its new ones
+
+_ODD_PRESETS = ("fig0", "fig12", "FIG1", "fig1 ", "", "fig", "../fig1", "fig1\0")
+_OUT_SHAPES = ("fresh", "nested", "populated", "file", "under-file")
+
+
+def _clean_bundle(name):
+    """{file name: bytes} of a run of preset ``name`` into a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run_figure(name, tmp)
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+
+
+def _figure_out(root, shape, stale_names):
+    """The --out path of ``shape`` under root, with what it needs made."""
+    (root / "unrelated.txt").write_bytes(b"not phasekit's\n")
+    if shape == "nested":
+        return root / "new" / "deep" / "bundle"
+    out = root / "bundle"
+    if shape in ("file", "under-file"):
+        out.write_bytes(b"a file, not a directory\n")
+        return out if shape == "file" else out / "sub"
+    out.mkdir()
+    if shape == "populated":
+        (out / "notes.txt").write_bytes(b"kept\n")
+        for name in stale_names:
+            (out / name).write_bytes(b"stale " + name.encode() + b"\n")
+    return out
+
+
+@given(st.one_of(st.sampled_from(presets.PRESET_NAMES), st.sampled_from(_ODD_PRESETS)),
+       st.sampled_from(_OUT_SHAPES),
+       st.one_of(st.none(), st.integers(0, 8)))
+@example("fig1", "populated", 2)
+@example("fig10", "nested", 7)
+@example("fig5", "under-file", None)
+@example("fig0", "populated", None)
+@settings(max_examples=60, deadline=None)
+def test_figure_ends_in_its_bundle_or_a_mapped_error(preset, shape, fail_at):
+    valid = preset in presets.PRESET_NAMES
+    clean = _clean_bundle(preset if valid else "fig1")
+    replaced = []
+    real_replace = os.replace
+
+    def replace(src, dst):  # the fail_at-th rename (from 0) raises
+        if len(replaced) == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        replaced.append(dst)
+        real_replace(src, dst)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        out = _figure_out(root, shape, sorted(clean))
+        before = _tree(root)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                mock.patch.object(scenario.os, "replace", replace):
+            code = main(["figure", preset, "--out", str(out)])
+        after = _tree(root)
+    assert "Traceback" not in err.getvalue()
+    assert not [key for key in after if ".phasekit-" in key]
+    writable = valid and shape in ("fresh", "nested", "populated")
+    fails = fail_at is not None and fail_at < len(clean)
+    assert code == (0 if writable and not fails else 1), err.getvalue()
+    rel = out.relative_to(root)
+    if code == 0:
+        expected = dict.fromkeys(str(part) for part in [rel, *rel.parents][:-1])
+        expected.update(before)
+        expected.update({f"{rel}/{name}": data for name, data in clean.items()})
+        assert after == expected
+        return
+    assert err.getvalue().startswith("phasekit"), err.getvalue()
+    # a failed call may leave the directories it made, but no file
+    assert all(after[key] is None for key in after.keys() - before.keys())
+    for key, data in before.items():
+        name = key[len(f"{rel}/"):] if key.startswith(f"{rel}/") else None
+        if valid and name in clean:
+            assert after[key] in (data, clean[name])
+        else:
+            assert after[key] == data

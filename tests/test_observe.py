@@ -129,6 +129,26 @@ def test_nonhermitian_sandwich_raises():
         expectation_series(shift, state)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: expectation_series(np.full((3, 3), np.nan), np.eye(3)), "non-finite"),
+    (lambda: expectation_series(np.diag([np.inf, 0.0, 0.0]), np.eye(3)), "non-finite"),
+    (lambda: expectation_series(np.triu(np.ones((3, 3))), np.eye(3)), "not hermitian"),
+    (lambda: pair_moments(np.full((16, 16), np.nan)), "non-finite"),
+    (lambda: pair_moments(np.diag([np.inf] + [0.0] * 15)), "non-finite"),
+    (lambda: pair_moments(np.triu(np.ones((16, 16)))), "not hermitian"),
+    (lambda: expectation_series(np.eye(3), np.ones((2, 3)) * 1e200), "not finite"),
+    (lambda: expectation_series(2.0 * np.eye(3), np.ones((2, 3)) * 1e308), "not finite"),
+], ids=["expectation-nan-operator", "expectation-inf-operator",
+        "expectation-nonhermitian-operator", "moments-nan-operator",
+        "moments-inf-operator", "moments-nonhermitian-operator",
+        "expectation-overflows", "expectation-matmul-overflows"])
+def test_observables_refuse_what_they_cannot_evaluate(call, match):
+    # the operator passes the propagators' hermiticity gate before any
+    # product, and a value that overflows is refused, not returned as inf
+    with pytest.raises(NumericalError, match=match):
+        call()
+
+
 def test_mismatched_state_dimension_raises_config_error():
     w = boson_number_diff(2)
     for state in (np.array([1.0, 0.0], dtype=complex), np.eye(4, dtype=complex)):

@@ -763,6 +763,9 @@ _START = np.array([1.0, 0.0, 0.0])
     lambda: expectation_series(np.eye(3), [[1.0, 0.0, 0.0], [1.0, 0.0]]),
     lambda: expectation_series(np.eye(3), 1.0),
     lambda: embedded_fermion_states("x"),
+    lambda: expectation_series(np.eye(3), np.full((2, 3), np.nan)),
+    lambda: expectation_series(np.eye(3), np.full((2, 3), np.inf)),
+    lambda: embedded_fermion_states(np.array([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])),
     lambda: unitarity_deficiency(np.ones((2, 3))),
     lambda: unitarity_deficiency(np.eye(3), np.eye(2)),
     lambda: eigen_propagate("x", _START, [0.0, 1.0]),
@@ -772,6 +775,7 @@ _START = np.array([1.0, 0.0, 0.0])
     lambda: preset_entries(["fig1"]),
 ], ids=["expectation-not-square", "commutator-str", "expectation-str-states",
         "expectation-ragged-states", "expectation-scalar-state", "embed-str-states",
+        "expectation-nan-states", "expectation-inf-states", "embed-nan-states",
         "deficiency-not-square", "deficiency-subspace-mismatch", "propagate-str",
         "propagate-empty", "write-csv-none", "figure-none", "preset-list"])
 def test_malformed_operands_are_config_errors(call):
