@@ -45,11 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("preset", help=f"one of {', '.join(PRESET_NAMES)}")
     fig_p.add_argument("--out", required=True, help="output directory")
 
-    ver_p = sub.add_parser("verify", help="run the self-check battery")
-    ver_p.add_argument("--n-max", type=int, default=12,
-                       help="largest boson particle number to sweep (default 12)")
-    ver_p.add_argument("--tol", type=float, default=1e-12,
-                       help="tolerance for the operator-algebra checks (default 1e-12)")
+    sub.add_parser("verify", help="run the self-check battery")
 
     return parser
 
@@ -76,8 +72,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verification(n_max=args.n_max, tol=args.tol)
+def _cmd_verify() -> int:
+    report = run_verification()
     for line in report.lines():
         print(line)
     return 0 if report.ok else 2
@@ -99,7 +95,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_run(args)
         if args.command == "figure":
             return _cmd_figure(args)
-        return _cmd_verify(args)
+        return _cmd_verify()
     except ConfigError as exc:
         print(f"phasekit: config error: {exc}", file=sys.stderr)
         return 1

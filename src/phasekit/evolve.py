@@ -93,7 +93,7 @@ class Trajectory:
         # a non-finite state gives an inf or NaN norm, which fails below
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.linalg.norm(states, axis=1)
-        drift = float(np.max(np.abs(norms - 1.0)))
+        drift = float(np.abs(norms - 1.0).max())
         if not drift <= self.norm_tol:  # NaN drift fails too
             raise NumericalError(
                 f"trajectory state norms drift by {drift:.3e} (tol {self.norm_tol:g})"
@@ -127,7 +127,7 @@ def eigen_propagate(h: np.ndarray,
         energies, vectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    scale = float(np.max(np.abs(energies))) * float(np.max(np.abs(tau), initial=0.0))
+    scale = float(np.abs(energies).max()) * float(np.abs(tau).max(initial=0.0))
     if not scale <= PHASE_SCALE_LIMIT:  # NaN fails too
         raise NumericalError(
             f"max|E|*max|tau| = {scale:.3e} exceeds {PHASE_SCALE_LIMIT:g}: the "

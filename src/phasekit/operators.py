@@ -6,7 +6,9 @@ operators, and the Hamiltonians of :mod:`phasekit.hamiltonians`) has passed
 one gate, ``_hermitian``: finite entries and max|A - A^dag| within
 HERMITICITY_TOL, else NumericalError. Propagation and the observables
 (``expectation_series``, ``pair_moments``) apply the same gate to every
-matrix they are given.
+matrix they are given, and the diagnostics (``commutator``,
+``anticommutator``, ``unitarity_deficiency``) refuse non-finite operands
+with the gate's NumericalError.
 
 Boson operators live on the fixed-N dimer basis (dimension N+1), and each
 boson builder takes N, checked by ``fock.boson_basis``. The shift
@@ -61,16 +63,22 @@ HERMITICITY_TOL = 1e-12
 
 def _hermiticity_deviation(arr: np.ndarray) -> float:
     """max|A - A^dag| (0 if empty): the gate's measure, and verify's."""
-    return float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
+    return float(np.abs(arr - arr.conj().T).max(initial=0.0))
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself; NumericalError unless every entry is finite, checked
+    before any product or difference can warn on an inf."""
+    if not np.isfinite(arr).all():
+        raise NumericalError("operator is not a finite matrix: it has non-finite entries")
+    return arr
 
 
 def _hermitian(arr: np.ndarray) -> np.ndarray:
     """``arr`` itself once it passes the one hermiticity gate: NumericalError
     unless every entry is finite and max|A - A^dag| <= HERMITICITY_TOL. Each
     hermitian builder gates its own result, propagation and observables every matrix."""
-    if not np.isfinite(arr).all():  # before inf - inf can warn
-        raise NumericalError("operator is not a finite matrix: it has non-finite entries")
-    dev = _hermiticity_deviation(arr)
+    dev = _hermiticity_deviation(_finite(arr))
     if not dev <= HERMITICITY_TOL:  # NaN fails too
         raise NumericalError(f"operator is not hermitian: it deviates by {dev:.3e}")
     return arr
@@ -95,11 +103,12 @@ def _as_array(op: np.ndarray) -> np.ndarray:
 
 
 def _operands(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both operands as square complex matrices of one shape (``_as_array``)."""
+    """Both operands as finite square complex matrices of one shape
+    (``_as_array``, ``_finite``)."""
     x, y = _as_array(a), _as_array(b)
     if x.shape != y.shape:
         raise ConfigError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return x, y
+    return _finite(x), _finite(y)
 
 
 def _cos_sin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +302,7 @@ def unitarity_deficiency(op: np.ndarray,
     these dimensions.
     """
     if subspace is None:
-        a, p = _as_array(op), None
+        a, p = _finite(_as_array(op)), None
     else:
         a, p = _operands(op, subspace)
     eye = np.eye(a.shape[0], dtype=complex)
@@ -302,4 +311,4 @@ def unitarity_deficiency(op: np.ndarray,
     if p is not None:
         left = p @ left @ p
         right = p @ right @ p
-    return float(np.max(np.abs(left))), float(np.max(np.abs(right)))
+    return float(np.abs(left).max()), float(np.abs(right).max())

@@ -11,6 +11,7 @@ size or mode pair, interaction strength, and channel, e.g.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,9 +98,9 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
     Each entry's config is propagated once. The texts of all files are
     formatted together when the first is written, each distinct column (tau
     once) laid out once, so a header or non-finite value any file would fail
-    on leaves every file as it was. If a write fails, the files this call
-    created are removed before the error propagates; files it replaced keep
-    their new content.
+    on leaves every file as it was. If a write fails, the files and then the
+    directories this call created are removed before the error propagates;
+    files it replaced keep their new content.
     """
     entries = preset_entries(name)
     if not isinstance(out_dir, (str, os.PathLike)):  # Path() takes nothing else
@@ -113,6 +114,9 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
         files += [(out / filename, series, (channel,))
                   for filename, channel in zip(entry.filenames, entry.config.channels)]
     bundle = _CsvBundle((series, channels) for _, series, channels in files)
+    # the directories write_csv's mkdir would create, deepest first
+    made_dirs = list(itertools.takewhile(lambda d: not os.path.lexists(d),
+                                         (out, *out.parents)))
     written: list[Path] = []
     created: list[Path] = []
     try:
@@ -125,5 +129,8 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
         for path in created:  # leave no new file of a partial bundle
             with contextlib.suppress(OSError):
                 path.unlink()
+        for directory in made_dirs:  # rmdir removes only an empty one
+            with contextlib.suppress(OSError, ValueError):  # ValueError: a NUL
+                directory.rmdir()
         raise
     return written

@@ -15,9 +15,10 @@ trajectory. The boson sweep holds one N's family at a time; one family per
 fermion mode pair serves hermiticity, Jacobi and isometry. Nothing is kept
 between runs.
 
-The ``tol`` argument feeds the operator-algebra checks (hermiticity,
-unitarity, commutators, isometry); checks tied to analytic laws or solver
-guarantees carry their own fixed tolerances, and a few are exact (tol 0).
+The battery is fixed: it sweeps N = 1..BOSON_N_MAX and holds the
+operator-algebra checks (hermiticity, unitarity, commutators, isometry) to
+ALGEBRA_TOL; checks tied to analytic laws or solver guarantees carry their own
+fixed tolerances, and a few are exact (tol 0).
 
 Two checks deserve a note:
 
@@ -34,13 +35,11 @@ Two checks deserve a note:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
 from .evolve import (
     Trajectory,
     boson_free_amplitudes,
@@ -77,11 +76,10 @@ LAW_TOL = 1e-9
 ENERGY_TOL = 1e-10
 NORM_TOL = 1e-12
 CORNER_TOL = 1e-15
-# The boson sweeps grow steeply with n_max: on 2 cores with one BLAS thread
-# n_max = 100 takes ~0.2 s and 400 ~20 s. The CLI default, 12, is the largest
-# any test or the benchmark uses.
-N_MAX_LIMIT = 100
-# the commutator and Jacobi checks sweep N = 1..min(n_max, 10)
+ALGEBRA_TOL = 1e-12
+# the boson operator checks and the mirror symmetry sweep N = 1..BOSON_N_MAX,
+# the commutator and Jacobi checks N = 1..COMMUTATOR_N_MAX
+BOSON_N_MAX = 12
 COMMUTATOR_N_MAX = 10
 
 
@@ -103,8 +101,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    n_max: int
-    tol: float
     results: tuple[CheckResult, ...]
 
     @property
@@ -122,7 +118,7 @@ class VerificationReport:
 
 
 def _maxabs(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +255,13 @@ def double_sum_residual() -> float:
     return max(unitarity_deficiency(_double_sum_beta(), subspace=p))
 
 
-def _boson_sweep(n_max: int, families: dict[int, BosonFamily]) -> dict[str, list[float]]:
-    """Per-N residuals of the five boson operator checks, N = 1..n_max, in
+def _boson_sweep(families: dict[int, BosonFamily]) -> dict[str, list[float]]:
+    """Per-N residuals of the five boson operator checks, N = 1..BOSON_N_MAX, in
     order. Each N's family is popped from ``families`` or built, and dropped
     before the next N's, so one large family is alive at a time."""
     cases: dict[str, list[float]] = {
         "hermiticity": [], "unitarity": [], "corner": [], "commutators": [], "jacobi": []}
-    for n in range(1, n_max + 1):
+    for n in range(1, BOSON_N_MAX + 1):
         family = families.pop(n) if n in families else boson_family(n)
         cases["hermiticity"].append(boson_hermiticity_residual(family))
         cases["unitarity"].append(boson_unitarity_residual(family))
@@ -311,9 +307,9 @@ def _check_double_sum_counterexample() -> CheckResult:
 # Hamiltonians
 
 
-def _check_mirror_symmetry(n_max: int) -> CheckResult:
+def _check_mirror_symmetry() -> CheckResult:
     worst = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, BOSON_N_MAX + 1):
         for ubar in UBAR_SET:
             h = boson_dimer_hamiltonian(n, ubar)
             worst = max(worst, _maxabs(h - h[::-1, ::-1]))
@@ -330,12 +326,12 @@ def _check_interaction_placement() -> CheckResult:
                        "the interaction sits on the single-occupancy diagonal only")
 
 
-def _check_interaction_free_spectra(tol: float) -> CheckResult:
+def _check_interaction_free_spectra() -> CheckResult:
     target = np.array([-2.0, 0.0, 2.0])
     worst = max(_maxabs(np.linalg.eigvalsh(h) - target)
                 for h in (boson_dimer_hamiltonian(2, 0.0),
                           fermion_pair_hamiltonian(0.0)))
-    return CheckResult("interaction-free-spectra", worst <= tol, worst, tol,
+    return CheckResult("interaction-free-spectra", worst <= ALGEBRA_TOL, worst, ALGEBRA_TOL,
                        "both systems reduce to the same tunneling triplet")
 
 
@@ -413,7 +409,7 @@ def _check_boson_closed_form(bosons: _Runs) -> CheckResult:
                        "middle amplitude everywhere; edges checked at ubar=0")
 
 
-def _check_phase_linearity(f: BosonFamily, tau: np.ndarray, tol: float) -> CheckResult:
+def _check_phase_linearity(f: BosonFamily, tau: np.ndarray) -> CheckResult:
     _, traj = _boson_right_well(f.n, 5.0, tau)
     worst = max(
         _maxabs(expectation_series(f.cos_u, traj)
@@ -421,7 +417,7 @@ def _check_phase_linearity(f: BosonFamily, tau: np.ndarray, tol: float) -> Check
         _maxabs(expectation_series(f.sin_u, traj)
                 - expectation_series(f.sin_cn, traj) - expectation_series(f.sin0, traj)),
     )
-    return CheckResult("phase-average-linearity", worst <= tol, worst, tol,
+    return CheckResult("phase-average-linearity", worst <= ALGEBRA_TOL, worst, ALGEBRA_TOL,
                        "completed average = raw average + vacuum average")
 
 
@@ -484,7 +480,7 @@ def _check_config_round_trip() -> CheckResult:
                        "serialize(parse(serialize(cfg))) is a fixed point")
 
 
-def _dynamics_checks(families: dict[int, BosonFamily], tol: float) -> tuple[CheckResult, ...]:
+def _dynamics_checks(families: dict[int, BosonFamily]) -> tuple[CheckResult, ...]:
     """The seven dynamics checks, in order. What two of them read is built
     here, passed to both and deleted after the second."""
     tau = np.linspace(0.0, _TAU_MAX, 401)
@@ -496,45 +492,41 @@ def _dynamics_checks(families: dict[int, BosonFamily], tol: float) -> tuple[Chec
     del boson_runs, pair_runs
     # two periods of the interaction-free pair
     _, free = _boson_right_well(2, 0.0, np.linspace(0.0, 2.0 * math.pi, 2001))
-    checks += (_check_phase_linearity(families[3], tau, tol),
+    checks += (_check_phase_linearity(families[3], tau),
                _check_interaction_free_laws(families[2], free),
                _check_odd_even_law(families, free))
     del free
     return checks + (_check_squeezing_closed_form(),)
 
 
-def run_verification(n_max: int = 12, tol: float = 1e-12) -> VerificationReport:
-    if not (isinstance(n_max, numbers.Integral) and 2 <= n_max <= N_MAX_LIMIT):
-        raise ConfigError(f"n_max must be an integer in 2..{N_MAX_LIMIT}, got {n_max!r}")
-    if not (isinstance(tol, numbers.Real) and 0 < tol < math.inf):  # NaN fails too
-        raise ConfigError(f"tol must be positive and finite, got {tol!r}")
+def run_verification() -> VerificationReport:
     # the boson sweep takes the families that the dynamics checks read
     families = {n: boson_family(n) for n in (2, 3, 4, 5)}
-    dynamics = _dynamics_checks(families, tol)
-    boson = _boson_sweep(n_max, families)
+    dynamics = _dynamics_checks(families)
+    boson = _boson_sweep(families)
     pairs = _pair_sweep()
     results = (
-        _worst_check("boson-phase-hermiticity", boson["hermiticity"], tol,
-                     f"N in 1..{n_max}, all cosine/sine flavors"),
-        _worst_check("fermion-phase-hermiticity", pairs["hermiticity"], tol,
+        _worst_check("boson-phase-hermiticity", boson["hermiticity"], ALGEBRA_TOL,
+                     f"N in 1..{BOSON_N_MAX}, all cosine/sine flavors"),
+        _worst_check("fermion-phase-hermiticity", pairs["hermiticity"], ALGEBRA_TOL,
                      "all 6 mode pairs, raw and completed"),
-        _worst_check("boson-beta-unitarity", boson["unitarity"], tol,
-                     f"beta and beta-dagger products, N in 1..{n_max}"),
+        _worst_check("boson-beta-unitarity", boson["unitarity"], ALGEBRA_TOL,
+                     f"beta and beta-dagger products, N in 1..{BOSON_N_MAX}"),
         _worst_check("cn-corner-defect", boson["corner"], CORNER_TOL,
                      "raw beta is a one-sided shift off the corner projectors"),
-        _worst_check("number-phase-commutators", boson["commutators"], tol,
+        _worst_check("number-phase-commutators", boson["commutators"], ALGEBRA_TOL,
                      "[cos,W] and [sin,W] close onto the vacuum terms"),
-        _worst_check("jacobi-identity", boson["jacobi"] + pairs["jacobi"], tol,
+        _worst_check("jacobi-identity", boson["jacobi"] + pairs["jacobi"], ALGEBRA_TOL,
                      "cyclic double commutators, boson sweep + 3 fermion pairs"),
         _worst_check("fermion-anticommutators", [anticommutator_residual()], 0.0,
                      "all 4x4 mode pairs, exact integer arithmetic"),
-        _worst_check("betaf-isometry", pairs["isometry"], tol,
+        _worst_check("betaf-isometry", pairs["isometry"], ALGEBRA_TOL,
                      "singular values on the half-filled subspace"),
         _check_double_sum_counterexample(),
-        _check_mirror_symmetry(n_max),
+        _check_mirror_symmetry(),
         _check_interaction_placement(),
-        _check_interaction_free_spectra(tol),
+        _check_interaction_free_spectra(),
         *dynamics,
         _check_config_round_trip(),
     )
-    return VerificationReport(n_max=n_max, tol=tol, results=results)
+    return VerificationReport(results)

@@ -104,7 +104,7 @@ VERIFY_CHECKS = (
 
 @pytest.fixture(scope="module")
 def verify_checks():
-    report = run_verification(n_max=12, tol=1e-12)  # the CLI defaults
+    report = run_verification()
     return {check.name: check for check in report.results}
 
 

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from phasekit import (
     ConfigError,
     NumericalError,
+    anticommutator,
     boson_cn_phase,
     boson_number_diff,
     boson_unitary_phase,
     boson_dimer_hamiltonian,
     boson_vacuum_phase,
+    commutator,
     eigen_propagate,
     fermion_cn_phase,
     fermion_ladder,
@@ -333,6 +335,20 @@ def test_propagation_gate_refuses_a_bad_matrix_and_leaves_it_alone():
                 propagate(bad, [1.0, 0.0], [0.0, 1.0])
             assert bad.flags.writeable
             assert np.array_equal(bad, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda bad: commutator(bad, np.eye(2)),
+    lambda bad: anticommutator(np.eye(2), bad),
+    lambda bad: unitarity_deficiency(bad),
+    lambda bad: unitarity_deficiency(np.eye(2), subspace=bad),
+], ids=["commutator", "anticommutator", "deficiency", "deficiency-subspace"])
+def test_diagnostics_refuse_non_finite_operands(call, value):
+    # refused before any product: no NaN result, and no inf warning, which
+    # tier-1's filter would turn into an error
+    with pytest.raises(NumericalError, match="not a finite matrix"):
+        call(np.full((2, 2), value))
 
 
 # every public builder of a matrix, by name

@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -22,14 +24,13 @@ from phasekit.verify import boson_family, pair_family, run_verification
 
 @pytest.fixture(scope="module")
 def report():
-    return run_verification(n_max=6, tol=1e-12)
+    return run_verification()
 
 
-def test_precondition():
-    with pytest.raises(ConfigError):
-        run_verification(n_max=1)
-    with pytest.raises(ConfigError):
-        run_verification(tol=0.0)
+def test_the_battery_takes_no_parameters(report):
+    # one fixed battery: no caller sets its sweep or its tolerances
+    assert not inspect.signature(run_verification).parameters
+    assert [f.name for f in dataclasses.fields(report)] == ["results"]
 
 
 def test_counterexample_is_pass_by_expectation(report):
@@ -54,7 +55,7 @@ def test_squeezing_check_reads_the_emitted_channels(monkeypatch):
         return runs[-1][1]
 
     monkeypatch.setattr(verify, "run_scenario", recording)
-    check = next(r for r in run_verification(n_max=3).results
+    check = next(r for r in run_verification().results
                  if r.name == "squeezing-closed-form")
     assert [cfg for cfg, _ in runs] == [
         ScenarioConfig(system="fermion", ubar=ubar, channels=("xi_second_moment", "xi_closed"))
@@ -84,7 +85,7 @@ def test_a_run_builds_each_family_and_trajectory_once(monkeypatch):
         monkeypatch.setattr(verify, name, counting)
     # the squeezing check propagates through the scenario engine
     monkeypatch.setattr(scenario, "eigen_propagate", verify.eigen_propagate)
-    run_verification(n_max=12)
+    run_verification()
     # one family per boson N (50 unitary, 26 CN and 23 vacuum builds when each
     # check built its own), and W only where the commutators are checked
     for name, sizes in (("boson_cn_phase", 12), ("boson_vacuum_phase", 12),
@@ -105,11 +106,10 @@ def _maxabs(arr):
     return float(np.max(np.abs(arr)))
 
 
-@pytest.mark.parametrize("n_max", [3, 6, 12])
-def test_shared_builds_give_the_standalone_residuals(n_max):
-    got = {check.name: check.residual for check in run_verification(n_max=n_max).results}
-    sizes = range(1, n_max + 1)
-    small = range(1, min(n_max, verify.COMMUTATOR_N_MAX) + 1)
+def test_shared_builds_give_the_standalone_residuals():
+    got = {check.name: check.residual for check in run_verification().results}
+    sizes = range(1, verify.BOSON_N_MAX + 1)
+    small = range(1, verify.COMMUTATOR_N_MAX + 1)
     pairs = [(m, mp) for i, m in enumerate(MODE_NAMES) for mp in MODE_NAMES[i + 1:]]
     tau = np.linspace(0.0, 40.0, 401)
     free_tau = np.linspace(0.0, 2.0 * math.pi, 2001)
@@ -195,19 +195,10 @@ def test_shared_builds_give_the_standalone_residuals(n_max):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: run_verification(n_max=2.5),
-    lambda: run_verification(n_max="3"),
-    lambda: run_verification(tol="1e-9"),
     lambda: ScenarioConfig(system="boson", N=2.5, ubar=0.0, channels=("avgW",)),
     lambda: ScenarioConfig(system="boson", N="2", ubar=0.0, channels=("avgW",)),
     lambda: ScenarioConfig(system="boson", N=2, ubar=0.0, steps=10.5, channels=("avgW",)),
-], ids=["n_max-float", "n_max-str", "tol-str", "N-float", "N-str", "steps-float"])
-def test_non_integer_sizes_are_config_errors_before_any_work(monkeypatch, build):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the input was checked")
-
-    for name in ("boson_family", "eigen_propagate", "boson_dimer_hamiltonian",
-                 "boson_number_diff"):
-        monkeypatch.setattr(verify, name, no_work)
+], ids=["N-float", "N-str", "steps-float"])
+def test_non_integer_sizes_are_config_errors_before_any_work(build):
     with pytest.raises(ConfigError):
         build()
