@@ -7,13 +7,14 @@ Exit codes: 0 success, 1 configuration/usage problems, 2 numerical failures
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import ConfigError, NumericalError
 from .presets import PRESET_NAMES, run_figure
-from .scenario import apply_overrides, parse_config
+from .scenario import parse_config
 from .scenario import run as run_config
 from .verify import run_verification
 
@@ -34,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one scenario config, write its CSV")
     run_p.add_argument("--config", required=True, help="path to key=value config")
-    run_p.add_argument("--tau-max", type=float, default=None,
-                       help="override the config's tau_max")
-    run_p.add_argument("--steps", type=int, default=None,
-                       help="override the config's grid size")
     run_p.add_argument("--integrator", choices=("eigen", "rk4"), default=None,
                        help="override the config's integrator")
 
@@ -58,8 +55,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"phasekit: cannot read config: {exc}", file=sys.stderr)
         return 1
     cfg = parse_config(text)
-    cfg = apply_overrides(cfg, tau_max=args.tau_max, steps=args.steps,
-                          integrator=args.integrator)
+    if args.integrator is not None:
+        cfg = dataclasses.replace(cfg, integrator=args.integrator)
     target = run_config(cfg)
     print(f"wrote {target}")
     return 0

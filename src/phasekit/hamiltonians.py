@@ -33,7 +33,7 @@ _MASK_BOTH_LEFT = 3
 _MASK_BOTH_RIGHT = 12
 
 
-def _finite(value: numbers.Real) -> bool:
+def _is_finite(value: numbers.Real) -> bool:
     """math.isfinite, and False for an int beyond the range of a double."""
     try:
         return math.isfinite(value)
@@ -46,7 +46,7 @@ def _check_ubar(ubar: float) -> None:
     config requires: a bool, a string, None or a complex is refused."""
     if isinstance(ubar, bool) or not isinstance(ubar, numbers.Real):
         raise ConfigError(f"ubar must be a real number, got {ubar!r}")
-    if not _finite(ubar):
+    if not _is_finite(ubar):
         raise ConfigError(f"ubar must be finite, got {ubar!r}")
 
 

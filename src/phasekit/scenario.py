@@ -29,7 +29,7 @@ import numbers
 import os
 import threading
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolve import DEFAULT_DTAU, Trajectory, eigen_propagate, rk4_propagate
 from .fock import _check_unit_norm, fock_state
-from .hamiltonians import (_check_ubar, _finite, boson_dimer_hamiltonian,
+from .hamiltonians import (_check_ubar, _is_finite, boson_dimer_hamiltonian,
                            fermion_pair_hamiltonian)
 from .observe import TimeSeries, expectation_series, pair_moments, xi_fermion_closed_form
 from .operators import (
@@ -137,8 +137,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
             )
-        if not (_finite(self.tau_max) and self.tau_max > 0):
+        if not (_is_finite(self.tau_max) and self.tau_max > 0):
             raise ConfigError(f"tau_max must be positive and finite, got {self.tau_max!r}")
+        # a numpy float32 would make linspace build a float32 grid
+        object.__setattr__(self, "tau_max", float(self.tau_max))
         if self.steps < 2:
             raise ConfigError(f"steps must be at least 2, got {self.steps}")
         # parse_config cuts a value at '#' or a line break and strips it, and
@@ -149,6 +151,10 @@ class ScenarioConfig:
                                      or len(self.out.splitlines()) > 1):
             raise ConfigError(f"out must hold no '#' or line break and no leading or "
                               f"trailing whitespace, got {self.out!r}")
+        # Path drops a trailing '/' or '/.', so the CSV would land on the
+        # directory's name; a last part '..' names a directory too
+        if self.out is not None and self.out.rsplit("/", 1)[-1] in ("", ".", ".."):
+            raise ConfigError(f"out must name a file, not a directory, got {self.out!r}")
 
         if self.system == "boson":
             if self.N is None:
@@ -319,9 +325,9 @@ def propagate_scenario(cfg: ScenarioConfig) -> Trajectory:
     psi0 = initial_amplitudes(cfg)
     if cfg.integrator == "eigen":
         return eigen_propagate(h, psi0, tau_grid)
-    spacing = float(np.min(np.diff(tau_grid)))
-    dtau = min(DEFAULT_DTAU, spacing)
-    return rk4_propagate(h, psi0, tau_grid, dtau=dtau)
+    # the spacing linspace used, which the RK4 kernel takes for every interval
+    spacing = cfg.tau_max / (cfg.steps - 1)
+    return rk4_propagate(h, psi0, tau_grid, dtau=min(DEFAULT_DTAU, spacing))
 
 
 def _family_operators(cfg: ScenarioConfig,
@@ -668,15 +674,3 @@ def run(cfg: ScenarioConfig) -> Path:
     series = run_scenario(cfg)
     return write_csv(series, cfg.channels, cfg.out)
 
-
-def apply_overrides(cfg: ScenarioConfig, tau_max: Optional[float] = None,
-                    steps: Optional[int] = None,
-                    integrator: Optional[str] = None) -> ScenarioConfig:
-    changes: dict = {}
-    if tau_max is not None:
-        changes["tau_max"] = tau_max
-    if steps is not None:
-        changes["steps"] = steps
-    if integrator is not None:
-        changes["integrator"] = integrator
-    return replace(cfg, **changes) if changes else cfg

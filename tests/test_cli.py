@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import math
@@ -29,6 +30,18 @@ def _write_config(tmp_path, body="system=boson\nN=2\nubar=0.05\nsteps=5\n"
     return cfg, out
 
 
+def _usage_error(capsys, command, extra):
+    """``command`` followed by the options ``extra`` exits 1 with argparse's
+    usage error naming ``extra``, and no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *extra])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: phasekit ")
+    assert f"error: unrecognized arguments: {' '.join(extra)}" in captured.err
+
+
 def test_run_subcommand(tmp_path, capsys):
     cfg, out = _write_config(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
@@ -39,12 +52,28 @@ def test_run_subcommand(tmp_path, capsys):
 
 
 def test_run_overrides(tmp_path):
-    cfg, out = _write_config(tmp_path)
-    assert main(["run", "--config", str(cfg), "--steps", "9",
-                 "--tau-max", "2.0", "--integrator", "rk4"]) == 0
-    rows = out.read_text(encoding="utf-8").strip().splitlines()
+    # --integrator is the one override: the grid comes from the config alone
+    body = "system=boson\nN=2\nubar=0.05\nsteps=9\ntau_max=2.0\nchannels=avgC_CN,avgW\n"
+    texts = {}
+    for name, extra, argv in (("flag", "", ["--integrator", "rk4"]),
+                              ("config", "integrator=rk4\n", []),
+                              ("eigen", "", [])):
+        cfg, out = _write_config(tmp_path, body + extra, out=tmp_path / f"{name}.csv")
+        assert main(["run", "--config", str(cfg), *argv]) == 0
+        texts[name] = out.read_text(encoding="utf-8")
+    rows = texts["flag"].strip().splitlines()
     assert len(rows) == 10  # header + 9 grid points
     assert rows[-1].split(",")[0] == "2"
+    assert texts["flag"] == texts["config"] != texts["eigen"]
+
+
+@pytest.mark.parametrize("option", [["--steps", "9"], ["--tau-max", "2"]],
+                         ids=["steps", "tau-max"])
+def test_run_grid_options_are_usage_errors(tmp_path, capsys, option):
+    # the grid has one source, the config's tau_max and steps
+    cfg, _ = _write_config(tmp_path)
+    _usage_error(capsys, ["run", "--config", str(cfg)], option)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
 
 
 def test_run_missing_config_exits_one(tmp_path, capsys):
@@ -105,16 +134,15 @@ def test_run_non_finite_states_exit_two(tmp_path, capsys, body):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("body, argv", [
-    ("system=boson\nN=2\nubar=1\nsteps=10000000000000\n", []),
-    ("system=boson\nN=2\nubar=1\n", ["--steps", "10000000000000"]),
-    ("system=boson\nN=100000000\nubar=1\n", []),
-    ("system=boson\nN=10\nubar=1\nsteps=200000\n", []),
-    ("system=fermion\nubar=1\nsteps=700000\n", []),
-], ids=["steps", "steps-override", "N", "boson-grid", "fermion-grid"])
-def test_run_oversized_request_exits_one(tmp_path, capsys, body, argv):
+@pytest.mark.parametrize("body", [
+    "system=boson\nN=2\nubar=1\nsteps=10000000000000\n",
+    "system=boson\nN=100000000\nubar=1\n",
+    "system=boson\nN=10\nubar=1\nsteps=200000\n",
+    "system=fermion\nubar=1\nsteps=700000\n",
+], ids=["steps", "N", "boson-grid", "fermion-grid"])
+def test_run_oversized_request_exits_one(tmp_path, capsys, body):
     cfg, out = _write_config(tmp_path, body + "channels=avgW\n")
-    assert main(["run", "--config", str(cfg), *argv]) == 1
+    assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
@@ -202,6 +230,23 @@ def test_empty_output_path_exits_one_and_writes_nothing(tmp_path, capsys, monkey
     assert err.startswith("phasekit: config error:") and "empty, got ''" in err
     assert [p.name for p in tmp_path.iterdir()] == (
         [] if command == "figure" else ["scenario.cfg"])
+
+
+@pytest.mark.parametrize("out", ["fresh/", "new/deep/", "taken/", "fresh/."])
+def test_run_out_naming_a_directory_exits_one(tmp_path, capsys, monkeypatch, out):
+    # Path drops a trailing '/' or '/.': "fresh/" would write a regular file
+    # named fresh
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").mkdir()
+    cfg, _ = _write_config(tmp_path, out=out)
+    before = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("phasekit: config error: out must name a file, "
+                                   "not a directory")
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == before
+    assert before == ["scenario.cfg", "taken"]
 
 
 def test_run_failed_replace_keeps_old_target(tmp_path, capsys, monkeypatch):
@@ -326,14 +371,14 @@ def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli, "_parser", None)
     monkeypatch.setattr(cli, "build_parser", counting_build)
-    cfg, out = _write_config(tmp_path)  # steps=5
-    assert main(["run", "--config", str(cfg), "--steps", "9", "--tau-max", "2"]) == 0
-    assert out.read_text(encoding="utf-8").splitlines()[-1].startswith("2,")
-    assert len(out.read_text(encoding="utf-8").splitlines()) == 10
-    # the overrides of the first call do not reach the second
+    cfg, out = _write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--integrator", "rk4"]) == 0
+    rk4 = out.read_text(encoding="utf-8")
+    # the override of the first call does not reach the second
     assert main(["run", "--config", str(cfg)]) == 0
-    assert out.read_text(encoding="utf-8").splitlines()[-1].startswith("1,")
-    assert len(out.read_text(encoding="utf-8").splitlines()) == 6
+    eigen = out.read_text(encoding="utf-8")
+    assert len(eigen.splitlines()) == len(rk4.splitlines()) == 6
+    assert eigen != rk4
     first = cli._parser.parse_args(["verify"])
     cli._parser.parse_args(["figure", "fig1", "--out", str(tmp_path)])
     assert vars(first) == {"command": "verify"}
@@ -366,27 +411,18 @@ def test_verify_reports_and_exits_two(capsys):
     assert "PASS  boson-beta-unitarity" in out
 
 
-def _verify_usage_error(capsys, argv):
-    """``verify argv`` exits 1 with argparse's usage error and no stdout."""
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", *argv])
-    assert exc.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: phasekit ")
-    assert f"error: unrecognized arguments: {' '.join(argv)}" in captured.err
 
 
 def test_verify_bad_n_max_exits_one(capsys):
     # the battery always sweeps N = 1..12: every --n-max is a usage error
     for n_max in ("1", "3", "12", "100000000"):
-        _verify_usage_error(capsys, ["--n-max", n_max])
+        _usage_error(capsys, ["verify"], ["--n-max", n_max])
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])
 def test_verify_non_finite_tol_exits_one(capsys, tol):
     # the operator-algebra checks always hold to 1e-12: every --tol is a usage error
-    _verify_usage_error(capsys, ["--tol", tol])
+    _usage_error(capsys, ["verify"], ["--tol", tol])
 
 
 def test_public_names_resolve():
@@ -519,10 +555,8 @@ def _run_request(draw):
                                         ".", "a\0b.csv"))))
     lines.append("out=" + out.format(name=name, long="x" * 300))
     argv = ["run", "--config", "scenario.cfg"]
-    for flag, values in (("--steps", ("3", "0", "x")), ("--tau-max", ("2", "nan", "-1")),
-                         ("--integrator", ("rk4", "eigen", "euler"))):
-        if draw(st.sampled_from(range(10))) == 9:
-            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.sampled_from(range(10))) == 9:
+        argv += ["--integrator", draw(st.sampled_from(("rk4", "eigen", "euler")))]
     return "\n".join(lines) + "\n", argv
 
 
@@ -572,12 +606,8 @@ def test_run_ends_in_valid_csv_or_mapped_error(request):
                     code = exc.code
             if code == 0:
                 cfg = scenario.parse_config(text)
-                flags = dict(zip(argv[3::2], argv[4::2]))
-                cfg = scenario.apply_overrides(
-                    cfg,
-                    tau_max=float(flags["--tau-max"]) if "--tau-max" in flags else None,
-                    steps=int(flags["--steps"]) if "--steps" in flags else None,
-                    integrator=flags.get("--integrator"))
+                if len(argv) > 3:  # --integrator
+                    cfg = dataclasses.replace(cfg, integrator=argv[4])
                 _assert_valid_csv(Path(cfg.out).read_text(encoding="utf-8"), cfg)
         finally:
             os.chdir(cwd)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from phasekit.scenario import (
     MAX_GRID_AMPLITUDES,
     MAX_N,
     MODE_PAIRS,
-    apply_overrides,
     format_csv,
     initial_amplitudes,
     propagate_scenario,
@@ -182,6 +182,19 @@ def test_numpy_integer_counts_are_stored_as_int():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("tau_max", [np.float32(0.1), np.float16(4.0), 4, Fraction(1, 10)],
+                         ids=["float32", "float16", "int", "fraction"])
+def test_tau_max_is_stored_as_float(tau_max):
+    # a float32 tau_max made linspace build a float32 grid, whose uneven
+    # spacing no RK4 step taken from tau_max / (steps - 1) fits
+    cfg = ScenarioConfig(system="boson", N=2, ubar=0.05, tau_max=tau_max, steps=101,
+                         integrator="rk4", channels=("avgW",))
+    assert type(cfg.tau_max) is float and cfg.tau_max == float(tau_max)
+    traj = propagate_scenario(cfg)
+    assert np.array_equal(traj.tau_grid, np.linspace(0.0, float(tau_max), 101))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_initial_amplitude_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(system="boson", N=2, ubar=0.0, channels=("xi",),
@@ -208,7 +221,8 @@ def test_initial_placement():
 out_strategy = st.one_of(st.none(), st.text(
     st.characters(blacklist_characters="#", blacklist_categories=("Cs",)),
     min_size=1, max_size=12,
-).filter(lambda out: out == out.strip() and len(out.splitlines()) <= 1))
+).filter(lambda out: out == out.strip() and len(out.splitlines()) <= 1
+         and out.rsplit("/", 1)[-1] not in ("", ".", "..")))
 
 _part = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(min_value=-1.0, max_value=1.0))
 
@@ -264,6 +278,13 @@ def test_out_that_would_not_parse_back_is_refused(out):
         ScenarioConfig(system="boson", N=2, ubar=1.0, channels=("avgW",), out=out)
 
 
+@pytest.mark.parametrize("out", ["dir/", "new/deep/", "/", "dir/.", ".", "dir/.."])
+def test_out_naming_a_directory_is_refused(out):
+    # Path drops a trailing '/' or '/.', so "dir/" would write a file named dir
+    with pytest.raises(ConfigError, match="out must name a file, not a directory"):
+        ScenarioConfig(system="boson", N=2, ubar=1.0, channels=("avgW",), out=out)
+
+
 def test_empty_out_is_refused():
     # Path("") is the working directory, so an empty out names no file
     with pytest.raises(ConfigError, match="out must not be empty, got ''"):
@@ -286,13 +307,6 @@ def test_round_trip_with_amplitudes():
                          initial=(0.5, 0.5j, math.sqrt(0.5)))
     parsed = parse_config(serialize_config(cfg))
     assert parsed == cfg
-
-
-def test_apply_overrides():
-    cfg = ScenarioConfig(system="boson", N=2, ubar=0.0, channels=("xi",))
-    out = apply_overrides(cfg, tau_max=10.0, steps=11, integrator="rk4")
-    assert (out.tau_max, out.steps, out.integrator) == (10.0, 11, "rk4")
-    assert apply_overrides(cfg) is cfg
 
 
 def test_run_scenario_produces_requested_channels():
