@@ -53,6 +53,7 @@ def _check_ubar(ubar: float) -> None:
 def boson_dimer_hamiltonian(n: int, ubar: float) -> np.ndarray:
     n = boson_basis(n)
     _check_ubar(ubar)
+    ubar = float(ubar)  # a numpy float32 would round each diagonal entry in float32
     dim = n + 1
     h = np.zeros((dim, dim), dtype=complex)
     for l in range(dim):

@@ -11,14 +11,13 @@ size or mode pair, interaction strength, and channel, e.g.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 from .errors import ConfigError, NumericalError
-from .scenario import ScenarioConfig, _CsvBundle, run_scenario, write_csv
+from .scenario import ScenarioConfig, _CsvBundle, _missing_dirs, run_scenario, write_csv
 
 _PAIR_TAGS = {"l-up/r-down": "lu-rd", "l-up/r-up": "lu-ru"}
 
@@ -114,9 +113,7 @@ def run_figure(name: str, out_dir: Union[str, Path]) -> list[Path]:
         files += [(out / filename, series, (channel,))
                   for filename, channel in zip(entry.filenames, entry.config.channels)]
     bundle = _CsvBundle((series, channels) for _, series, channels in files)
-    # the directories write_csv's mkdir would create, deepest first
-    made_dirs = list(itertools.takewhile(lambda d: not os.path.lexists(d),
-                                         (out, *out.parents)))
+    made_dirs = _missing_dirs(out)
     written: list[Path] = []
     created: list[Path] = []
     try:

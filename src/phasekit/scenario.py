@@ -25,6 +25,7 @@ the target, so a failed write leaves no partial file.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import numbers
 import os
 import threading
@@ -139,7 +140,9 @@ class ScenarioConfig:
             )
         if not (_is_finite(self.tau_max) and self.tau_max > 0):
             raise ConfigError(f"tau_max must be positive and finite, got {self.tau_max!r}")
-        # a numpy float32 would make linspace build a float32 grid
+        # a numpy float32 would make linspace build a float32 grid, and the
+        # Hamiltonian a float32 interaction
+        object.__setattr__(self, "ubar", float(self.ubar))
         object.__setattr__(self, "tau_max", float(self.tau_max))
         if self.steps < 2:
             raise ConfigError(f"steps must be at least 2, got {self.steps}")
@@ -635,13 +638,20 @@ def format_csv(series: TimeSeries, channel_order: Sequence[str], *,
     return bundle.text(series, names)
 
 
+def _missing_dirs(directory: Path) -> list[Path]:
+    """The directories ``directory.mkdir(parents=True)`` would create, deepest first."""
+    return list(itertools.takewhile(lambda d: not os.path.lexists(d),
+                                    (directory, *directory.parents)))
+
+
 def write_csv(series: TimeSeries, channel_order: Sequence[str],
               path: Union[str, Path], *, _bundle: Optional[_CsvBundle] = None) -> Path:
     """Write the CSV of ``series`` to ``path`` atomically and return ``path``.
 
     The text is one ``format_csv`` call's, passed ``_bundle``. It goes to a
     temporary file beside the target, which then replaces it, so an
-    interrupted or failed write leaves any old target whole.
+    interrupted or failed write leaves any old target whole; a failed write
+    also removes the directories it created, when empty.
     """
     if not isinstance(path, (str, os.PathLike)):  # Path() takes nothing else
         raise ConfigError(f"CSV target must be a path, got {path!r}")
@@ -649,6 +659,7 @@ def write_csv(series: TimeSeries, channel_order: Sequence[str],
     text = format_csv(series, channel_order, _bundle=_bundle)
     # a fixed-length name, so it fits wherever the target's name fits
     temp = target.parent / f".phasekit-{os.getpid()}-{threading.get_ident()}.tmp"
+    made_dirs = _missing_dirs(target.parent)
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         with open(temp, "w", encoding="utf-8", newline="\n") as fh:
@@ -657,6 +668,9 @@ def write_csv(series: TimeSeries, channel_order: Sequence[str],
     except (OSError, ValueError) as exc:  # ValueError: a path the OS cannot take (NUL)
         with contextlib.suppress(OSError, ValueError):
             temp.unlink()
+        for directory in made_dirs:  # rmdir removes only an empty one
+            with contextlib.suppress(OSError, ValueError):
+                directory.rmdir()
         reason = getattr(exc, "strerror", None) or exc
         if isinstance(exc, (FileExistsError, NotADirectoryError)):
             # mkdir met a file where a directory must be: name it, not errno

@@ -6,14 +6,12 @@ built family or trajectory, such as ``corner_defect_residual(boson_family(n))``
 or ``conservation_residual(h, eigen_propagate(h, psi0, tau))``; the law's
 check is its worst residual over the check's cases.
 
-``run_verification`` builds each family and trajectory once per run, in the
-one check that reads it. What two checks read is built first as a local,
-passed to both and deleted after the second: the boson families at N = 2..5
-(which the boson sweep takes after the dynamics checks), the N=2 boson and
-pair trajectories at each ubar of ``UBAR_SET``, and the interaction-free N=2
-trajectory. The boson sweep holds one N's family at a time; one family per
-fermion mode pair serves hermiticity, Jacobi and isometry. Nothing is kept
-between runs.
+``run_verification`` is one table of checks over inputs built once per run,
+before any check: the boson family at each N, W up to COMMUTATOR_N_MAX, one
+family per fermion mode pair, the N=2 boson and pair trajectories at each
+ubar of ``UBAR_SET``, and the interaction-free N=2 trajectory. A trajectory
+only one check reads is propagated in that check. Nothing is kept between
+runs.
 
 The battery is fixed: it sweeps N = 1..BOSON_N_MAX and holds the
 operator-algebra checks (hermiticity, unitarity, commutators, isometry) to
@@ -255,41 +253,6 @@ def double_sum_residual() -> float:
     return max(unitarity_deficiency(_double_sum_beta(), subspace=p))
 
 
-def _boson_sweep(families: dict[int, BosonFamily]) -> dict[str, list[float]]:
-    """Per-N residuals of the five boson operator checks, N = 1..BOSON_N_MAX, in
-    order. Each N's family is popped from ``families`` or built, and dropped
-    before the next N's, so one large family is alive at a time."""
-    cases: dict[str, list[float]] = {
-        "hermiticity": [], "unitarity": [], "corner": [], "commutators": [], "jacobi": []}
-    for n in range(1, BOSON_N_MAX + 1):
-        family = families.pop(n) if n in families else boson_family(n)
-        cases["hermiticity"].append(boson_hermiticity_residual(family))
-        cases["unitarity"].append(boson_unitarity_residual(family))
-        cases["corner"].append(corner_defect_residual(family))
-        if n <= COMMUTATOR_N_MAX:
-            w = boson_number_diff(n)
-            cases["commutators"].append(number_phase_commutator_residual(family, w))
-            cases["jacobi"].append(boson_jacobi_residual(family, w))
-        del family  # before the next N's family is built
-    return cases
-
-
-def _pair_sweep() -> dict[str, list[float]]:
-    """Per-pair residuals of the three fermion operator checks, from one
-    family per mode pair: hermiticity over all 6 pairs, the Jacobi identity
-    over SECTION_PAIRS and the isometry over ISOMETRY_PAIRS, in that order."""
-    cases: dict[str, list[float]] = {"hermiticity": [], "jacobi": [], "isometry": []}
-    for i, m in enumerate(MODE_NAMES):
-        for mp in MODE_NAMES[i + 1:]:
-            family = pair_family(m, mp)
-            cases["hermiticity"].append(fermion_hermiticity_residual(family))
-            if (m, mp) in SECTION_PAIRS:
-                cases["jacobi"].append(fermion_jacobi_residual(family))
-            if (m, mp) in ISOMETRY_PAIRS:
-                cases["isometry"].append(betaf_isometry_residual(family))
-    return cases
-
-
 def _worst_check(name: str, residuals: list[float], tol: float, detail: str) -> CheckResult:
     """The check of a case list: it passes when its worst residual is within tol."""
     worst = max(residuals)
@@ -301,38 +264,6 @@ def _check_double_sum_counterexample() -> CheckResult:
     # pass-by-expectation: the unmatched sum MUST break the isometry
     return CheckResult("double-sum-counterexample", residual >= 0.5, residual, 0.5,
                        "expected large: equal-count rest coupling is not a matching")
-
-
-# ---------------------------------------------------------------------------
-# Hamiltonians
-
-
-def _check_mirror_symmetry() -> CheckResult:
-    worst = 0.0
-    for n in range(1, BOSON_N_MAX + 1):
-        for ubar in UBAR_SET:
-            h = boson_dimer_hamiltonian(n, ubar)
-            worst = max(worst, _maxabs(h - h[::-1, ::-1]))
-    return CheckResult("hamiltonian-mirror-symmetry", worst == 0.0, worst, 0.0,
-                       "left/right well exchange leaves the matrix invariant")
-
-
-def _check_interaction_placement() -> CheckResult:
-    free = fermion_pair_hamiltonian(0.0)
-    worst = max(_maxabs(fermion_pair_hamiltonian(ubar) - free
-                        - np.diag([ubar / 2.0, 0.0, 0.0]))
-                for ubar in UBAR_SET)
-    return CheckResult("fermion-interaction-placement", worst == 0.0, worst, 0.0,
-                       "the interaction sits on the single-occupancy diagonal only")
-
-
-def _check_interaction_free_spectra() -> CheckResult:
-    target = np.array([-2.0, 0.0, 2.0])
-    worst = max(_maxabs(np.linalg.eigvalsh(h) - target)
-                for h in (boson_dimer_hamiltonian(2, 0.0),
-                          fermion_pair_hamiltonian(0.0)))
-    return CheckResult("interaction-free-spectra", worst <= ALGEBRA_TOL, worst, ALGEBRA_TOL,
-                       "both systems reduce to the same tunneling triplet")
 
 
 # ---------------------------------------------------------------------------
@@ -395,30 +326,14 @@ def _check_conservation(bosons: _Runs, pairs: _Runs, tau: np.ndarray) -> CheckRe
                        f"energy drift {worst_energy:.2e}")
 
 
-def _check_fermion_closed_form(pairs: _Runs, tau: np.ndarray) -> CheckResult:
-    worst = max(max(fermion_closed_form_residual(ubar, _BOTH_RIGHT, pairs[ubar][1]),
-                    fermion_closed_form_residual(ubar, _MIXED, _pair(ubar, _MIXED, tau)[1]))
-                for ubar in UBAR_SET)
-    return CheckResult("fermion-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
-                       "two-frequency solution vs eigenpropagation, all ubar")
-
-
-def _check_boson_closed_form(bosons: _Runs) -> CheckResult:
-    worst = max(boson_closed_form_residual(ubar, traj) for ubar, (_, traj) in bosons.items())
-    return CheckResult("boson-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
-                       "middle amplitude everywhere; edges checked at ubar=0")
-
-
-def _check_phase_linearity(f: BosonFamily, tau: np.ndarray) -> CheckResult:
-    _, traj = _boson_right_well(f.n, 5.0, tau)
-    worst = max(
+def _linearity_residual(f: BosonFamily, traj: Trajectory) -> float:
+    """Completed cosine/sine averages against raw plus vacuum averages."""
+    return max(
         _maxabs(expectation_series(f.cos_u, traj)
                 - expectation_series(f.cos_cn, traj) - expectation_series(f.cos0, traj)),
         _maxabs(expectation_series(f.sin_u, traj)
                 - expectation_series(f.sin_cn, traj) - expectation_series(f.sin0, traj)),
     )
-    return CheckResult("phase-average-linearity", worst <= ALGEBRA_TOL, worst, ALGEBRA_TOL,
-                       "completed average = raw average + vacuum average")
 
 
 def _check_interaction_free_laws(f: BosonFamily, free: Trajectory) -> CheckResult:
@@ -447,28 +362,22 @@ def _check_odd_even_law(families: dict[int, BosonFamily], free: Trajectory) -> C
                        f"odd-N averages vanish; even-N floor {min_even:.3e}")
 
 
-def _check_squeezing_closed_form() -> CheckResult:
-    """The emitted channels of the default fermion scenario: both-right start,
-    2001 points on [0, 40]."""
-    worst = 0.0
-    for ubar in UBAR_SET:
-        series = run_scenario(ScenarioConfig(
-            system="fermion", ubar=ubar, channels=("xi_second_moment", "xi_closed")))
-        worst = max(worst, _maxabs(series.channels["xi_second_moment"]
-                                   - series.channels["xi_closed"]))
-    return CheckResult(
-        "squeezing-closed-form", worst <= LAW_TOL, worst, LAW_TOL,
-        "printed form vs trajectory second moment; disagrees for ubar != 0 "
-        "(its beat term is inconsistent with the tau=0 value 2)")
+def _squeezing_residual(ubar: float) -> float:
+    """The emitted channels of the default fermion scenario at ``ubar``:
+    both-right start, 2001 points on [0, 40]."""
+    series = run_scenario(ScenarioConfig(
+        system="fermion", ubar=ubar, channels=("xi_second_moment", "xi_closed")))
+    return _maxabs(series.channels["xi_second_moment"] - series.channels["xi_closed"])
 
 
-def _check_config_round_trip() -> CheckResult:
+def _round_trip_residual() -> float:
+    """1 if serialize(parse(serialize(cfg))) moves or parse(serialize(cfg))
+    differs from cfg for a sample config, else 0."""
     samples = (
         ScenarioConfig(system="boson", N=5, ubar=0.05,
                        channels=("avgC_CN", "avgC_U"), out="a.csv"),
         ScenarioConfig(system="fermion", ubar=5.0, mode_pair="l-up/r-up",
-                       integrator="rk4", channels=("fluctS",),
-                       initial=(0.5, 0.5j, math.sqrt(0.5))),
+                       integrator="rk4", channels=("fluctS",), initial=_MIXED),
     )
     worst = 0.0
     for cfg in samples:
@@ -476,57 +385,79 @@ def _check_config_round_trip() -> CheckResult:
         again = serialize_config(parse_config(text))
         if again != text or parse_config(text) != cfg:
             worst = 1.0
-    return CheckResult("config-round-trip", worst == 0.0, worst, 0.0,
-                       "serialize(parse(serialize(cfg))) is a fixed point")
-
-
-def _dynamics_checks(families: dict[int, BosonFamily]) -> tuple[CheckResult, ...]:
-    """The seven dynamics checks, in order. What two of them read is built
-    here, passed to both and deleted after the second."""
-    tau = np.linspace(0.0, _TAU_MAX, 401)
-    boson_runs = {ubar: _boson_right_well(2, ubar, tau) for ubar in UBAR_SET}
-    pair_runs = {ubar: _pair(ubar, _BOTH_RIGHT, tau) for ubar in UBAR_SET}
-    checks = (_check_conservation(boson_runs, pair_runs, tau),
-              _check_fermion_closed_form(pair_runs, tau),
-              _check_boson_closed_form(boson_runs))
-    del boson_runs, pair_runs
-    # two periods of the interaction-free pair
-    _, free = _boson_right_well(2, 0.0, np.linspace(0.0, 2.0 * math.pi, 2001))
-    checks += (_check_phase_linearity(families[3], tau),
-               _check_interaction_free_laws(families[2], free),
-               _check_odd_even_law(families, free))
-    del free
-    return checks + (_check_squeezing_closed_form(),)
+    return worst
 
 
 def run_verification() -> VerificationReport:
-    # the boson sweep takes the families that the dynamics checks read
-    families = {n: boson_family(n) for n in (2, 3, 4, 5)}
-    dynamics = _dynamics_checks(families)
-    boson = _boson_sweep(families)
-    pairs = _pair_sweep()
-    results = (
-        _worst_check("boson-phase-hermiticity", boson["hermiticity"], ALGEBRA_TOL,
+    sizes = range(1, BOSON_N_MAX + 1)
+    families = {n: boson_family(n) for n in sizes}
+    w = {n: boson_number_diff(n) for n in range(1, COMMUTATOR_N_MAX + 1)}
+    pairs = {(m, mp): pair_family(m, mp)
+             for i, m in enumerate(MODE_NAMES) for mp in MODE_NAMES[i + 1:]}
+    free_pair = fermion_pair_hamiltonian(0.0)
+    tau = np.linspace(0.0, _TAU_MAX, 401)
+    boson_runs = {ubar: _boson_right_well(2, ubar, tau) for ubar in UBAR_SET}
+    pair_runs = {ubar: _pair(ubar, _BOTH_RIGHT, tau) for ubar in UBAR_SET}
+    # two periods of the interaction-free pair
+    _, free = _boson_right_well(2, 0.0, np.linspace(0.0, 2.0 * math.pi, 2001))
+    return VerificationReport((
+        _worst_check("boson-phase-hermiticity",
+                     [boson_hermiticity_residual(f) for f in families.values()], ALGEBRA_TOL,
                      f"N in 1..{BOSON_N_MAX}, all cosine/sine flavors"),
-        _worst_check("fermion-phase-hermiticity", pairs["hermiticity"], ALGEBRA_TOL,
+        _worst_check("fermion-phase-hermiticity",
+                     [fermion_hermiticity_residual(f) for f in pairs.values()], ALGEBRA_TOL,
                      "all 6 mode pairs, raw and completed"),
-        _worst_check("boson-beta-unitarity", boson["unitarity"], ALGEBRA_TOL,
+        _worst_check("boson-beta-unitarity",
+                     [boson_unitarity_residual(f) for f in families.values()], ALGEBRA_TOL,
                      f"beta and beta-dagger products, N in 1..{BOSON_N_MAX}"),
-        _worst_check("cn-corner-defect", boson["corner"], CORNER_TOL,
+        _worst_check("cn-corner-defect",
+                     [corner_defect_residual(f) for f in families.values()], CORNER_TOL,
                      "raw beta is a one-sided shift off the corner projectors"),
-        _worst_check("number-phase-commutators", boson["commutators"], ALGEBRA_TOL,
-                     "[cos,W] and [sin,W] close onto the vacuum terms"),
-        _worst_check("jacobi-identity", boson["jacobi"] + pairs["jacobi"], ALGEBRA_TOL,
-                     "cyclic double commutators, boson sweep + 3 fermion pairs"),
+        _worst_check("number-phase-commutators",
+                     [number_phase_commutator_residual(families[n], w[n]) for n in w],
+                     ALGEBRA_TOL, "[cos,W] and [sin,W] close onto the vacuum terms"),
+        _worst_check("jacobi-identity",
+                     [boson_jacobi_residual(families[n], w[n]) for n in w]
+                     + [fermion_jacobi_residual(pairs[p]) for p in SECTION_PAIRS],
+                     ALGEBRA_TOL, "cyclic double commutators, boson sweep + 3 fermion pairs"),
         _worst_check("fermion-anticommutators", [anticommutator_residual()], 0.0,
                      "all 4x4 mode pairs, exact integer arithmetic"),
-        _worst_check("betaf-isometry", pairs["isometry"], ALGEBRA_TOL,
+        _worst_check("betaf-isometry",
+                     [betaf_isometry_residual(pairs[p]) for p in ISOMETRY_PAIRS], ALGEBRA_TOL,
                      "singular values on the half-filled subspace"),
         _check_double_sum_counterexample(),
-        _check_mirror_symmetry(),
-        _check_interaction_placement(),
-        _check_interaction_free_spectra(),
-        *dynamics,
-        _check_config_round_trip(),
-    )
-    return VerificationReport(results)
+        _worst_check("hamiltonian-mirror-symmetry",
+                     [_maxabs(h - h[::-1, ::-1])
+                      for h in (boson_dimer_hamiltonian(n, ubar)
+                                for n in sizes for ubar in UBAR_SET)],
+                     0.0, "left/right well exchange leaves the matrix invariant"),
+        _worst_check("fermion-interaction-placement",
+                     [_maxabs(fermion_pair_hamiltonian(ubar) - free_pair
+                              - np.diag([ubar / 2.0, 0.0, 0.0])) for ubar in UBAR_SET],
+                     0.0, "the interaction sits on the single-occupancy diagonal only"),
+        _worst_check("interaction-free-spectra",
+                     [_maxabs(np.linalg.eigvalsh(h) - np.array([-2.0, 0.0, 2.0]))
+                      for h in (boson_dimer_hamiltonian(2, 0.0), free_pair)],
+                     ALGEBRA_TOL, "both systems reduce to the same tunneling triplet"),
+        _check_conservation(boson_runs, pair_runs, tau),
+        _worst_check("fermion-closed-form",
+                     [fermion_closed_form_residual(ubar, _BOTH_RIGHT, pair_runs[ubar][1])
+                      for ubar in UBAR_SET]
+                     + [fermion_closed_form_residual(ubar, _MIXED, _pair(ubar, _MIXED, tau)[1])
+                        for ubar in UBAR_SET],
+                     LAW_TOL, "two-frequency solution vs eigenpropagation, all ubar"),
+        _worst_check("boson-closed-form",
+                     [boson_closed_form_residual(ubar, traj)
+                      for ubar, (_, traj) in boson_runs.items()],
+                     LAW_TOL, "middle amplitude everywhere; edges checked at ubar=0"),
+        _worst_check("phase-average-linearity",
+                     [_linearity_residual(families[3], _boson_right_well(3, 5.0, tau)[1])],
+                     ALGEBRA_TOL, "completed average = raw average + vacuum average"),
+        _check_interaction_free_laws(families[2], free),
+        _check_odd_even_law(families, free),
+        _worst_check("squeezing-closed-form", [_squeezing_residual(ubar) for ubar in UBAR_SET],
+                     LAW_TOL, "printed form vs trajectory second moment; disagrees for "
+                     "ubar != 0 (its beat term is inconsistent with the tau=0 value 2)"),
+        _worst_check("config-round-trip", [_round_trip_residual()], 0.0,
+                     "serialize(parse(serialize(cfg))) is a fixed point"),
+    ))

@@ -263,6 +263,19 @@ def test_run_failed_replace_keeps_old_target(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg", "series.csv"]
 
 
+def test_run_failed_write_leaves_no_new_directory(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "newdir" / "deep" / "series.csv"
+    cfg, _ = _write_config(tmp_path, out=out)
+
+    def failing_replace(src, dst):
+        raise OSError(errno.ENAMETOOLONG, "File name too long")
+
+    monkeypatch.setattr(scenario.os, "replace", failing_replace)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.cfg"]
+
+
 @pytest.mark.parametrize("failure, code", [("replace", 1), ("non-finite", 2)])
 def test_failed_figure_leaves_no_file(tmp_path, capsys, monkeypatch, failure, code):
     # fig1 writes six files; the third fails, and the two before it go too,

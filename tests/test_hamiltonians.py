@@ -52,6 +52,13 @@ def test_boson_hamiltonian_mirror_symmetry():
         assert np.array_equal(h, h[::-1, ::-1])
 
 
+@pytest.mark.parametrize("ubar", [np.float32(0.1), np.float16(0.3)], ids=["float32", "float16"])
+def test_boson_hamiltonian_takes_ubar_at_its_float_value(ubar):
+    # 0.5 * ubar * (l^2 + (N-l)^2 - N) rounded in float32 for a float32 ubar
+    got = boson_dimer_hamiltonian(3, ubar)
+    assert got.tobytes() == boson_dimer_hamiltonian(3, float(ubar)).tobytes()
+
+
 def test_fermion_hamiltonian_entries():
     root2 = math.sqrt(2.0)
     expected = np.array([[2.5, -root2, -root2],

@@ -195,6 +195,20 @@ def test_tau_max_is_stored_as_float(tau_max):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("ubar", [np.float32(0.1), np.float16(0.3), 5, Fraction(1, 10)],
+                         ids=["float32", "float16", "int", "fraction"])
+def test_ubar_is_stored_as_float(ubar):
+    # a float32 ubar made the boson interaction diagonal float32
+    cfg = ScenarioConfig(system="boson", N=3, ubar=ubar, steps=11, channels=("avgW", "xi"))
+    assert type(cfg.ubar) is float and cfg.ubar == float(ubar)
+    want = ScenarioConfig(system="boson", N=3, ubar=float(ubar), steps=11,
+                          channels=("avgW", "xi"))
+    got, expected = run_scenario(cfg), run_scenario(want)
+    for name in cfg.channels:
+        assert got.channels[name].tobytes() == expected.channels[name].tobytes(), name
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_initial_amplitude_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(system="boson", N=2, ubar=0.0, channels=("xi",),

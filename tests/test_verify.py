@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,56 @@ def test_overall_report_shape(report):
     assert len(lines) == len(report.results) + 1
     assert lines[-1].endswith("1 failed")
     assert any(line.startswith("PASS  boson-beta-unitarity") for line in lines)
+
+
+def test_printed_report_is_pinned(report):
+    # order, names, tolerances, details and summary; every printed residual
+    # (d.ddde±dd, and the .2e drifts) is masked
+    masked = [re.sub(r"\d\.\d+e[+-]\d\d", "X", line) for line in report.lines()]
+    assert masked == [
+        "PASS  boson-phase-hermiticity: residual X (tol 1e-12) — "
+        "N in 1..12, all cosine/sine flavors",
+        "PASS  fermion-phase-hermiticity: residual X (tol 1e-12) — "
+        "all 6 mode pairs, raw and completed",
+        "PASS  boson-beta-unitarity: residual X (tol 1e-12) — "
+        "beta and beta-dagger products, N in 1..12",
+        "PASS  cn-corner-defect: residual X (tol 1e-15) — "
+        "raw beta is a one-sided shift off the corner projectors",
+        "PASS  number-phase-commutators: residual X (tol 1e-12) — "
+        "[cos,W] and [sin,W] close onto the vacuum terms",
+        "PASS  jacobi-identity: residual X (tol 1e-12) — "
+        "cyclic double commutators, boson sweep + 3 fermion pairs",
+        "PASS  fermion-anticommutators: residual X (tol 0) — "
+        "all 4x4 mode pairs, exact integer arithmetic",
+        "PASS  betaf-isometry: residual X (tol 1e-12) — "
+        "singular values on the half-filled subspace",
+        "PASS  double-sum-counterexample: residual X (tol 0.5) — "
+        "expected large: equal-count rest coupling is not a matching",
+        "PASS  hamiltonian-mirror-symmetry: residual X (tol 0) — "
+        "left/right well exchange leaves the matrix invariant",
+        "PASS  fermion-interaction-placement: residual X (tol 0) — "
+        "the interaction sits on the single-occupancy diagonal only",
+        "PASS  interaction-free-spectra: residual X (tol 1e-12) — "
+        "both systems reduce to the same tunneling triplet",
+        "PASS  eigen-conservation: residual X (tol 1e-10) — "
+        "norm drift X (tol 1e-12), energy drift X",
+        "PASS  fermion-closed-form: residual X (tol 1e-09) — "
+        "two-frequency solution vs eigenpropagation, all ubar",
+        "PASS  boson-closed-form: residual X (tol 1e-09) — "
+        "middle amplitude everywhere; edges checked at ubar=0",
+        "PASS  phase-average-linearity: residual X (tol 1e-12) — "
+        "completed average = raw average + vacuum average",
+        "PASS  two-boson-free-laws: residual X (tol 1e-09) — "
+        "closed trig laws for the interaction-free pair",
+        "PASS  odd-even-cosine-law: residual X (tol 1e-09) — "
+        "odd-N averages vanish; even-N floor X",
+        "FAIL  squeezing-closed-form: residual X (tol 1e-09) — "
+        "printed form vs trajectory second moment; disagrees for ubar != 0 "
+        "(its beat term is inconsistent with the tau=0 value 2)",
+        "PASS  config-round-trip: residual X (tol 0) — "
+        "serialize(parse(serialize(cfg))) is a fixed point",
+        "19/20 checks passed, 1 failed",
+    ]
 
 
 def test_a_run_builds_each_family_and_trajectory_once(monkeypatch):
